@@ -16,8 +16,8 @@ from .operators import (DiffOp, FractionPair, frechet, left_divide, left_gcd,
                         right_divide, right_gcd, right_lcm)
 from .bidiff import (BiDiffOp, bi_apply, compose_left, compose_right,
                      frechet_of_op, is_skewsymmetric, left_divide_bidiff,
-                     slot_first, slot_second)
-from .nonlocal_ops import (NonlocalOp, ParityClass, canonicalize, from_fraction_pair,
+                     slot_first, slot_second, transpose)
+from .nonlocal_ops import (NonlocalOp, ParityClass, from_fraction_pair,
                            is_recursion_for, lie_derivative, nl_apply, nl_mul,
                            nl_power, operator_from_json, operator_to_json,
                            parity_class, series_expand, series_product,

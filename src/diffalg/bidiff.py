@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, Optional, Tuple
 
-from .jets import DiffPoly, RatFun
+from .jets import DiffPoly, RatFun, accumulate, derivatives
 from .operators import DiffOp
 
 
@@ -54,11 +54,7 @@ class BiDiffOp:
     def __add__(self, other: "BiDiffOp") -> "BiDiffOp":
         entries = dict(self.entries)
         for kl, c in other.entries.items():
-            s = entries.get(kl, RatFun(0)) + c
-            if s.is_zero():
-                entries.pop(kl, None)
-            else:
-                entries[kl] = s
+            accumulate(entries, kl, c)
         return BiDiffOp(entries)
 
     def __neg__(self) -> "BiDiffOp":
@@ -78,84 +74,59 @@ class BiDiffOp:
 
 def bi_apply(m: BiDiffOp, f, g):
     """M(F, G) = sum M_kl F^(k) G^(l)."""
-    f = RatFun.coerce(f)
-    g = RatFun.coerce(g)
-    df: Dict[int, RatFun] = {}
-    dg: Dict[int, RatFun] = {}
+    df = derivatives(RatFun.coerce(f), m.d2() or 0)
+    dg = derivatives(RatFun.coerce(g), m.d1() or 0)
     out = RatFun(0)
     for (k, l), c in m.entries.items():
-        if k not in df:
-            df[k] = f.d(k)
-        if l not in dg:
-            dg[l] = g.d(l)
         out = out + c * df[k] * dg[l]
     return out
 
 
 def slot_first(m: BiDiffOp, f) -> DiffOp:
     """M_F = sum M_kl F^(k) D^l as a differential operator."""
-    f = RatFun.coerce(f)
+    df = derivatives(RatFun.coerce(f), m.d2() or 0)
     coeffs: Dict[int, RatFun] = {}
-    df: Dict[int, RatFun] = {}
     for (k, l), c in m.entries.items():
-        if k not in df:
-            df[k] = f.d(k)
-        s = coeffs.get(l, RatFun(0)) + c * df[k]
-        if s.is_zero():
-            coeffs.pop(l, None)
-        else:
-            coeffs[l] = s
+        accumulate(coeffs, l, c * df[k])
     return DiffOp(coeffs)
 
 
 def slot_second(m: BiDiffOp, g) -> DiffOp:
     """M^G = sum M_kl G^(l) D^k."""
-    g = RatFun.coerce(g)
+    dg = derivatives(RatFun.coerce(g), m.d1() or 0)
     coeffs: Dict[int, RatFun] = {}
-    dg: Dict[int, RatFun] = {}
     for (k, l), c in m.entries.items():
-        if l not in dg:
-            dg[l] = g.d(l)
-        s = coeffs.get(k, RatFun(0)) + c * dg[l]
-        if s.is_zero():
-            coeffs.pop(k, None)
-        else:
-            coeffs[k] = s
+        accumulate(coeffs, k, c * dg[l])
     return DiffOp(coeffs)
 
 
 def compose_left(b: DiffOp, m: BiDiffOp) -> BiDiffOp:
     """(BM)(F, G) = B(M(F, G)); the Leibniz expansion hits both slots."""
+    top = max(b.coeffs, default=0)
+    towers = {kl: derivatives(c, top) for kl, c in m.entries.items()}
     entries: Dict[Tuple[int, int], RatFun] = {}
     for j, bj in b.coeffs.items():
-        for (k, l), c in m.entries.items():
+        for (k, l), tower in towers.items():
             # expand D^j (c F^(k)) D^l term by term
             for n in range(j + 1):
                 for i in range(n + 1):
-                    coeff = bj * c.d(n - i) * (comb(j, n) * comb(n, i))
-                    key = (k + i, j - n + l)
-                    s = entries.get(key, RatFun(0)) + coeff
-                    if s.is_zero():
-                        entries.pop(key, None)
-                    else:
-                        entries[key] = s
+                    coeff = bj * tower[n - i] * (comb(j, n) * comb(n, i))
+                    accumulate(entries, (k + i, j - n + l), coeff)
     return BiDiffOp(entries)
 
 
 def compose_right(m: BiDiffOp, b: DiffOp) -> BiDiffOp:
-    """(MB)(F, G) = M(F, B(G)): acts through the second slot."""
-    entries: Dict[Tuple[int, int], RatFun] = {}
+    """(MB)(F, G) = M(F, B(G)): each first-slot row is an operator times B."""
+    rows: Dict[int, Dict[int, RatFun]] = {}
     for (k, l), c in m.entries.items():
-        for j, bj in b.coeffs.items():
-            for n in range(l + 1):
-                coeff = c * bj.d(n) * comb(l, n)
-                key = (k, l - n + j)
-                s = entries.get(key, RatFun(0)) + coeff
-                if s.is_zero():
-                    entries.pop(key, None)
-                else:
-                    entries[key] = s
-    return BiDiffOp(entries)
+        rows.setdefault(k, {})[l] = c
+    return BiDiffOp({(k, l): c for k, row in rows.items()
+                     for l, c in (DiffOp(row) * b).coeffs.items()})
+
+
+def transpose(m: BiDiffOp) -> BiDiffOp:
+    """M^T(F, G) = M(G, F): the two slots swap."""
+    return BiDiffOp({(l, k): c for (k, l), c in m.entries.items()})
 
 
 def left_divide_bidiff(m: BiDiffOp, b: DiffOp) -> Tuple[BiDiffOp, BiDiffOp]:

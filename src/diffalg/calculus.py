@@ -33,12 +33,14 @@ def evo_apply(f, g, name: str = "u"):
     if not isinstance(f, RatFun):
         f = DiffPoly.coerce(f)
     out = RatFun(0) if rational else DiffPoly.zero()
+    # d^n f streams: a derivatives() tower of a large chain member raises peak RSS
     dnf = f
     for n in range(top + 1):
+        if n:
+            dnf = dnf.total_derivative()
         part = g.partial(name, n)
-        if (not part.is_zero()) if rational else bool(part):
+        if part:
             out = out + part * dnf
-        dnf = dnf.total_derivative()
     return out
 
 
@@ -48,17 +50,14 @@ def lie_bracket(f: DiffPoly, g: DiffPoly, name: str = "u") -> DiffPoly:
 
 
 def variational_derivative(f: DiffPoly, name: str = "u") -> DiffPoly:
-    """Euler operator: sum (-d)^n (df/du^(n))."""
+    """Euler operator: sum (-d)^n (df/du^(n)), as p_0 - d(p_1 - d(p_2 - ...))."""
     f = DiffPoly.coerce(f)
     top = f.top_order(name)
     if top is None:
         return DiffPoly.zero()
-    out = DiffPoly.zero()
-    for n in range(top + 1):
-        term = f.partial(name, n)
-        for _ in range(n):
-            term = -term.total_derivative()
-        out = out + term
+    out = f.partial(name, top)
+    for n in range(top - 1, -1, -1):
+        out = f.partial(name, n) - out.total_derivative()
     return out
 
 

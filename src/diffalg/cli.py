@@ -90,7 +90,7 @@ def cmd_hierarchy(args) -> int:
     h.extend(args.steps)
     report = None
     if args.verify:
-        report = h.verify_commuting(jobs=args.jobs)
+        report = h.verify_commuting()
     _emit(h.report(report), args.format)
     if args.verify and not report.all_zero:
         return EXIT_FALSE
@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", metavar="EXPR")
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("densities", help="conserved densities of a power of the operator")

@@ -92,17 +92,6 @@ _register(CorpusEntry(
 ))
 
 _register(CorpusEntry(
-    name="example-216b",
-    operator_json={
-        "local": [["u", 0], ["1", 1]],
-        "nonlocal": [["u'", "1"]],
-        "grading": {"u": "even"},
-    },
-    seed="u'",
-    note="first-order weakly non-local hereditary operator",
-))
-
-_register(CorpusEntry(
     name="counterexample",
     operator_json={
         "local": [["u''", 0]],

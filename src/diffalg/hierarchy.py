@@ -9,8 +9,6 @@ recomputation, never assumed from the structure results that predict them.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -134,27 +132,15 @@ class Hierarchy:
 
     # -- certification ------------------------------------------------------
 
-    def verify_commuting(self, jobs: int = 1) -> "CommutationReport":
+    def verify_commuting(self) -> "CommutationReport":
         pairs = [(i, j) for i in range(len(self.chain))
                  for j in range(i + 1, len(self.chain))]
-
-        def check(ij):
-            i, j = ij
-            residual = lie_bracket(self.chain[i], self.chain[j])
-            return (i, j, residual)
-
-        if jobs > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(check, pairs))
-        else:
-            results = [check(ij) for ij in pairs]
+        results = [(i, j, lie_bracket(self.chain[i], self.chain[j]))
+                   for i, j in pairs]
         bad = [(i, j, r) for i, j, r in results if not r.is_zero()]
         self.commuting_verified = not bad
-        report = CommutationReport(
-            pairs_checked=len(pairs),
-            all_zero=not bad,
-            violations=[(i, j, r) for i, j, r in bad])
-        return report
+        return CommutationReport(pairs_checked=len(pairs), all_zero=not bad,
+                                 violations=bad)
 
     def order_growth(self) -> "OrderGrowthReport":
         """Certify orders[k+1] = orders[k] + deg L beyond the coefficient bound."""
@@ -221,9 +207,6 @@ class Hierarchy:
         if self.notes:
             data["notes"] = list(self.notes)
         return data
-
-    def report_json(self, verified: Optional["CommutationReport"] = None) -> str:
-        return json.dumps(self.report(verified), indent=2)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ with sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Union
 
 from .bidiff import (BiDiffOp, compose_left, compose_right, frechet_of_op,
-                     is_skewsymmetric, left_divide_bidiff, slot_first)
+                     is_skewsymmetric, left_divide_bidiff, slot_first,
+                     transpose)
 from .errors import Unsupported, VerificationFailed
-from .jets import DiffPoly, RatFun
+from .jets import DiffPoly
 from .operators import (DiffOp, FractionPair, frechet,
                         minimal_right_fraction)
 from .nonlocal_ops import (NonlocalOp, from_fraction_pair, nl_mul, to_fraction,
@@ -51,48 +51,20 @@ class Verdict:
         return self.result
 
 
-def _x_defect_part(a: DiffOp, b: DiffOp, name: str = "u") -> BiDiffOp:
-    """The bidifferential operator with F-slot T_F = X_{A(F)}(B).
-
-    Expanding X_{A(F)}(b_l) = sum_j d^j(A(F)) * db_l/du^(j) and
-    d^j(a_k F^(k)) = sum_i binom(j, i) a_k^(j-i) F^(k+i) gives the entries.
-    """
-    entries: Dict[Tuple[int, int], RatFun] = {}
-    partials = {}
-    for l, bl in b.coeffs.items():
-        top = bl.top_order(name)
-        if top is None:
-            continue
-        for j in range(top + 1):
-            p = bl.partial(name, j)
-            if not p.is_zero():
-                partials[(l, j)] = p
-    for (l, j), p in partials.items():
-        for k, ak in a.coeffs.items():
-            dk = ak
-            # d^j(a_k F^(k)) contributes a_k^(i) F^(k+j-i) with binom(j, i)
-            for i in range(0, j + 1):
-                coeff = p * dk * comb(j, i)
-                key = (k + (j - i), l)
-                s = entries.get(key, RatFun(0)) + coeff
-                if s.is_zero():
-                    entries.pop(key, None)
-                else:
-                    entries[key] = s
-                dk = dk.total_derivative()
-    return BiDiffOp(entries)
-
-
 def lie_defect(a: DiffOp) -> BiDiffOp:
-    """T with T_F = X_{A(F)}(A) - (D_A)_F A, the obstruction A must divide."""
-    return _x_defect_part(a, a) - compose_right(frechet_of_op(a), a)
+    """T with T_F = X_{A(F)}(A) - (D_A)_F A, the obstruction A must divide.
+
+    M = D_A A has F-slot (D_A)_F A, and its transpose has F-slot
+    X_{A(F)}(A) because X_{A(F)}(a_l) = (D_{a_l} A)(F); so T = M^T - M.
+    """
+    m = compose_right(frechet_of_op(a), a)
+    return transpose(m) - m
 
 
 def _mixed_defect(a: DiffOp, b: DiffOp) -> BiDiffOp:
-    """X_{A(F)}(B) + X_{B(F)}(A) - (D_A)_F B - (D_B)_F A."""
-    return (_x_defect_part(a, b) + _x_defect_part(b, a)
-            - compose_right(frechet_of_op(a), b)
-            - compose_right(frechet_of_op(b), a))
+    """X_{A(F)}(B) + X_{B(F)}(A) - (D_A)_F B - (D_B)_F A, as M^T - M."""
+    m = compose_right(frechet_of_op(a), b) + compose_right(frechet_of_op(b), a)
+    return transpose(m) - m
 
 
 def is_integrable_diffop(a: DiffOp) -> Verdict:

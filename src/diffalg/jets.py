@@ -103,9 +103,6 @@ class DiffPoly:
     def indets(self) -> List[str]:
         return sorted({v[1] for m in self.terms for v, _ in m})
 
-    def variables(self) -> List[JetKey]:
-        return sorted({v for m in self.terms for v, _ in m})
-
     def top_order(self, name: Optional[str] = None) -> Optional[int]:
         """Highest jet order present, optionally restricted to one indeterminate."""
         orders = [v[0] for m in self.terms for v, _ in m
@@ -231,12 +228,6 @@ class DiffPoly:
                 else:
                     terms.pop(mono, None)
         return DiffPoly(terms)
-
-    def d(self, n: int = 1) -> "DiffPoly":
-        p = self
-        for _ in range(n):
-            p = p.total_derivative()
-        return p
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Partial derivative with respect to one jet variable."""
@@ -754,12 +745,6 @@ class RatFun:
         return self._quotient_rule(self.num.total_derivative(),
                                    self.den.total_derivative())
 
-    def d(self, n: int = 1) -> "RatFun":
-        r = self
-        for _ in range(n):
-            r = r.total_derivative()
-        return r
-
     def partial(self, name: str, order: int) -> "RatFun":
         if self.den.is_one():
             return RatFun._reduced(self.num.partial(name, order), DiffPoly.const(1))
@@ -770,6 +755,26 @@ class RatFun:
         orders = [o for o in (self.num.top_order(name), self.den.top_order(name))
                   if o is not None]
         return max(orders) if orders else None
+
+
+# -- the Leibniz kernel ---------------------------------------------------------
+
+
+def derivatives(f, n: int) -> list:
+    """The tower [f, f', ..., f^(n)]: each total derivative is taken once."""
+    tower = [f]
+    for _ in range(n):
+        tower.append(tower[-1].total_derivative())
+    return tower
+
+
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum is zero."""
+    total = out[key] + value if key in out else value
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
 
 
 # -- parity grading -----------------------------------------------------------

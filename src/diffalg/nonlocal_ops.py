@@ -14,14 +14,14 @@ depends on a truncation depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
                      Unsupported)
-from .jets import DiffPoly, Grading, RatFun, constant_linear_basis
-from .operators import (DiffOp, FractionPair, frechet, right_divide, right_lcm)
+from .jets import (DiffPoly, Grading, RatFun, accumulate, constant_linear_basis,
+                   derivatives)
+from .operators import DiffOp, evo_apply_op, frechet, right_divide, right_lcm
 
 Pair = Tuple[RatFun, RatFun]
 Triple = Tuple[RatFun, RatFun, RatFun]
@@ -84,9 +84,6 @@ class NonlocalOp:
 
     def is_local(self) -> bool:
         return not self.depth1 and not self.depth2
-
-    def is_weakly_nonlocal(self) -> bool:
-        return not self.depth2
 
     def degree(self) -> Optional[int]:
         """Degree of the local part, -1 if purely non-local, None for zero."""
@@ -217,13 +214,6 @@ def _canonicalize(local: DiffOp, depth1: Sequence[Pair], depth2: Sequence[Triple
     return local, _reduce_tensor(pairs), tuple(triples)
 
 
-def canonicalize(local: DiffOp = None, depth1: Sequence[Pair] = (),
-                 depth2: Sequence[Triple] = ()) -> NonlocalOp:
-    """Build the canonical form of a raw sum E + sum p d^-1 q + sum a d^-1 b d^-1 c."""
-    return NonlocalOp(local if local is not None else DiffOp.zero(),
-                      depth1, depth2)
-
-
 # -- multiplication -----------------------------------------------------------------
 
 
@@ -329,13 +319,9 @@ def nl_apply(l: NonlocalOp, f):
 # -- Lie derivatives ------------------------------------------------------------------
 
 
-def _evo_on_op(g, op: DiffOp, name: str = "u") -> DiffOp:
-    return DiffOp({k: evo_apply(g, c, name) for k, c in op.coeffs.items()})
-
-
 def evo_on_nonlocal(g, l: NonlocalOp, name: str = "u") -> NonlocalOp:
     """X_g acts coefficientwise: on E, on every p and on every q."""
-    local = _evo_on_op(g, l.local, name)
+    local = evo_apply_op(g, l.local, name)
     pairs: List[Pair] = []
     for p, q in l.depth1:
         pairs.append((evo_apply(g, p, name), q))
@@ -398,11 +384,6 @@ def to_fraction(l: NonlocalOp) -> Tuple[DiffOp, DiffOp]:
     return a, b
 
 
-def as_fraction_pair(l: NonlocalOp) -> FractionPair:
-    a, b = to_fraction(l)
-    return FractionPair(a, b, "right")
-
-
 def from_fraction_pair(a: DiffOp, b: DiffOp) -> NonlocalOp:
     """Convert A B^-1 to weakly non-local form when B = b1 * d.
 
@@ -436,21 +417,7 @@ def _binom(k: int, n: int) -> int:
 
 def _series_d_inverse(series: Dict[int, RatFun], depth: int) -> Dict[int, RatFun]:
     """d^-1 composed with a truncated Laurent operator, truncated at d^-depth."""
-    out: Dict[int, RatFun] = {}
-    for j, c in series.items():
-        derivative = c
-        n = 0
-        while -1 - n + j >= -depth:
-            coeff = derivative * _binom(-1, n)
-            key = -1 - n + j
-            s = out.get(key, RatFun(0)) + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-            derivative = derivative.total_derivative()
-            n += 1
-    return out
+    return series_product({-1: RatFun(1)}, series, depth)
 
 
 def _series_scale(f: RatFun, series: Dict[int, RatFun]) -> Dict[int, RatFun]:
@@ -463,15 +430,11 @@ def series_expand(l: NonlocalOp, depth: int) -> Dict[int, RatFun]:
     Test oracle only: d^-1 a = sum (-1)^n a^(n) d^(-n-1), applied right to left
     through each non-local chain.
     """
-    out: Dict[int, RatFun] = {k: c for k, c in l.local.coeffs.items()}
+    out: Dict[int, RatFun] = dict(l.local.coeffs)
 
     def add(series: Dict[int, RatFun]):
         for k, c in series.items():
-            s = out.get(k, RatFun(0)) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            accumulate(out, k, c)
 
     for p, q in l.depth1:
         add(_series_scale(p, _series_d_inverse({0: q}, depth)))
@@ -502,45 +465,31 @@ def series_inverse(b: DiffOp, depth: int) -> Dict[int, RatFun]:
         guard += 1
         if guard > 10 * (depth + n + 2):
             raise AssertionError("series inversion failed to make progress")
-        term = {top - n: residual[top] / lc}
-        for k, c in term.items():
-            s = inverse.get(k, RatFun(0)) + c
-            if s.is_zero():
-                inverse.pop(k, None)
-            else:
-                inverse[k] = s
-        # residual -= B * term, truncated well below the requested depth
-        product = series_product({k: c for k, c in b.coeffs.items()}, term,
-                                 depth + n + 1)
+        coeff = residual[top] / lc
+        accumulate(inverse, top - n, coeff)
+        # residual -= B * coeff d^(top-n), truncated well below the requested depth
+        product = series_product(dict(b.coeffs), {top - n: coeff}, depth + n + 1)
         for k, c in product.items():
-            s = residual.get(k, RatFun(0)) - c
-            if s.is_zero():
-                residual.pop(k, None)
-            else:
-                residual[k] = s
+            accumulate(residual, k, -c)
     return {k: c for k, c in inverse.items() if k >= -depth}
 
 
 def series_product(s1: Dict[int, RatFun], s2: Dict[int, RatFun],
                    depth: int) -> Dict[int, RatFun]:
-    """Product of truncated expansions, truncated at d^-depth; oracle helper."""
+    """Product of truncated expansions, truncated at d^-depth; oracle helper.
+
+    d^i b = sum_n binom(i, n) b^(n) d^(i-n) stops at n = i for i >= 0 and
+    otherwise at the truncation i - n + j = -depth.
+    """
     out: Dict[int, RatFun] = {}
-    for i, a in s1.items():
-        for j, b in s2.items():
-            derivative = b
-            n = 0
-            while i - n + j >= -depth and (n <= i or i < 0):
-                coeff = a * derivative * _binom(i, n)
-                if not coeff.is_zero():
-                    key = i - n + j
-                    s = out.get(key, RatFun(0)) + coeff
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-                derivative = derivative.total_derivative()
-                n += 1
-    return {k: c for k, c in out.items() if not c.is_zero()}
+    for j, b in s2.items():
+        tops = {i: min(i, i + j + depth) if i >= 0 else i + j + depth
+                for i in s1}
+        tower = derivatives(b, max(tops.values(), default=0))
+        for i, a in s1.items():
+            for n in range(tops[i] + 1):
+                accumulate(out, i - n + j, a * tower[n] * _binom(i, n))
+    return out
 
 
 # -- parity --------------------------------------------------------------------------------
@@ -591,10 +540,6 @@ def parity_class(l: NonlocalOp, grading: Grading) -> ParityClass:
         if pp != 0 or pq != 1:
             switched = False
     return ParityClass(member, switched, detail)
-
-
-def nl_degree(l: NonlocalOp) -> Optional[int]:
-    return l.degree()
 
 
 # -- JSON operator schema -------------------------------------------------------------------

@@ -15,7 +15,8 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DependentInput
-from .jets import DiffPoly, RatFun, constant_linear_basis
+from .jets import (DiffPoly, RatFun, accumulate, constant_linear_basis,
+                   derivatives)
 
 
 class DiffOp:
@@ -73,9 +74,6 @@ class DiffOp:
     def coefficient(self, k: int) -> RatFun:
         return self.coeffs.get(k, RatFun(0))
 
-    def is_identity(self) -> bool:
-        return self.coeffs == {0: RatFun(1)}
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, DiffPoly, RatFun)):
             other = DiffOp.of_function(other)
@@ -109,11 +107,7 @@ class DiffOp:
         other = DiffOp.coerce(other)
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = coeffs.get(k, RatFun(0)) + c
-            if s.is_zero():
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = s
+            accumulate(coeffs, k, c)
         return DiffOp(coeffs)
 
     __radd__ = __add__
@@ -133,19 +127,13 @@ class DiffOp:
         """Operator composition; D^k * a expands by the Leibniz rule."""
         if isinstance(other, (int, Fraction, DiffPoly, RatFun)):
             other = DiffOp.of_function(other)
+        top = max(self.coeffs, default=0)
+        towers = {l: derivatives(b, top) for l, b in other.coeffs.items()}
         coeffs: Dict[int, RatFun] = {}
         for k, a in self.coeffs.items():
-            for l, b in other.coeffs.items():
-                derivative = b
+            for l, tower in towers.items():
                 for n in range(k + 1):
-                    c = a * derivative * comb(k, n)
-                    key = k - n + l
-                    s = coeffs.get(key, RatFun(0)) + c
-                    if s.is_zero():
-                        coeffs.pop(key, None)
-                    else:
-                        coeffs[key] = s
-                    derivative = derivative.total_derivative()
+                    accumulate(coeffs, k - n + l, a * tower[n] * comb(k, n))
         return DiffOp(coeffs)
 
     def __rmul__(self, other) -> "DiffOp":
@@ -169,15 +157,12 @@ class DiffOp:
     def apply(self, f):
         """A(f) = sum a_k d^k(f); returns DiffPoly when the result is polynomial."""
         poly_in = not isinstance(f, RatFun)
-        g = RatFun.coerce(f)
+        tower = derivatives(RatFun.coerce(f), max(self.coeffs, default=0))
         out = RatFun(0)
-        top = max(self.coeffs, default=0)
-        derivative = g
-        for k in range(top + 1):
+        for k, derivative in enumerate(tower):
             a = self.coeffs.get(k)
             if a is not None:
                 out = out + a * derivative
-            derivative = derivative.total_derivative()
         if poly_in and out.is_polynomial():
             return out.as_diffpoly()
         return out
@@ -190,16 +175,8 @@ class DiffOp:
         coeffs: Dict[int, RatFun] = {}
         for k, a in self.coeffs.items():
             sign = -1 if k % 2 else 1
-            derivative = a
-            for n in range(k + 1):
-                c = derivative * (comb(k, n) * sign)
-                key = k - n
-                s = coeffs.get(key, RatFun(0)) + c
-                if s.is_zero():
-                    coeffs.pop(key, None)
-                else:
-                    coeffs[key] = s
-                derivative = derivative.total_derivative()
+            for n, derivative in enumerate(derivatives(a, k)):
+                accumulate(coeffs, k - n, derivative * (comb(k, n) * sign))
         return DiffOp(coeffs)
 
     def monic(self) -> "DiffOp":

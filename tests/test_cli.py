@@ -86,11 +86,6 @@ class TestHierarchyCommand:
                            "--seed", "u'", "--steps", "1")
         assert code == 3 and "hypothesis_violation" in err
 
-    def test_jobs_flag(self, capsys):
-        code, data, _ = run_json(capsys, "hierarchy", "--op", "burgers",
-                                 "--steps", "3", "--verify", "--jobs", "3")
-        assert code == 0 and data["pairwise_zero"] is True
-
 
 class TestPowerAndDensities:
     def test_power_two(self, capsys):

@@ -98,9 +98,6 @@ class TestVerifyCommuting:
         report = kdv_chain.verify_commuting()
         assert report.all_zero and report.pairs_checked == 6
 
-    def test_parallel_matches_serial(self, kdv_chain):
-        assert kdv_chain.verify_commuting(jobs=4).all_zero
-
     def test_trivially_commuting_non_hierarchy(self):
         h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u1, u2],
                       potentials=[None, None], orders=[1, 2])

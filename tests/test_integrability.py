@@ -8,8 +8,12 @@ from diffalg import (BiDiffOp, DiffOp, DiffPoly, NonlocalOp, RatFun,
                      compose_left, hereditary_coefficient_bound, is_hereditary,
                      is_integrable_diffop, is_integrable_pair, is_integrable_wnl,
                      is_recursion_for, jet, lie_bracket, lie_defect, nl_power)
+from diffalg.bidiff import frechet_of_op, slot_first
 from diffalg.errors import Unsupported
-from diffalg.operators import FractionPair
+from diffalg.integrability import _mixed_defect
+from diffalg.operators import FractionPair, evo_apply_op
+
+from helpers import rand_op
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -42,6 +46,19 @@ class TestLieDefect:
 
     def test_burgers_witness_identity(self):
         assert lie_defect(BURGERS_A) == compose_left(BURGERS_A, WITNESS)
+
+    def test_defects_match_their_definitions(self, rng):
+        # T_F = X_{A(F)}(A) - (D_A)_F A, expanded directly at a formal F
+        f = DiffPoly.jet("F", 0)
+
+        def x_part(a, b):
+            return evo_apply_op(a.apply(f), b) - slot_first(frechet_of_op(a), f) * b
+
+        for _ in range(40):
+            a = rand_op(rng, rational=rng.random() < 0.3)
+            b = rand_op(rng, rational=rng.random() < 0.3)
+            assert slot_first(lie_defect(a), f) == x_part(a, a)
+            assert slot_first(_mixed_defect(a, b), f) == x_part(a, b) + x_part(b, a)
 
 
 class TestIntegrableOperator:
