@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotExact, NotSupported, NotVariational, VerificationFailed
-from .jets import DiffPoly, RatFun, _rref
+from .jets import DiffPoly, RatFun, _rref, _vectors
 
 
 def evo_apply(f, g, name: str = "u"):
@@ -173,7 +173,7 @@ def basis_mod_total_derivatives(fs: Sequence[DiffPoly]):
     exact_parts: List[DiffPoly] = []
 
     for f, delta in zip(fs, deltas):
-        solved = _reduce_against(f, delta, basis, basis_deltas, indets)
+        solved = _reduce_against(f, delta, basis, basis_deltas)
         if solved is None:
             basis.append(f)
             basis_deltas.append(delta)
@@ -188,23 +188,14 @@ def basis_mod_total_derivatives(fs: Sequence[DiffPoly]):
     return basis, coords, exact_parts
 
 
-def _reduce_against(f, delta, basis, basis_deltas, indets):
+def _reduce_against(f, delta, basis, basis_deltas):
     """Solve f = sum c_j basis_j + d(h); returns (c, h) or None."""
-    # Stage 1: match variational derivatives (a linear system over Q).
-    all_delta_polys = [p for row in basis_deltas for p in row] + list(delta)
-    monomials = sorted({m for p in all_delta_polys for m in p.terms}, reverse=True)
-    lookup = {m: i for i, m in enumerate(monomials)}
-
-    def vec(row: List[DiffPoly]) -> List[Fraction]:
-        v = [Fraction(0)] * (len(monomials) * len(indets))
-        for k, p in enumerate(row):
-            base = k * len(monomials)
-            for m, c in p.terms.items():
-                v[base + lookup[m]] = c
-        return v
-
-    target = vec(delta)
-    rows = [vec(row) for row in basis_deltas]
+    # Stage 1: match variational derivatives (a linear system over Q), one
+    # column per (indeterminate, monomial) of the stacked deltas.
+    _, vectors = _vectors([{(k, m): c for k, p in enumerate(row)
+                            for m, c in p.terms.items()}
+                           for row in basis_deltas + [delta]])
+    *rows, target = vectors
     if not rows:
         if any(target):
             return None

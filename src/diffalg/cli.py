@@ -2,7 +2,8 @@
 
 Exit codes: 0 verdict true / success, 1 verdict false (certificate included
 in the output), 2 usage or parse error, 3 hypothesis violation (NotInImage,
-DepthOverflow, NotVariational).
+DepthOverflow, NotVariational), 4 internal error (VerificationFailed or any
+other unexpected exception), so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .calculus import lie_bracket
 from .corpus import builtin_names, load_operator
 from .errors import (DepthOverflow, DiffAlgError, NotInImage, NotSupported,
-                     NotVariational, ParseError, Unsupported)
+                     NotVariational, ParseError, Unsupported, VerificationFailed)
 from .grammar import format_poly, parse_function
 from .hierarchy import Hierarchy, conserved_densities, density_report
 from .integrability import is_hereditary, is_integrable_wnl
@@ -24,6 +26,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(data: dict, fmt: str) -> None:
@@ -206,9 +209,19 @@ def main(argv=None) -> int:
     except (NotInImage, DepthOverflow, NotVariational) as exc:
         print(json.dumps({"hypothesis_violation": str(exc)}), file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except VerificationFailed as exc:
+        return _internal_error(exc)
     except (NotSupported, Unsupported, DiffAlgError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    print(json.dumps({"internal_error": f"{type(exc).__name__}: {exc}",
+                      "traceback": traceback.format_exc()}), file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -116,7 +116,7 @@ def load_operator(spec: str) -> Tuple[NonlocalOp, Grading]:
     if os.path.exists(spec):
         with open(spec) as fh:
             data = json.load(fh)
-        if "operator" in data:
+        if isinstance(data, dict) and "operator" in data:
             data = data["operator"]
         return operator_from_json(data)
     name = spec[:-5] if spec.endswith(".json") else spec

@@ -24,13 +24,15 @@ from typing import Sequence, Tuple
 from .errors import ParseError
 from .jets import DiffPoly, RatFun
 
-MAX_EXPONENT = 10_000
+MAX_EXPONENT = 10_000  # bound on exponents and jet orders, which drive expansion work
+MAX_DEPTH = 100  # bound on parenthesis nesting; the printer emits none
 
 
 class _Scanner:
     def __init__(self, text: str, names: Sequence[str]):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.names = tuple(names)
 
     def skip_ws(self) -> None:
@@ -61,10 +63,14 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
-        value = int(self.text[start:self.pos])
-        if abs(value) > MAX_EXPONENT:
-            raise OverflowError(f"integer {value} exceeds supported bounds")
-        return value
+        return int(self.text[start:self.pos])
+
+
+def _bounded(value: int) -> int:
+    """An exponent or a jet order; coefficients stay unbounded."""
+    if abs(value) > MAX_EXPONENT:
+        raise OverflowError(f"integer {value} exceeds supported bounds")
+    return value
 
 
 def _parse_jet(s: _Scanner) -> DiffPoly:
@@ -79,15 +85,19 @@ def _parse_jet(s: _Scanner) -> DiffPoly:
         while s.pos < len(s.text) and s.text[s.pos] == "'":
             order += 1
             s.pos += 1
-    return DiffPoly.jet(name, order)
+    return DiffPoly.jet(name, _bounded(order))
 
 
 def _parse_atom(s: _Scanner) -> DiffPoly:
     c = s.peek()
     if c == "(":
         s.pos += 1
+        s.depth += 1
+        if s.depth > MAX_DEPTH:
+            raise ParseError(f"parentheses nest deeper than {MAX_DEPTH}", s.pos)
         inner = _parse_expr(s)
         s.expect(")")
+        s.depth -= 1
         return inner
     if c in s.names:
         return _parse_jet(s)
@@ -107,7 +117,7 @@ def _parse_factor(s: _Scanner) -> DiffPoly:
     atom = _parse_atom(s)
     if s.peek() == "^":
         s.pos += 1
-        e = s.integer()
+        e = _bounded(s.integer())
         if e < 0:
             if atom.is_constant():
                 value = atom.constant_value()

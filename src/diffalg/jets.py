@@ -13,6 +13,7 @@ Everything here is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DependentInput
@@ -267,20 +268,10 @@ def diff_order(f, name: str = "u") -> Optional[int]:
     """Greatest n with a nonzero partial in u^(n); None for quasiconstants.
 
     With no explicit x variable the quasiconstants are exactly the rationals,
-    so None doubles as the constant sentinel.
+    so None doubles as the constant sentinel.  A RatFun is gcd-reduced, so no
+    jet of its numerator or denominator cancels and its order is its top order.
     """
-    if isinstance(f, RatFun):
-        n = f.num.top_order(name)
-        d = f.den.top_order(name)
-        candidates = [o for o in (n, d) if o is not None]
-        if not candidates:
-            return None
-        for order in range(max(candidates), -1, -1):
-            if not f.partial(name, order).is_zero():
-                return order
-        return None
-    f = DiffPoly.coerce(f)
-    return f.top_order(name)
+    return RatFun.coerce(f).top_order(name)
 
 
 # -- multivariate gcd over Q ------------------------------------------------
@@ -412,7 +403,6 @@ def _univariate_gcd_degree(fu: Dict[int, Fraction], gu: Dict[int, Fraction]) -> 
 
 
 _SCREEN_POINTS = (2, 3, 5, 7, -2, 11, -3, 13)
-_GCD_CACHE: Dict[Tuple["DiffPoly", "DiffPoly"], "DiffPoly"] = {}
 
 
 def poly_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
@@ -430,18 +420,11 @@ def poly_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
         return _normalize_leading(f)
     if f.is_constant() or g.is_constant():
         return DiffPoly.const(1)
-    key = (f, g)
-    cached = _GCD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _poly_gcd_uncached(f, g)
-    if len(_GCD_CACHE) > 20_000:
-        _GCD_CACHE.clear()
-    _GCD_CACHE[key] = result
-    return result
+    return _nontrivial_gcd(f, g)
 
 
-def _poly_gcd_uncached(f: DiffPoly, g: DiffPoly) -> DiffPoly:
+@lru_cache(maxsize=20_000)
+def _nontrivial_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     mono_f, mono_g = _mono_content(f), _mono_content(g)
     common: Dict[JetKey, int] = {}
     df, dg = dict(mono_f), dict(mono_g)
@@ -557,22 +540,12 @@ class RatFun:
             shift = DiffPoly({_mono(clear.items()): Fraction(1)})
             num = num * shift
             den = den * shift
-        if num.is_zero():
-            self.num, self.den = DiffPoly(), DiffPoly.const(1)
-        elif den.is_constant():
-            self.num, self.den = num * (1 / den.constant_value()), DiffPoly.const(1)
-        else:
-            if not num.is_constant():
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num = _poly_divexact(num, g)
-                    den = _poly_divexact(den, g)
-            if den.is_constant():
-                self.num, self.den = num * (1 / den.constant_value()), DiffPoly.const(1)
-            else:
-                lc = den.leading()[1]
-                self.num, self.den = num * (1 / lc), den * (1 / lc)
-        self._hash = None
+        if not (num.is_constant() or den.is_constant()):
+            g = poly_gcd(num, den)
+            if not g.is_one():
+                num = _poly_divexact(num, g)
+                den = _poly_divexact(den, g)
+        self._normalize(num, den)
 
     @staticmethod
     def coerce(value) -> "RatFun":
@@ -580,19 +553,22 @@ class RatFun:
             return value
         return RatFun(DiffPoly.coerce(value))
 
+    def _normalize(self, num: DiffPoly, den: DiffPoly) -> "RatFun":
+        """Store coprime num/den as 0/1, over 1, or over a monic denominator."""
+        if num.is_zero():
+            self.num, self.den = DiffPoly(), DiffPoly.const(1)
+        elif den.is_constant():
+            self.num, self.den = num * (1 / den.constant_value()), DiffPoly.const(1)
+        else:
+            lc = den.leading()[1]
+            self.num, self.den = num * (1 / lc), den * (1 / lc)
+        self._hash = None
+        return self
+
     @staticmethod
     def _reduced(num: DiffPoly, den: DiffPoly) -> "RatFun":
         """Fast path for num, den already coprime polynomials."""
-        out = RatFun.__new__(RatFun)
-        if num.is_zero():
-            out.num, out.den = DiffPoly(), DiffPoly.const(1)
-        elif den.is_constant():
-            out.num, out.den = num * (1 / den.constant_value()), DiffPoly.const(1)
-        else:
-            lc = den.leading()[1]
-            out.num, out.den = num * (1 / lc), den * (1 / lc)
-        out._hash = None
-        return out
+        return RatFun.__new__(RatFun)._normalize(num, den)
 
     # -- queries -------------------------------------------------------------
 
@@ -822,16 +798,17 @@ def parity_of(f, grading: Grading) -> str:
 # -- Q-linear reduction -------------------------------------------------------
 
 
-def _poly_vectors(fs: Sequence[DiffPoly]):
-    monomials = sorted({m for f in fs for m in f.terms}, reverse=True)
-    index = {m: i for i, m in enumerate(monomials)}
+def _vectors(term_maps: Sequence[dict]):
+    """Dense vectors of sparse {key: coefficient} maps over their keys, descending."""
+    keys = sorted({k for t in term_maps for k in t}, reverse=True)
+    index = {k: i for i, k in enumerate(keys)}
     vectors = []
-    for f in fs:
-        v = [Fraction(0)] * len(monomials)
-        for m, c in f.terms.items():
-            v[index[m]] = c
+    for t in term_maps:
+        v = [Fraction(0)] * len(keys)
+        for k, c in t.items():
+            v[index[k]] = c
         vectors.append(v)
-    return monomials, vectors
+    return keys, vectors
 
 
 def _rref(rows: List[List[Fraction]]):
@@ -858,39 +835,6 @@ def _rref(rows: List[List[Fraction]]):
     return rows[:r], pivots
 
 
-def _solve_in_span(basis_vectors: List[List[Fraction]], target: List[Fraction]):
-    """Coordinates of target in the span of basis_vectors, or None."""
-    if not basis_vectors:
-        return [] if not any(target) else None
-    ncols = len(target)
-    # Gaussian elimination on the transposed system
-    rows = [list(bv) + [Fraction(0)] * 0 for bv in basis_vectors]
-    coords = [Fraction(0)] * len(basis_vectors)
-    residual = list(target)
-    work = [list(r) for r in rows]
-    used = [False] * len(work)
-    for col in range(ncols):
-        if not residual[col]:
-            continue
-        pivot = None
-        for i, row in enumerate(work):
-            if used[i]:
-                continue
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead == col:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        factor = residual[col] / work[pivot][col]
-        coords[pivot] += factor
-        residual = [x - factor * y for x, y in zip(residual, work[pivot])]
-        used[pivot] = True
-    if any(residual):
-        return None
-    return coords
-
-
 def constant_linear_basis(fs: Sequence):
     """Q-linear reduction of functions viewed as vectors in the monomial basis.
 
@@ -912,14 +856,20 @@ def constant_linear_basis(fs: Sequence):
         polys = [f.as_diffpoly() if isinstance(f, RatFun) else DiffPoly.coerce(f)
                  for f in fs]
         den = DiffPoly.const(1)
-    monomials, vectors = _poly_vectors(polys)
-    rref_rows, _ = _rref([v for v in vectors if any(v)])
+    monomials, vectors = _vectors([p.terms for p in polys])
+    rref_rows, pivots = _rref([v for v in vectors if any(v)])
     basis_polys = [DiffPoly({m: c for m, c in zip(monomials, row) if c})
                    for row in rref_rows]
+    # the reduced rows are the identity at the pivots, so those entries are
+    # the coordinates; expanding them back must give the input exactly
     coords = []
     for v in vectors:
-        c = _solve_in_span(rref_rows, v)
-        if c is None:
+        c = [v[p] for p in pivots]
+        rest = v
+        for cj, row in zip(c, rref_rows):
+            if cj:
+                rest = [x - cj * y for x, y in zip(rest, row)]
+        if any(rest):
             raise AssertionError("input escaped its own span")
         coords.append(c)
     if rational:

@@ -572,6 +572,9 @@ def operator_to_json(l: NonlocalOp, grading: Optional[Grading] = None) -> dict:
 
 def operator_from_json(data: dict) -> Tuple[NonlocalOp, Grading]:
     from .grammar import parse_function
+    if not isinstance(data, dict):
+        raise ValueError("the operator schema must be a JSON object, got "
+                         + type(data).__name__)
     local_terms: Dict[int, RatFun] = {}
     for expr, power in data.get("local", []):
         power = int(power)

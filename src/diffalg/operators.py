@@ -270,28 +270,12 @@ def left_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
 def left_lcm(a: DiffOp, b: DiffOp) -> Tuple[DiffOp, DiffOp, DiffOp]:
     """(L, C, D) with L = C*A = D*B of minimal degree.
 
-    Extended Euclid on right-division remainders with cofactors multiplying
-    on the left; each remainder is rescaled to primitive polynomial
-    coefficients, the same factor applied to its cofactors.
+    The adjoint turns A*C' = B*D' = L' from right_lcm(A*, B*) into
+    C'*A = D'*B = L'*; scaling on the left by 1/lc makes L monic again.
     """
-    if a.is_zero() or b.is_zero():
-        raise ValueError("lcm needs nonzero operators")
-    r0, r1 = a, b
-    s0, s1 = DiffOp.identity(), DiffOp.zero()
-    t0, t1 = DiffOp.zero(), DiffOp.identity()
-    while not r1.is_zero():
-        q, r = right_divide(r0, r1)
-        s_next, t_next = s0 - q * s1, t0 - q * t1
-        if not r.is_zero():
-            factor = _left_clear_factor(r)
-            r = r.scale(factor)
-            s_next, t_next = s_next.scale(factor), t_next.scale(factor)
-        r0, r1 = r1, r
-        s0, s1 = s1, s_next
-        t0, t1 = t1, t_next
-    lcm = s1 * a
-    lc = lcm.leading_coefficient().inverse()
-    return lcm.scale(lc), s1.scale(lc), (-t1).scale(lc)
+    lcm, c, d = (x.adjoint() for x in right_lcm(a.adjoint(), b.adjoint()))
+    unit = lcm.leading_coefficient().inverse()
+    return lcm.scale(unit), c.scale(unit), d.scale(unit)
 
 
 def right_lcm(a: DiffOp, b: DiffOp) -> Tuple[DiffOp, DiffOp, DiffOp]:
@@ -392,16 +376,11 @@ def op_with_kernel(fs: List[DiffPoly]) -> DiffOp:
 
 def frechet(f, name: str = "u") -> DiffOp:
     """The linearization sum (df/du^(m)) D^m of a function."""
-    if isinstance(f, RatFun):
-        top = f.top_order(name)
-        partial = lambda n: f.partial(name, n)
-    else:
-        f = DiffPoly.coerce(f)
-        top = f.top_order(name)
-        partial = lambda n: RatFun(f.partial(name, n))
+    f = RatFun.coerce(f)
+    top = f.top_order(name)
     if top is None:
         return DiffOp.zero()
-    return DiffOp({m: partial(m) for m in range(top + 1)})
+    return DiffOp({m: f.partial(name, m) for m in range(top + 1)})
 
 
 def evo_apply_op(f, op: DiffOp, name: str = "u") -> DiffOp:

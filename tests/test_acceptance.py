@@ -8,6 +8,7 @@ pytest capture.
 
 import random
 import time
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -151,7 +152,7 @@ def test_criterion_7_property_suites():
     def suite(name):
         def wrap(fn):
             start = time.time()
-            rng = random.Random(hash(name) & 0xFFFF)
+            rng = random.Random(zlib.crc32(name.encode()))
             for i in range(CASES):
                 fn(rng)
             timings[name] = time.time() - start

@@ -70,6 +70,31 @@ class TestVerdictCommands:
         code, _, err = run(capsys, "check-hereditary", "--op", "nonsense")
         assert code == 2 and "error" in err
 
+    def test_schema_not_an_object_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, _, err = run(capsys, "check-hereditary", "--op", str(path))
+        assert code == 2 and "must be a JSON object" in json.loads(err)["error"]
+
+
+class TestCrashIsNotAVerdict:
+    def test_deep_nesting_exit_2(self, capsys):
+        code, _, err = run(capsys, "parse", "--expr", "(" * 5000 + "u" + ")" * 5000)
+        assert code == 2 and "nest deeper" in json.loads(err)["error"]
+
+    def test_unexpected_exception_exit_4(self, capsys, monkeypatch):
+        import diffalg.cli as cli
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_parse", boom)
+        code, _, err = run(capsys, "parse", "--expr", "u")
+        assert code == cli.EXIT_INTERNAL == 4
+        report = json.loads(err)
+        assert report["internal_error"] == "RuntimeError: boom"
+        assert "boom" in report["traceback"]
+
 
 class TestHierarchyCommand:
     def test_kdv_three_steps(self, capsys):

@@ -34,6 +34,7 @@ class TestParsing:
     def test_parentheses_and_powers(self):
         assert parse_function("(u + u')^2") == (u + u1) ** 2
         assert parse_function("2*(u - 1)") == 2 * u - 2
+        assert parse_function("(" * 100 + "u" + ")" * 100) == u
 
     def test_leading_minus(self):
         assert parse_function("-u + 1") == -u + 1
@@ -49,10 +50,13 @@ class TestParsing:
             parse_function("v")
         with pytest.raises(ParseError):
             parse_function("u'' extra")
+        with pytest.raises(ParseError):
+            parse_function("(" * 101 + "u" + ")" * 101)
 
     def test_exponent_overflow(self):
-        with pytest.raises(OverflowError):
-            parse_function("u^99999999")
+        for text in ("u^99999999", "u(10001)"):
+            with pytest.raises(OverflowError):
+                parse_function(text)
 
     def test_formal_names_opt_in(self):
         assert parse_function("F'*u", names=("u", "F")) == jet("F", 1) * u
@@ -70,6 +74,17 @@ class TestPrinting:
     def test_high_orders_use_call_form(self):
         assert format_poly(jet("u", 4)) == "u(4)"
         assert format_poly(jet("u", 3)) == "u'''"
+
+    def test_kdv_chain_round_trips(self):
+        # chain coefficients grow past the exponent bound, which only
+        # exponents and jet orders obey
+        from diffalg import Hierarchy
+        from diffalg.corpus import ENTRIES
+        kdv, grading = ENTRIES["kdv"].load()
+        chain = Hierarchy.from_operator(kdv, grading=grading).extend(7).chain
+        assert len(chain) == 8
+        for s in chain:
+            assert parse_function(format_poly(s)) == s
 
     def test_round_trip_fixpoint_1000(self):
         rng = random.Random(1234)

@@ -96,6 +96,7 @@ class TestDiffOrder:
         r = RatFun(u2, u3)
         assert diff_order(r) == 3
         assert diff_order(RatFun(7)) is None
+        assert diff_order(RatFun(u * u3, u3)) == 0
 
 
 class TestGcdAndRatFun:

@@ -132,6 +132,7 @@ class TestGcdLcm:
             b = rand_op(rng, max_deg=1, max_order=1)
             lcm, c, dd = left_lcm(a, b)
             assert c * a == lcm and dd * b == lcm
+            assert lcm.leading_coefficient().is_one()
             assert lcm.degree() == a.degree() + b.degree() - \
                 right_gcd(a, b).degree()
 
