@@ -92,12 +92,8 @@ def slot_first(m: BiDiffOp, f) -> DiffOp:
 
 
 def slot_second(m: BiDiffOp, g) -> DiffOp:
-    """M^G = sum M_kl G^(l) D^k."""
-    dg = derivatives(RatFun.coerce(g), m.d1() or 0)
-    coeffs: Dict[int, RatFun] = {}
-    for (k, l), c in m.entries.items():
-        accumulate(coeffs, k, c * dg[l])
-    return DiffOp(coeffs)
+    """M^G = sum M_kl G^(l) D^k: the first slot of the transpose."""
+    return slot_first(transpose(m), g)
 
 
 def compose_left(b: DiffOp, m: BiDiffOp) -> BiDiffOp:

@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, OverflowError, FileNotFoundError, json.JSONDecodeError,
-            ValueError, KeyError, TypeError) as exc:
+            ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
     except (NotInImage, DepthOverflow, NotVariational) as exc:

@@ -22,9 +22,7 @@ from .nonlocal_ops import NonlocalOp, operator_from_json
 class CorpusEntry:
     name: str
     operator_json: dict
-    seed: Optional[str] = None
     pair: Optional[Tuple[List, List]] = None  # (A coeffs, B coeffs) in schema form
-    pair_start: Optional[str] = None
     expect_hereditary: bool = True
     expect_integrable: bool = True
     recursion_true: Tuple[str, ...] = ()
@@ -60,7 +58,6 @@ _register(CorpusEntry(
         "nonlocal": [["u'", "1"]],
         "grading": {"u": "even"},
     },
-    seed="u'",
     recursion_true=("u'", "u''' + 3*u*u'"),
     note="Korteweg-de Vries recursion operator",
 ))
@@ -72,9 +69,7 @@ _register(CorpusEntry(
         "nonlocal": [["u'", "1"]],
         "grading": {"u": "even"},
     },
-    seed="u'",
     pair=([["1", 2], ["u", 1], ["u'", 0]], [["1", 1]]),
-    pair_start="1",
     recursion_true=("u'",),
     note="Burgers recursion operator with its defining pair",
 ))
@@ -86,7 +81,6 @@ _register(CorpusEntry(
         "nonlocal": [],
         "grading": {"u": "even"},
     },
-    seed="u'",
     recursion_true=("u'",),
     note="potential Burgers recursion operator (purely local)",
 ))

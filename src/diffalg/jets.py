@@ -159,6 +159,8 @@ class DiffPoly:
             c = Fraction(other)
             if not c:
                 return DiffPoly()
+            if c == 1:
+                return self  # immutable, so the product may share it
             return DiffPoly({m: c * v for m, v in self.terms.items()})
         if not isinstance(other, DiffPoly):
             return NotImplemented
@@ -763,7 +765,8 @@ class Grading:
         self.parities = {}
         for name, p in parities.items():
             if p not in ("even", "odd"):
-                raise ValueError(f"parity must be 'even' or 'odd', got {p!r}")
+                raise ValueError(f"grading[{name!r}] must be 'even' or 'odd', "
+                                 f"got {p!r}")
             self.parities[name] = 0 if p == "even" else 1
 
     def base_parity(self, name: str) -> int:

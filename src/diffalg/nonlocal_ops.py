@@ -7,6 +7,11 @@ modulo total derivatives (exact middle slots are rewritten away through
 d^-1 g' d^-1 = g d^-1 - d^-1 g).  Canonical forms make the zero test exact,
 which is what the decision procedures certify against.
 
+Every non-local term is a word f0 d^-1 f1 ... d^-1 fk, and one rule multiplies
+a local operator into a word: E f0 = Q d + r gives
+E (f0 d^-1 w) = Q w + r d^-1 w, with the mirror rule on the right.  Division
+by d needs no Euclidean loop: sum a_k d^k = (sum_{k>=1} a_k d^(k-1)) d + a_0.
+
 series_expand exists only as an independent test oracle; no decision path
 depends on a truncation depth.
 """
@@ -19,23 +24,26 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
                      Unsupported)
+from .grammar import format_poly, format_ratfun, parse_function
 from .jets import (DiffPoly, Grading, RatFun, accumulate, constant_linear_basis,
                    derivatives)
-from .operators import DiffOp, evo_apply_op, frechet, right_divide, right_lcm
+from .operators import DiffOp, evo_apply_op, frechet, left_divide, right_lcm
 
 Pair = Tuple[RatFun, RatFun]
 Triple = Tuple[RatFun, RatFun, RatFun]
+Word = Tuple[RatFun, ...]  # f0 d^-1 f1 ... d^-1 fk
 
 
 def _div_right_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
     """op = Q*d + r with r a function; so op d^-1 = Q + r d^-1."""
-    q, r = right_divide(op, DiffOp.d())
-    return q, r.coefficient(0)
+    # keys from the top down, as right_divide built them: DiffOp.__mul__ then
+    # meets its towers' zero terms before their keys exist and adds fewer
+    q = DiffOp({k - 1: op.coeffs[k] for k in sorted(op.coeffs, reverse=True) if k})
+    return q, op.coefficient(0)
 
 
 def _div_left_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
     """op = d*Q + r with r a function; so d^-1 op = Q + d^-1 r."""
-    from .operators import left_divide
     q, r = left_divide(op, DiffOp.d())
     return q, r.coefficient(0)
 
@@ -98,16 +106,14 @@ class NonlocalOp:
             other = NonlocalOp.coerce(other)
         return (self - other).is_zero()
 
+    @property
+    def words(self) -> Tuple[Word, ...]:
+        """The non-local terms as words, depth 1 first."""
+        return self.depth1 + self.depth2
+
     def __repr__(self) -> str:
-        from .grammar import format_ratfun
-        parts = []
-        if not self.local.is_zero():
-            parts.append(repr(self.local)[len("DiffOp("):-1])
-        for p, q in self.depth1:
-            parts.append(f"({format_ratfun(p)})*d^-1*({format_ratfun(q)})")
-        for a, b, c in self.depth2:
-            parts.append(f"({format_ratfun(a)})*d^-1*({format_ratfun(b)})"
-                         f"*d^-1*({format_ratfun(c)})")
+        parts = [] if self.local.is_zero() else [repr(self.local)[len("DiffOp("):-1]]
+        parts += ["*d^-1*".join(f"({format_ratfun(f)})" for f in w) for w in self.words]
         return "NonlocalOp(" + (" + ".join(parts) if parts else "0") + ")"
 
     # -- linear structure ---------------------------------------------------------
@@ -148,32 +154,23 @@ class NonlocalOp:
 # -- canonicalization ------------------------------------------------------------
 
 
-def _reduce_tensor(pairs: Sequence[Pair]) -> Tuple[Pair, ...]:
-    """Canonical presentation of sum p_i (x) q_i with independent sides."""
-    pairs = [(p, q) for p, q in pairs if not p.is_zero() and not q.is_zero()]
-    if not pairs:
-        return ()
-    q_basis, q_coords = constant_linear_basis([q for _, q in pairs])
-    q_basis = [RatFun.coerce(qb) for qb in q_basis]
-    collected: List[RatFun] = [RatFun(0)] * len(q_basis)
-    for (p, _), coords in zip(pairs, q_coords):
-        for m, c in enumerate(coords):
+def _gather(pairs: Sequence[Pair]) -> List[Pair]:
+    """sum p_i (x) q_i rewritten over a basis of the q side; zero p sides drop."""
+    basis, coords = constant_linear_basis([q for _, q in pairs])
+    collected: List[RatFun] = [RatFun(0)] * len(basis)
+    for (p, _), row in zip(pairs, coords):
+        for m, c in enumerate(row):
             if c:
                 collected[m] = collected[m] + p * c
-    live = [(pm, qb) for pm, qb in zip(collected, q_basis) if not pm.is_zero()]
-    if not live:
-        return ()
-    p_basis, p_coords = constant_linear_basis([pm for pm, _ in live])
-    p_basis = [RatFun.coerce(pb) for pb in p_basis]
-    q_sides: List[RatFun] = [RatFun(0)] * len(p_basis)
-    for (_, qb), coords in zip(live, p_coords):
-        for s, c in enumerate(coords):
-            if c:
-                q_sides[s] = q_sides[s] + qb * c
+    return [(pm, RatFun.coerce(qb)) for pm, qb in zip(collected, basis)
+            if not pm.is_zero()]
+
+
+def _reduce_tensor(pairs: Sequence[Pair]) -> Tuple[Pair, ...]:
+    """Canonical presentation of sum p_i (x) q_i with independent sides."""
+    live = _gather([(p, q) for p, q in pairs if not p.is_zero() and not q.is_zero()])
     out = []
-    for pb, qs in zip(p_basis, q_sides):
-        if qs.is_zero():
-            continue
+    for qs, pb in _gather([(q, p) for p, q in live]):
         # scalars live on the p side so every q is monic
         lc = qs.num.leading()[1]
         out.append((pb * lc, qs * (1 / lc)))
@@ -202,41 +199,31 @@ def _canonicalize(local: DiffOp, depth1: Sequence[Pair], depth2: Sequence[Triple
                     grouped.setdefault(j, []).append((a * gamma, c))
             if not h.is_zero():
                 hr = RatFun(h)
-                pairs.append((a * hr, c))
-                pairs.append((-a, hr * c))
-        new_triples: List[Triple] = []
-        for j in sorted(grouped):
-            reduced = _reduce_tensor(grouped[j])
-            rep = RatFun(reps[j])
-            for a, c in reduced:
-                new_triples.append((a, rep, c))
-        triples = new_triples
+                pairs += [(a * hr, c), (-a, hr * c)]
+        triples = [(a, RatFun(reps[j]), c) for j in sorted(grouped)
+                   for a, c in _reduce_tensor(grouped[j])]
     return local, _reduce_tensor(pairs), tuple(triples)
 
 
 # -- multiplication -----------------------------------------------------------------
 
 
-def _op_times_pair(e: DiffOp, p: RatFun, q: RatFun):
-    quotient, r = _div_right_by_d(e * p)
-    return quotient * q, ((r, q),)
+def _op_times_word(e: DiffOp, w: Word, words: List[Word]) -> DiffOp:
+    """E (f0 d^-1 w') = Q w' + r d^-1 w' with E f0 = Q d + r; r d^-1 w' goes to words."""
+    if len(w) == 1:
+        return e * w[0]
+    quotient, r = _div_right_by_d(e * w[0])
+    words.append((r,) + w[1:])
+    return _op_times_word(quotient, w[1:], words)
 
 
-def _pair_times_op(p: RatFun, q: RatFun, e: DiffOp):
-    quotient, r = _div_left_by_d(q * e)
-    return p * quotient, ((p, r),)
-
-
-def _op_times_triple(e: DiffOp, a: RatFun, b: RatFun, c: RatFun):
-    q1, r1 = _div_right_by_d(e * a)
-    q2, r2 = _div_right_by_d(q1 * b)
-    return q2 * c, ((r2, c),), ((r1, b, c),)
-
-
-def _triple_times_op(a: RatFun, b: RatFun, c: RatFun, e: DiffOp):
-    q1, r1 = _div_left_by_d(c * e)
-    q2, r2 = _div_left_by_d(b * q1)
-    return a * q2, ((a, r2),), ((a, b, r1),)
+def _word_times_op(w: Word, e: DiffOp, words: List[Word]) -> DiffOp:
+    """(w' d^-1 fk) E = w' Q + w' d^-1 r with fk E = d Q + r; w' d^-1 r goes to words."""
+    if len(w) == 1:
+        return w[0] * e
+    quotient, r = _div_left_by_d(w[-1] * e)
+    words.append(w[:-1] + (r,))
+    return _word_times_op(w[:-1], quotient, words)
 
 
 def nl_mul(l1: NonlocalOp, l2: NonlocalOp) -> NonlocalOp:
@@ -246,32 +233,17 @@ def nl_mul(l1: NonlocalOp, l2: NonlocalOp) -> NonlocalOp:
     if l2.depth2 and (l1.depth1 or l1.depth2):
         raise DepthOverflow("right factor already has depth 2")
     local = l1.local * l2.local
-    pairs: List[Pair] = []
-    triples: List[Triple] = []
+    words: List[Word] = []
     if not l1.local.is_zero():
-        for p, q in l2.depth1:
-            loc, pr = _op_times_pair(l1.local, p, q)
-            local = local + loc
-            pairs.extend(pr)
-        for a, b, c in l2.depth2:
-            loc, pr, tr = _op_times_triple(l1.local, a, b, c)
-            local = local + loc
-            pairs.extend(pr)
-            triples.extend(tr)
+        for w in l2.words:
+            local = local + _op_times_word(l1.local, w, words)
     if not l2.local.is_zero():
-        for p, q in l1.depth1:
-            loc, pr = _pair_times_op(p, q, l2.local)
-            local = local + loc
-            pairs.extend(pr)
-        for a, b, c in l1.depth2:
-            loc, pr, tr = _triple_times_op(a, b, c, l2.local)
-            local = local + loc
-            pairs.extend(pr)
-            triples.extend(tr)
-    for p1, q1 in l1.depth1:
-        for p2, q2 in l2.depth1:
-            triples.append((p1, q1 * p2, q2))
-    return NonlocalOp(local, tuple(pairs), tuple(triples))
+        for w in l1.words:
+            local = local + _word_times_op(w, l2.local, words)
+    # tail times tail: the last slot of w1 and the first of w2 merge into one
+    words += [w1[:-1] + (w1[-1] * w2[0],) + w2[1:] for w1 in l1.words for w2 in l2.words]
+    return NonlocalOp(local, [w for w in words if len(w) == 2],
+                      [w for w in words if len(w) == 3])
 
 
 def nl_power(l: NonlocalOp, k: int) -> NonlocalOp:
@@ -305,7 +277,6 @@ def nl_apply(l: NonlocalOp, f):
         try:
             antiderivative = integrate(product.as_diffpoly())
         except NotExact as exc:
-            from .grammar import format_poly
             raise NotInImage(
                 f"q_{i} * f = {format_poly(product.as_diffpoly())} is not "
                 f"a total derivative", index=i,
@@ -361,18 +332,11 @@ def to_fraction(l: NonlocalOp) -> Tuple[DiffOp, DiffOp]:
         raise Unsupported("fractions are defined for weakly non-local operators")
     if not l.depth1:
         return l.local, DiffOp.identity()
-    b: Optional[DiffOp] = None
-    cofactors: List[DiffOp] = []
-    for _, q in l.depth1:
-        factor = DiffOp({1: q.inverse()})
-        if b is None:
-            b = factor
-            cofactors.append(DiffOp.identity())
-        else:
-            lcm, c_new, d_new = right_lcm(factor, b)
-            b = lcm
-            cofactors = [m * d_new for m in cofactors]
-            cofactors.append(c_new)
+    factors = [DiffOp({1: q.inverse()}) for _, q in l.depth1]
+    b, cofactors = factors[0], [DiffOp.identity()]
+    for factor in factors[1:]:
+        b, c_new, d_new = right_lcm(factor, b)
+        cofactors = [m * d_new for m in cofactors] + [c_new]
     if b.degree() != len(l.depth1):
         raise AssertionError("independent q directions must give deg B = n")
     a = l.local * b
@@ -533,7 +497,6 @@ def parity_class(l: NonlocalOp, grading: Grading) -> ParityClass:
         pp, pq = grading.of_ratfun(p), grading.of_ratfun(q)
         if pp != 1 or pq != 0:
             if member:
-                from .grammar import format_ratfun
                 detail = (f"pair ({format_ratfun(p)}, {format_ratfun(q)}) is "
                           f"not odd (x) even")
             member = False
@@ -546,7 +509,6 @@ def parity_class(l: NonlocalOp, grading: Grading) -> ParityClass:
 
 
 def _ratfun_to_expr(r: RatFun) -> str:
-    from .grammar import format_poly
     if r.den.is_one():
         return format_poly(r.num)
     if len(r.den.terms) == 1:
@@ -570,19 +532,36 @@ def operator_to_json(l: NonlocalOp, grading: Optional[Grading] = None) -> dict:
     return data
 
 
+def _schema_pairs(data: dict, field: str, shape: str, check) -> list:
+    """data[field] as a list of pairs; the ValueError names the first bad entry."""
+    entries = data.get(field, [])
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{field} must be a list of {shape}, got "
+                         + type(entries).__name__)
+    for i, entry in enumerate(entries):
+        try:
+            ok = isinstance(entry, (list, tuple)) and len(entry) == 2 and check(*entry)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{field}[{i}] must be {shape}, got {entry!r}")
+    return entries
+
+
 def operator_from_json(data: dict) -> Tuple[NonlocalOp, Grading]:
-    from .grammar import parse_function
     if not isinstance(data, dict):
         raise ValueError("the operator schema must be a JSON object, got "
                          + type(data).__name__)
     local_terms: Dict[int, RatFun] = {}
-    for expr, power in data.get("local", []):
-        power = int(power)
-        if power < 0:
-            raise ValueError("local powers must be >= 0")
-        coeff = RatFun(parse_function(expr))
-        local_terms[power] = local_terms.get(power, RatFun(0)) + coeff
-    pairs = [(RatFun(parse_function(p)), RatFun(parse_function(q)))
-             for p, q in data.get("nonlocal", [])]
-    grading = Grading(data.get("grading", {"u": "even"}))
-    return NonlocalOp(DiffOp(local_terms), tuple(pairs)), grading
+    for expr, power in _schema_pairs(
+            data, "local", "[expression string, integer power >= 0]",
+            lambda e, k: isinstance(e, str) and int(k) >= 0):
+        accumulate(local_terms, int(power), RatFun(parse_function(expr)))
+    tails = _schema_pairs(data, "nonlocal", "[p string, q string]",
+                          lambda p, q: isinstance(p, str) and isinstance(q, str))
+    pairs = [(RatFun(parse_function(p)), RatFun(parse_function(q))) for p, q in tails]
+    grading = data.get("grading", {"u": "even"})
+    if not isinstance(grading, dict):
+        raise ValueError("grading must be an object mapping names to parities, got "
+                         + type(grading).__name__)
+    return NonlocalOp(DiffOp(local_terms), tuple(pairs)), Grading(grading)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from diffalg import is_hereditary, is_integrable_wnl, is_recursion_for, parse_function
 from diffalg.cli import main
 from diffalg.corpus import ENTRIES, builtin_names, load_operator, write_corpus_files
@@ -76,6 +78,31 @@ class TestVerdictCommands:
         code, _, err = run(capsys, "check-hereditary", "--op", str(path))
         assert code == 2 and "must be a JSON object" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("schema, field", [
+        ({"local": [[1, 2]]}, "local[0] must be [expression string"),
+        ({"local": [["u", "x"]]}, "local[0] must be [expression string"),
+        ({"local": [["u", 0], ["u", "x"]]}, "local[1] must be [expression string"),
+        ({"local": [["u", -1]]}, "local[0] must be"),
+        ({"local": "u"}, "local must be a list"),
+        ({"nonlocal": [["u"]]}, "nonlocal[0] must be [p string, q string]"),
+        ({"grading": "even"}, "grading must be an object"),
+        ({"grading": {"u": "neither"}}, "grading['u'] must be 'even' or 'odd'"),
+    ], ids=["expr-not-string", "power-not-integer", "second-entry", "negative-power",
+            "local-not-list", "nonlocal-short", "grading-not-object", "bad-parity"])
+    def test_schema_errors_name_the_field(self, capsys, tmp_path, schema, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(schema))
+        code, _, err = run(capsys, "check-hereditary", "--op", str(path))
+        assert code == 2 and field in json.loads(err)["error"]
+
+    def test_schema_accepts_integral_power_forms(self, capsys, tmp_path):
+        # powers pass through int(), as they always have
+        path = tmp_path / "kdv.json"
+        path.write_text(json.dumps({"local": [["2*u", "0"], ["1", 2.0]],
+                                    "nonlocal": [["u'", "1"]]}))
+        code, data, _ = run_json(capsys, "check-hereditary", "--op", str(path))
+        assert code == 0 and data["hereditary"] is True
+
 
 class TestCrashIsNotAVerdict:
     def test_deep_nesting_exit_2(self, capsys):
@@ -85,15 +112,18 @@ class TestCrashIsNotAVerdict:
     def test_unexpected_exception_exit_4(self, capsys, monkeypatch):
         import diffalg.cli as cli
 
-        def boom(args):
-            raise RuntimeError("boom")
+        # TypeError and KeyError are not usage errors: user input is
+        # validated before it can raise them, so they signal a bug
+        for error in (RuntimeError, TypeError, KeyError):
+            def boom(args):
+                raise error("boom")
 
-        monkeypatch.setattr(cli, "cmd_parse", boom)
-        code, _, err = run(capsys, "parse", "--expr", "u")
-        assert code == cli.EXIT_INTERNAL == 4
-        report = json.loads(err)
-        assert report["internal_error"] == "RuntimeError: boom"
-        assert "boom" in report["traceback"]
+            monkeypatch.setattr(cli, "cmd_parse", boom)
+            code, _, err = run(capsys, "parse", "--expr", "u")
+            assert code == cli.EXIT_INTERNAL == 4
+            report = json.loads(err)
+            assert report["internal_error"] == f"{error.__name__}: {error('boom')}"
+            assert "boom" in report["traceback"]
 
 
 class TestHierarchyCommand:

@@ -35,6 +35,16 @@ def polys(draw):
     return out
 
 
+class TestScalarProduct:
+    def test_times_one_is_shared(self):
+        # DiffPoly is immutable, so a product by exactly 1 returns the operand
+        p = 3 * u * u1 + u2
+        assert p * 1 is p
+        assert p * Fraction(1) is p
+        assert 1 * p is p
+        assert p * Fraction(2) == 2 * p and p * Fraction(2) is not p
+
+
 class TestTotalDerivative:
     def test_jet_shift(self):
         assert u.total_derivative() == u1

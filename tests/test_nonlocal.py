@@ -1,5 +1,6 @@
 """Weakly non-local operators: canonical forms, products, actions, series oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from diffalg import (DiffOp, DiffPoly, Grading, NonlocalOp, RatFun,
                      series_expand, series_product, to_fraction)
 from diffalg.calculus import is_total_derivative
 from diffalg.errors import DepthOverflow, NotInImage, Unsupported
-from helpers import rand_poly, rand_wnl
+from helpers import rand_op, rand_poly, rand_wnl
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -256,6 +257,10 @@ class TestSeriesOracle:
             {2: RatFun(1), 0: RatFun(2 * u)}
 
     def test_product_oracle(self, rng):
+        # local factors for the depth-2 products come from their own stream,
+        # so the weakly non-local pairs drawn here stay the same
+        local_rng = random.Random(0xD2)
+        depth2 = 0
         for _ in range(20):
             l1 = rand_wnl(rng, max_deg=2, pairs=1)
             l2 = rand_wnl(rng, max_deg=2, pairs=1)
@@ -267,6 +272,14 @@ class TestSeriesOracle:
             via_series = series_product(series_expand(l1, 8),
                                         series_expand(l2, 8), 6)
             assert direct == via_series
+            if not product.depth2:
+                continue
+            depth2 += 1
+            e = NonlocalOp.from_local(rand_op(local_rng, max_deg=2, max_order=2))
+            for left, right in ((product, e), (e, product)):
+                assert series_expand(nl_mul(left, right), 6) == series_product(
+                    series_expand(left, 8), series_expand(right, 8), 6)
+        assert depth2
 
     def test_canonical_form_preserves_series(self, rng):
         for _ in range(10):
