@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotExact, NotSupported, NotVariational, VerificationFailed
-from .jets import DiffPoly, RatFun, _rref, _vectors
+from .jets import DiffPoly, RatFun, _rref, _vectors, sum_of_products
 
 
 def evo_apply(f, g, name: str = "u"):
@@ -32,16 +32,20 @@ def evo_apply(f, g, name: str = "u"):
         return RatFun(0) if rational else DiffPoly.zero()
     if not isinstance(f, RatFun):
         f = DiffPoly.coerce(f)
-    out = RatFun(0) if rational else DiffPoly.zero()
-    # d^n f streams: a derivatives() tower of a large chain member raises peak RSS
-    dnf = f
-    for n in range(top + 1):
-        if n:
-            dnf = dnf.total_derivative()
-        part = g.partial(name, n)
-        if part:
-            out = out + part * dnf
-    return out
+
+    def products():
+        # d^n f streams: a derivatives() tower of a large chain member raises peak RSS
+        dnf = f
+        for n in range(top + 1):
+            if n:
+                dnf = dnf.total_derivative()
+            part = g.partial(name, n)
+            if part:
+                yield part, dnf
+
+    if rational or isinstance(f, RatFun):
+        return sum((part * dnf for part, dnf in products()), RatFun(0))
+    return sum_of_products(products())
 
 
 def lie_bracket(f: DiffPoly, g: DiffPoly, name: str = "u") -> DiffPoly:

@@ -7,6 +7,13 @@ is a Laurent polynomial over Q in finitely many jet variables, stored sparsely i
 a canonical form, so equality is an exact dictionary comparison.  RatFun is a
 gcd-reduced quotient of two DiffPoly with a monic denominator.
 
+Layout: at rest, ``DiffPoly.terms`` maps each monomial to a nonzero Fraction.
+Inside products, sums of products and total derivatives, the integer kernels
+below put each operand's coefficients over the lcm of its denominators,
+multiply and accumulate plain ints, and build one Fraction per output term.
+A sum keeps the Fractions of the monomials only one side has.  A product by a
+constant or a single term scales the Fractions directly.
+
 Everything here is immutable after construction and all operations are pure.
 """
 
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DependentInput
@@ -32,14 +40,56 @@ def _mono(pairs: Iterable[Tuple[JetKey, int]]) -> Monomial:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Merge two sorted monomials, adding exponents and dropping zeros."""
     if not m1:
         return m2
     if not m2:
         return m1
-    exps: Dict[JetKey, int] = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return _mono(exps.items())
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        if a[0] > b[0]:
+            out.append(a)
+            i += 1
+        elif a[0] < b[0]:
+            out.append(b)
+            j += 1
+        else:
+            e = a[1] + b[1]
+            if e:
+                out.append((a[0], e))
+            i += 1
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
+
+
+def _mono_derivative(m: Monomial) -> List[Tuple[Monomial, int]]:
+    """The total derivative of a monomial, as (monomial, multiplicity) terms."""
+    out = []
+    for i, (v, e) in enumerate(m):
+        items = list(m)
+        if e == 1:
+            del items[i]
+        else:
+            items[i] = (v, e - 1)
+        # the shifted jet sorts above v: find it, or its slot, scanning up from i
+        up = (v[0] + 1, v[1])
+        j = i - 1
+        while j >= 0 and items[j][0] < up:
+            j -= 1
+        if j >= 0 and items[j][0] == up:
+            if items[j][1] == -1:
+                del items[j]
+            else:
+                items[j] = (up, items[j][1] + 1)
+        else:
+            items.insert(j + 1, (up, 1))
+        out.append((tuple(items), e))
+    return out
 
 
 class DiffPoly:
@@ -60,6 +110,13 @@ class DiffPoly:
                     self.terms[m] = Fraction(c)
         self._hash: Optional[int] = None
 
+    @staticmethod
+    def _of(terms: Dict[Monomial, Fraction]) -> "DiffPoly":
+        """Wrap terms already in canonical form (nonzero Fractions), without a copy."""
+        p = DiffPoly.__new__(DiffPoly)
+        p.terms, p._hash = terms, None
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -69,7 +126,9 @@ class DiffPoly:
     @staticmethod
     def const(value) -> "DiffPoly":
         c = Fraction(value)
-        return DiffPoly({_ONE_MONO: c}) if c else DiffPoly()
+        if c == 1:
+            return _ONE
+        return DiffPoly._of({_ONE_MONO: c}) if c else DiffPoly()
 
     @staticmethod
     def jet(name: str, order: int, exponent: int = 1) -> "DiffPoly":
@@ -94,7 +153,7 @@ class DiffPoly:
         return all(m == _ONE_MONO for m in self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {_ONE_MONO: Fraction(1)}
+        return self.terms == _ONE.terms
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -131,50 +190,40 @@ class DiffPoly:
     def __add__(self, other) -> "DiffPoly":
         if not isinstance(other, (DiffPoly, int, Fraction)):
             return NotImplemented
-        other = DiffPoly.coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return DiffPoly(terms)
+        return _add_terms(self.terms, DiffPoly.coerce(other).terms, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({m: -c for m, c in self.terms.items()})
+        return DiffPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "DiffPoly":
         if not isinstance(other, (DiffPoly, int, Fraction)):
             return NotImplemented
-        return self + (-DiffPoly.coerce(other))
+        return _add_terms(self.terms, DiffPoly.coerce(other).terms, True)
 
     def __rsub__(self, other) -> "DiffPoly":
-        return DiffPoly.coerce(other) + (-self)
+        return _add_terms(DiffPoly.coerce(other).terms, self.terms, True)
 
     def __mul__(self, other) -> "DiffPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return DiffPoly()
-            if c == 1:
-                return self  # immutable, so the product may share it
-            return DiffPoly({m: c * v for m, v in self.terms.items()})
+            return _scale(self, Fraction(other))
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        other = DiffPoly.coerce(other)
-        terms: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return DiffPoly(terms)
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            ((m2, c2),) = b.items()
+            if not m2:
+                return _scale(self, c2)
+            return DiffPoly._of({_mono_mul(m1, m2): c1 * c2 for m1, c1 in a.items()})
+        if len(a) == 1:
+            ((m1, c1),) = a.items()
+            if not m1:
+                return _scale(other, c1)
+            return DiffPoly._of({_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
+        acc: Dict[Monomial, int] = {}
+        den = _accumulate_product(acc, 1, a, b)
+        return _from_numerators(acc, den)
 
     __rmul__ = __mul__
 
@@ -213,24 +262,13 @@ class DiffPoly:
 
     def total_derivative(self) -> "DiffPoly":
         """The total derivative: every jet (order, name) shifts to (order+1, name)."""
-        terms: Dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            exps = dict(m)
-            for v, e in m:
-                shifted = dict(exps)
-                if e == 1:
-                    del shifted[v]
-                else:
-                    shifted[v] = e - 1
-                up = (v[0] + 1, v[1])
-                shifted[up] = shifted.get(up, 0) + 1
-                mono = _mono(shifted.items())
-                s = terms.get(mono, Fraction(0)) + c * e
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
-        return DiffPoly(terms)
+        numerators, den = _numerators(self.terms)
+        acc: Dict[Monomial, int] = {}
+        get = acc.get
+        for m, n in numerators:
+            for mono, e in _mono_derivative(m):
+                acc[mono] = get(mono, 0) + n * e
+        return _from_numerators(acc, den)
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Partial derivative with respect to one jet variable."""
@@ -259,6 +297,102 @@ class DiffPoly:
 
     def coefficient_of(self, var: JetKey, exp: int) -> "DiffPoly":
         return self.as_univariate(var).get(exp, DiffPoly())
+
+
+_ONE = DiffPoly._of({_ONE_MONO: Fraction(1)})  # shared: DiffPoly is immutable
+
+
+# -- the integer kernels ------------------------------------------------------
+#
+# The layout is in the module docstring.  The reason for it: every Fraction
+# operation normalises through a gcd, which was most of the cost of products
+# and derivatives of large polynomials.
+
+
+def _numerators(terms: Dict[Monomial, Fraction]):
+    """([(monomial, numerator)], den): the coefficients as integers over den, the
+    lcm of their denominators."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if den % d:
+            den = lcm(den, d)
+    if den == 1:
+        return [(m, c.numerator) for m, c in terms.items()], 1
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
+
+
+def _from_numerators(acc: Dict[Monomial, int], den: int) -> DiffPoly:
+    """The DiffPoly with coefficients acc[m] / den, zero sums dropped."""
+    if den == 1:
+        return DiffPoly._of({m: Fraction(n) for m, n in acc.items() if n})
+    return DiffPoly._of({m: Fraction(n, den) for m, n in acc.items() if n})
+
+
+def _accumulate_product(acc: Dict[Monomial, int], den: int,
+                        a: Dict[Monomial, Fraction], b: Dict[Monomial, Fraction]) -> int:
+    """acc/den += a*b on integer numerators; returns the new common denominator."""
+    na, da = _numerators(a)
+    nb, db = _numerators(b)
+    d = da * db
+    if den % d:
+        scale = lcm(den, d) // den
+        for m in acc:
+            acc[m] *= scale
+        den *= scale
+    scale = den // d
+    get = acc.get
+    for m1, n1 in na:
+        if scale != 1:
+            n1 *= scale
+        for m2, n2 in nb:
+            m = _mono_mul(m1, m2)
+            acc[m] = get(m, 0) + n1 * n2
+    return den
+
+
+def _scale(p: DiffPoly, c: Fraction) -> DiffPoly:
+    """c * p on the Fractions themselves, for a constant factor."""
+    if not c:
+        return DiffPoly()
+    if c == 1:
+        return p  # immutable, so the product may share it
+    return DiffPoly._of({m: c * v for m, v in p.terms.items()})
+
+
+def _add_terms(a: Dict[Monomial, Fraction], b: Dict[Monomial, Fraction],
+               negate: bool) -> DiffPoly:
+    """a + b (a - b when negate): a's untouched Fractions are kept, and each
+    shared monomial is summed once on integers."""
+    terms = dict(a)
+    for m, c in b.items():
+        old = terms.get(m)
+        if old is None:
+            terms[m] = -c if negate else c
+            continue
+        n, d = c.numerator, c.denominator
+        if negate:
+            n = -n
+        od = old.denominator
+        if od == d:
+            s = Fraction(old.numerator + n, d)
+        else:
+            s = Fraction(old.numerator * d + n * od, od * d)
+        if s:
+            terms[m] = s
+        else:
+            del terms[m]
+    return DiffPoly._of(terms)
+
+
+def sum_of_products(pairs: Iterable[Tuple[DiffPoly, DiffPoly]]) -> DiffPoly:
+    """The sum of a*b over the pairs, accumulated on integers over one running
+    common denominator, so no intermediate sum is built."""
+    acc: Dict[Monomial, int] = {}
+    den = 1
+    for a, b in pairs:
+        den = _accumulate_product(acc, den, a.terms, b.terms)
+    return _from_numerators(acc, den)
 
 
 def jet(name: str, order: int = 0) -> DiffPoly:
@@ -558,9 +692,11 @@ class RatFun:
     def _normalize(self, num: DiffPoly, den: DiffPoly) -> "RatFun":
         """Store coprime num/den as 0/1, over 1, or over a monic denominator."""
         if num.is_zero():
-            self.num, self.den = DiffPoly(), DiffPoly.const(1)
+            self.num, self.den = DiffPoly(), _ONE
+        elif den.is_one():
+            self.num, self.den = num, _ONE
         elif den.is_constant():
-            self.num, self.den = num * (1 / den.constant_value()), DiffPoly.const(1)
+            self.num, self.den = num * (1 / den.constant_value()), _ONE
         else:
             lc = den.leading()[1]
             self.num, self.den = num * (1 / lc), den * (1 / lc)
@@ -609,7 +745,7 @@ class RatFun:
             return NotImplemented
         other = RatFun.coerce(other)
         if self.den.is_one() and other.den.is_one():
-            return RatFun._reduced(self.num + other.num, DiffPoly.const(1))
+            return RatFun._reduced(self.num + other.num, _ONE)
         if self.num.is_zero():
             return other
         if other.num.is_zero():
@@ -647,7 +783,7 @@ class RatFun:
             return NotImplemented
         other = RatFun.coerce(other)
         if self.den.is_one() and other.den.is_one():
-            return RatFun._reduced(self.num * other.num, DiffPoly.const(1))
+            return RatFun._reduced(self.num * other.num, _ONE)
         if self.num.is_zero() or other.num.is_zero():
             return RatFun(0)
         # cross-cancel: with both inputs reduced the result is reduced too
@@ -719,13 +855,13 @@ class RatFun:
 
     def total_derivative(self) -> "RatFun":
         if self.den.is_one():
-            return RatFun._reduced(self.num.total_derivative(), DiffPoly.const(1))
+            return RatFun._reduced(self.num.total_derivative(), _ONE)
         return self._quotient_rule(self.num.total_derivative(),
                                    self.den.total_derivative())
 
     def partial(self, name: str, order: int) -> "RatFun":
         if self.den.is_one():
-            return RatFun._reduced(self.num.partial(name, order), DiffPoly.const(1))
+            return RatFun._reduced(self.num.partial(name, order), _ONE)
         return self._quotient_rule(self.num.partial(name, order),
                                    self.den.partial(name, order))
 

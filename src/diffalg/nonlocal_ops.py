@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
-                     Unsupported)
+                     ParseError, Unsupported)
 from .grammar import format_poly, format_ratfun, parse_function
 from .jets import (DiffPoly, Grading, RatFun, accumulate, constant_linear_basis,
                    derivatives)
@@ -548,18 +548,37 @@ def _schema_pairs(data: dict, field: str, shape: str, check) -> list:
     return entries
 
 
+def _power(k) -> int:
+    """A schema power as an int: "2" and 2.0 are integral, 1.5 is not."""
+    n = int(k)
+    if isinstance(k, float) and n != k:
+        raise ValueError(f"{k!r} is not an integer")
+    return n
+
+
+def _parse_field(expr: str, field: str) -> RatFun:
+    """The function a schema expression denotes; a parse error names its field."""
+    try:
+        return RatFun(parse_function(expr))
+    except ParseError as exc:
+        raise ParseError(f"{field}: {exc.message}", exc.position) from None
+    except OverflowError as exc:
+        raise OverflowError(f"{field}: {exc}") from None
+
+
 def operator_from_json(data: dict) -> Tuple[NonlocalOp, Grading]:
     if not isinstance(data, dict):
         raise ValueError("the operator schema must be a JSON object, got "
                          + type(data).__name__)
     local_terms: Dict[int, RatFun] = {}
-    for expr, power in _schema_pairs(
-            data, "local", "[expression string, integer power >= 0]",
-            lambda e, k: isinstance(e, str) and int(k) >= 0):
-        accumulate(local_terms, int(power), RatFun(parse_function(expr)))
+    entries = _schema_pairs(data, "local", "[expression string, integer power >= 0]",
+                            lambda e, k: isinstance(e, str) and _power(k) >= 0)
+    for i, (expr, power) in enumerate(entries):
+        accumulate(local_terms, _power(power), _parse_field(expr, f"local[{i}]"))
     tails = _schema_pairs(data, "nonlocal", "[p string, q string]",
                           lambda p, q: isinstance(p, str) and isinstance(q, str))
-    pairs = [(RatFun(parse_function(p)), RatFun(parse_function(q))) for p, q in tails]
+    pairs = [(_parse_field(p, f"nonlocal[{i}] p"), _parse_field(q, f"nonlocal[{i}] q"))
+             for i, (p, q) in enumerate(tails)]
     grading = data.get("grading", {"u": "even"})
     if not isinstance(grading, dict):
         raise ValueError("grading must be an object mapping names to parities, got "

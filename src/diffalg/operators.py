@@ -133,7 +133,8 @@ class DiffOp:
         for k, a in self.coeffs.items():
             for l, tower in towers.items():
                 for n in range(k + 1):
-                    accumulate(coeffs, k - n + l, a * tower[n] * comb(k, n))
+                    if tower[n]:  # a constant's tower is [c, 0, 0, ...]
+                        accumulate(coeffs, k - n + l, a * tower[n] * comb(k, n))
         return DiffOp(coeffs)
 
     def __rmul__(self, other) -> "DiffOp":

@@ -83,17 +83,33 @@ class TestVerdictCommands:
         ({"local": [["u", "x"]]}, "local[0] must be [expression string"),
         ({"local": [["u", 0], ["u", "x"]]}, "local[1] must be [expression string"),
         ({"local": [["u", -1]]}, "local[0] must be"),
+        ({"local": [["u", 1.5]]}, "local[0] must be [expression string"),
+        ({"local": [["u", "1.5"]]}, "local[0] must be [expression string"),
         ({"local": "u"}, "local must be a list"),
         ({"nonlocal": [["u"]]}, "nonlocal[0] must be [p string, q string]"),
         ({"grading": "even"}, "grading must be an object"),
         ({"grading": {"u": "neither"}}, "grading['u'] must be 'even' or 'odd'"),
     ], ids=["expr-not-string", "power-not-integer", "second-entry", "negative-power",
-            "local-not-list", "nonlocal-short", "grading-not-object", "bad-parity"])
+            "power-fractional", "power-fractional-string", "local-not-list",
+            "nonlocal-short", "grading-not-object", "bad-parity"])
     def test_schema_errors_name_the_field(self, capsys, tmp_path, schema, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(schema))
         code, _, err = run(capsys, "check-hereditary", "--op", str(path))
         assert code == 2 and field in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("schema, message", [
+        ({"local": [["u", 0], ["u+", 0]]}, "local[1]: expected an integer (at position 2)"),
+        ({"nonlocal": [["u+", "1"]]}, "nonlocal[0] p: expected an integer (at position 2)"),
+        ({"nonlocal": [["u", "1"], ["1", "(u"]]},
+         "nonlocal[1] q: expected ')' (at position 2)"),
+        ({"local": [["u^10001", 0]]}, "local[0]: integer 10001 exceeds supported bounds"),
+    ], ids=["local", "nonlocal-p", "nonlocal-q", "local-exponent-bound"])
+    def test_schema_parse_errors_name_the_field(self, capsys, tmp_path, schema, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(schema))
+        code, _, err = run(capsys, "check-hereditary", "--op", str(path))
+        assert code == 2 and json.loads(err)["error"] == message
 
     def test_schema_accepts_integral_power_forms(self, capsys, tmp_path):
         # powers pass through int(), as they always have

@@ -1,6 +1,7 @@
 """The differential polynomial ring: arithmetic, derivations, gcd, bases, parity."""
 
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from diffalg import (DiffPoly, Grading, RatFun, constant_linear_basis,
                      diff_order, jet, parity_of, poly_gcd)
 from diffalg.errors import DependentInput
-from diffalg.jets import poly_lcm, require_independent
+from diffalg.jets import poly_lcm, require_independent, sum_of_products
 
 from helpers import rand_poly
 
@@ -27,12 +28,128 @@ monomials = st.lists(
 def polys(draw):
     out = DiffPoly.zero()
     for order, exp in draw(monomials):
-        coeff = draw(st.integers(min_value=-3, max_value=3))
+        # non-trivial denominators take the kernels through their lcm scaling
+        coeff = Fraction(draw(st.integers(min_value=-3, max_value=3)),
+                         draw(st.sampled_from((1, 2, 3, 11, 169))))
         term = DiffPoly.const(coeff)
         for _ in range(exp):
             term = term * jet("u", order)
         out = out + term
     return out
+
+
+# -- the integer kernels against a plain Fraction reference ---------------------
+
+LAMBDA = Fraction(13, 11)
+COEFFS = (Fraction(1), Fraction(-1), Fraction(3), Fraction(1, 2), Fraction(-5, 6),
+          Fraction(7, 9), LAMBDA, LAMBDA ** 8, -LAMBDA ** 5 / 4, Fraction(10 ** 12, 7))
+
+
+def ref_mono(exps):
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), reverse=True))
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a.terms)
+    for m, c in b.terms.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = ref_mono(exps)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_derivative(a):
+    out = {}
+    for m, c in a.terms.items():
+        for v, e in m:
+            exps = dict(m)
+            exps[v] -= 1
+            up = (v[0] + 1, v[1])
+            exps[up] = exps.get(up, 0) + 1
+            key = ref_mono(exps)
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return ref_clean(out)
+
+
+def kernel_poly(rng, terms=None):
+    """Mixed and large denominators, Laurent exponents, several indeterminates;
+    sometimes zero, a constant or a single term."""
+    shape = rng.random()
+    if shape < 0.08:
+        return DiffPoly.zero()
+    if shape < 0.2:
+        return DiffPoly.const(rng.choice(COEFFS))
+    count = 1 if shape < 0.35 else (terms or rng.randint(2, 6))
+    out = {}
+    for _ in range(count):
+        exps = {(rng.randint(0, 4), rng.choice("uuvF")): rng.choice((-2, -1, 1, 1, 2, 3))
+                for _ in range(rng.randint(0, 3))}
+        out[ref_mono(exps)] = rng.choice(COEFFS)
+    return DiffPoly(out)
+
+
+def assert_canonical(p):
+    for m, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert m == ref_mono(dict(m)) and len(dict(m)) == len(m)
+
+
+class TestIntegerKernels:
+    def test_match_the_fraction_reference(self):
+        rng = random.Random(0x1A7)
+        for _ in range(400):
+            a, b = kernel_poly(rng), kernel_poly(rng)
+            for got, want in ((a * b, ref_mul(a, b)), (a + b, ref_add(a, b)),
+                              (a - b, ref_add(a, b, -1)),
+                              (a.total_derivative(), ref_derivative(a))):
+                assert got.terms == want
+                assert_canonical(got)
+
+    def test_sum_of_products(self):
+        rng = random.Random(0x50B)
+        for _ in range(150):
+            pairs = [(kernel_poly(rng), kernel_poly(rng))
+                     for _ in range(rng.randint(0, 5))]
+            want = {}
+            for a, b in pairs:
+                want = ref_add(DiffPoly(want), DiffPoly(ref_mul(a, b)))
+            got = sum_of_products(iter(pairs))
+            assert got.terms == want
+            assert_canonical(got)
+
+    def test_exact_cancellation(self):
+        rng = random.Random(0xCA7)
+        for _ in range(100):
+            a, b = kernel_poly(rng, terms=5), kernel_poly(rng, terms=5)
+            for zero in (a - a, a + (-a), (a + b) * (a - b) - a * a + b * b,
+                         sum_of_products([(a, b), (-a, b)]),
+                         sum_of_products([(a, b), (b, a * -1)]),
+                         (a * b).total_derivative() - a.total_derivative() * b
+                         - a * b.total_derivative()):
+                assert zero.terms == {} and zero == DiffPoly.zero()
+
+    def test_equal_inputs_hash_equal(self):
+        rng = random.Random(0x4A5)
+        for _ in range(100):
+            a, b, c = (kernel_poly(rng) for _ in range(3))
+            left, right = (a + b) * c, sum_of_products([(c, b), (a, c)])
+            assert left == right and hash(left) == hash(right)
+            rebuilt = DiffPoly(dict(reversed(list(left.terms.items()))))
+            assert rebuilt == left and hash(rebuilt) == hash(left)
 
 
 class TestScalarProduct:
@@ -43,6 +160,12 @@ class TestScalarProduct:
         assert p * Fraction(1) is p
         assert 1 * p is p
         assert p * Fraction(2) == 2 * p and p * Fraction(2) is not p
+
+    def test_one_is_shared(self):
+        # the unit is one immutable object, not a fresh dict per query
+        assert DiffPoly.const(1) is DiffPoly.const(Fraction(2, 2))
+        assert RatFun(u).den is DiffPoly.const(1) and RatFun(u).den.is_one()
+        assert not DiffPoly.const(2).is_one() and not u.is_one()
 
 
 class TestTotalDerivative:
