@@ -3,18 +3,22 @@
 Evolutionary vector fields, the Lie bracket on functions, the variational
 derivative, constructive integration (the inverse of the total derivative on
 its image), the homotopy potential, and Q-linear reduction modulo total
-derivatives.  These are the primitives every decision procedure downstream
-bottoms out in, so each one is exact and total-derivative identities are
-enforced by construction, never by approximation.
+derivatives.  A polynomial with no explicit x is a total derivative exactly
+when all its variational derivatives vanish and its constant term is zero,
+so that reduction is one reduced echelon form of the vectors
+(variational derivatives, constant term).  These are the primitives every
+decision procedure downstream bottoms out in, so each one is exact and
+total-derivative identities are enforced by construction, never by
+approximation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import NotExact, NotSupported, NotVariational, VerificationFailed
-from .jets import DiffPoly, RatFun, _rref, _vectors, sum_of_products
+from .jets import DiffPoly, RatFun, _rref, sum_of_products
 
 
 def evo_apply(f, g, name: str = "u"):
@@ -156,108 +160,42 @@ def basis_mod_total_derivatives(fs: Sequence[DiffPoly]):
     """Representatives of span{fs} independent modulo total derivatives.
 
     Returns (basis, coords, exact_parts): basis is a sublist of the inputs,
-    and for every input i
+    earlier inputs first, and for every input i
 
         fs[i] = sum_j coords[i][j] * basis[j] + d(exact_parts[i]).
 
-    Inputs must be true polynomials.  A combination lies in dV exactly when
-    all its variational derivatives vanish and its constant residue is zero;
-    both conditions are solved as Q-linear systems.
+    Inputs must be true polynomials.  Such a polynomial is a total derivative
+    exactly when all its variational derivatives vanish and its constant term
+    is zero, so independence modulo d is plain linear independence of the
+    vectors (delta_name f_i for every indeterminate, constant term of f_i):
+    one reduced echelon form over the columns -i gives the basis (its pivot
+    columns) and the coordinates (its columns).
     """
     fs = [DiffPoly.coerce(f) for f in fs]
     for f in fs:
         if f.has_negative_exponent():
             raise NotSupported("basis_mod_total_derivatives needs polynomial inputs")
     indets = sorted({name for f in fs for name in f.indets()})
-    deltas = [[variational_derivative(f, name) for name in indets] for f in fs]
-
-    basis: List[DiffPoly] = []
-    basis_deltas: List[List[DiffPoly]] = []
-    coords: List[List[Fraction]] = []
-    exact_parts: List[DiffPoly] = []
-
-    for f, delta in zip(fs, deltas):
-        solved = _reduce_against(f, delta, basis, basis_deltas)
-        if solved is None:
-            basis.append(f)
-            basis_deltas.append(delta)
-            coords.append([Fraction(0)] * (len(basis) - 1) + [Fraction(1)])
-            exact_parts.append(DiffPoly.zero())
-        else:
-            c, h = solved
-            coords.append(c)
-            exact_parts.append(h)
-    width = len(basis)
-    coords = [c + [Fraction(0)] * (width - len(c)) for c in coords]
+    # one row per coordinate of the vectors; input i is the column -i, so the
+    # largest-column pivots pick earlier inputs first
+    rows: Dict[object, Dict[int, Fraction]] = {}
+    for i, f in enumerate(fs):
+        for name in indets:
+            for m, c in variational_derivative(f, name).terms.items():
+                rows.setdefault((name, m), {})[-i] = c
+        if () in f.terms:
+            rows.setdefault((), {})[-i] = f.terms[()]
+    reduced = _rref(rows.values())
+    basis = [fs[-max(row)] for row in reduced]
+    coords = [[row.get(-i, Fraction(0)) for row in reduced] for i in range(len(fs))]
+    exact_parts = []
+    for f, c in zip(fs, coords):
+        for cj, b in zip(c, basis):
+            if cj:
+                f = f - cj * b
+        h, residual = _integrate_reduce(f)
+        if not residual.is_zero():
+            raise AssertionError("a combination with no variational derivative "
+                                 "and no constant term must integrate")
+        exact_parts.append(h)
     return basis, coords, exact_parts
-
-
-def _reduce_against(f, delta, basis, basis_deltas):
-    """Solve f = sum c_j basis_j + d(h); returns (c, h) or None."""
-    # Stage 1: match variational derivatives (a linear system over Q), one
-    # column per (indeterminate, monomial) of the stacked deltas.
-    _, vectors = _vectors([{(k, m): c for k, p in enumerate(row)
-                            for m, c in p.terms.items()}
-                           for row in basis_deltas + [delta]])
-    *rows, target = vectors
-    if not rows:
-        if any(target):
-            return None
-        particular: Optional[List[Fraction]] = []
-        null_vectors: List[List[Fraction]] = []
-    else:
-        particular, null_vectors = _affine_solutions(rows, target)
-        if particular is None:
-            return None
-    # Stage 2: within the affine solution space, kill the constant residue.
-    def residue(coeffs: List[Fraction]) -> Tuple[DiffPoly, Fraction]:
-        g = f
-        for c, b in zip(coeffs, basis):
-            if c:
-                g = g - c * b
-        h, r = _integrate_reduce(g)
-        if not r.is_constant():
-            raise AssertionError("delta-matched combination must reduce to a constant")
-        return h, r.constant_value()
-
-    h0, r0 = residue(particular)
-    if r0 == 0:
-        return particular, h0
-    for k, nv in enumerate(null_vectors):
-        shifted = [p + n for p, n in zip(particular, nv)] if particular else nv
-        hk, rk = residue(shifted)
-        slope = rk - r0
-        if slope != 0:
-            t = -r0 / slope
-            solution = [p + t * n for p, n in zip(particular, nv)]
-            h, r = residue(solution)
-            if r != 0:
-                raise AssertionError("residue elimination is linear and must succeed")
-            return solution, h
-    return None
-
-
-def _affine_solutions(rows: List[List[Fraction]], target: List[Fraction]):
-    """Solve sum c_j rows[j] = target; returns (particular, nullspace basis) or (None, [])."""
-    n = len(rows)
-    width = len(target)
-    # Transpose into a standard linear system A c = target with A columns = rows.
-    aug = []
-    for col in range(width):
-        aug.append([rows[j][col] for j in range(n)] + [target[col]])
-    reduced, pivots = _rref(aug)
-    # Check consistency: a pivot in the last column means no solution.
-    if n in pivots:
-        return None, []
-    particular = [Fraction(0)] * n
-    for row, p in zip(reduced, pivots):
-        particular[p] = row[n]
-    free = [j for j in range(n) if j not in pivots]
-    null_vectors = []
-    for fcol in free:
-        v = [Fraction(0)] * n
-        v[fcol] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[fcol]
-        null_vectors.append(v)
-    return particular, null_vectors

@@ -20,7 +20,7 @@ from .errors import (DepthOverflow, DiffAlgError, NotInImage, NotSupported,
 from .grammar import format_poly, parse_function
 from .hierarchy import Hierarchy, conserved_densities, density_report
 from .integrability import is_hereditary, is_integrable_wnl
-from .nonlocal_ops import is_recursion_for, nl_power, operator_to_json
+from .nonlocal_ops import lie_derivative, nl_power, operator_to_json
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -35,13 +35,6 @@ def _emit(data: dict, fmt: str) -> None:
     else:
         for key, value in data.items():
             print(f"{key}: {value}")
-
-
-def _refutation_text(certificate) -> str:
-    if certificate is None:
-        return ""
-    reason = getattr(certificate, "reason", "")
-    return reason
 
 
 def cmd_parse(args) -> int:
@@ -63,7 +56,8 @@ def cmd_check_hereditary(args) -> int:
     verdict = is_hereditary(operator)
     data = {"hereditary": verdict.result}
     if not verdict.result:
-        data["reason"] = _refutation_text(verdict.certificate)
+        data["reason"] = verdict.certificate.reason
+        data["residual"] = repr(verdict.certificate.residual)
     _emit(data, args.format)
     return EXIT_TRUE if verdict.result else EXIT_FALSE
 
@@ -73,7 +67,8 @@ def cmd_check_integrable(args) -> int:
     verdict = is_integrable_wnl(operator)
     data = {"integrable": verdict.result}
     if not verdict.result:
-        data["reason"] = _refutation_text(verdict.certificate)
+        data["reason"] = verdict.certificate.reason
+        data["residual"] = repr(verdict.certificate.residual)
     _emit(data, args.format)
     return EXIT_TRUE if verdict.result else EXIT_FALSE
 
@@ -81,8 +76,12 @@ def cmd_check_integrable(args) -> int:
 def cmd_check_recursion(args) -> int:
     operator, _ = load_operator(args.op)
     f = parse_function(args.seed)
-    ok = is_recursion_for(operator, f)
-    _emit({"recursion": ok, "function": format_poly(f)}, args.format)
+    defect = lie_derivative(operator, f)
+    ok = defect.is_zero()
+    data = {"recursion": ok, "function": format_poly(f)}
+    if not ok:
+        data["lie_derivative"] = repr(defect)
+    _emit(data, args.format)
     return EXIT_TRUE if ok else EXIT_FALSE
 
 

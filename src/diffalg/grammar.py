@@ -19,6 +19,7 @@ The printer emits canonical forms the parser accepts, so parse(print(p)) == p.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Sequence, Tuple
 
 from .errors import ParseError
@@ -26,6 +27,7 @@ from .jets import DiffPoly, RatFun
 
 MAX_EXPONENT = 10_000  # bound on exponents and jet orders, which drive expansion work
 MAX_DEPTH = 100  # bound on parenthesis nesting; the printer emits none
+MAX_TERMS = 10_000  # bound on the terms a power or a product may expand to
 
 
 class _Scanner:
@@ -129,6 +131,10 @@ def _parse_factor(s: _Scanner) -> DiffPoly:
                 raise ParseError("negative powers only apply to jet monomials", s.pos)
             mono, _ = mono_items[0]
             return DiffPoly({tuple((v, x * e) for v, x in mono): Fraction(1)})
+        n = len(atom.terms)
+        if n > 1 and comb(n + e - 1, e) > MAX_TERMS:
+            raise OverflowError(f"a {n}-term base to the power {e} expands past "
+                                f"{MAX_TERMS} terms")
         return atom ** e
     return atom
 
@@ -137,7 +143,11 @@ def _parse_term(s: _Scanner) -> DiffPoly:
     p = _parse_factor(s)
     while s.peek() == "*":
         s.pos += 1
-        p = p * _parse_factor(s)
+        factor = _parse_factor(s)
+        if len(p.terms) * len(factor.terms) > MAX_TERMS:
+            raise OverflowError(f"a product of {len(p.terms)} by {len(factor.terms)} "
+                                f"terms expands past {MAX_TERMS} terms")
+        p = p * factor
     return p
 
 

@@ -414,7 +414,13 @@ def diff_order(f, name: str = "u") -> Optional[int]:
 
 
 def _poly_divexact(f: DiffPoly, g: DiffPoly) -> DiffPoly:
-    """Exact division f/g; raises if g does not divide f."""
+    """Exact division f/g; raises ArithmeticError if g does not divide f.
+
+    Operands are Laurent-free (RatFun clears Laurent exponents first), so
+    each step removes the remainder's leading term in a well-order and the
+    loop ends, either with a zero remainder or at a leading term that g's
+    leading monomial does not divide.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if g.is_constant():
@@ -429,6 +435,8 @@ def _poly_divexact(f: DiffPoly, g: DiffPoly) -> DiffPoly:
         exps = dict(rm)
         for v, e in g_exps.items():
             exps[v] = exps.get(v, 0) - e
+            if exps[v] < 0:
+                raise ArithmeticError("divisor does not divide the dividend")
         q_mono = _mono(exps.items())
         q_coeff = rc / gc
         quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
@@ -937,41 +945,34 @@ def parity_of(f, grading: Grading) -> str:
 # -- Q-linear reduction -------------------------------------------------------
 
 
-def _vectors(term_maps: Sequence[dict]):
-    """Dense vectors of sparse {key: coefficient} maps over their keys, descending."""
-    keys = sorted({k for t in term_maps for k in t}, reverse=True)
-    index = {k: i for i, k in enumerate(keys)}
-    vectors = []
-    for t in term_maps:
-        v = [Fraction(0)] * len(keys)
-        for k, c in t.items():
-            v[index[k]] = c
-        vectors.append(v)
-    return keys, vectors
+def _rref(rows: Iterable[dict]) -> List[dict]:
+    """Reduced row echelon form of sparse {column: Fraction} rows.
 
-
-def _rref(rows: List[List[Fraction]]):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
+    Each row pivots on its largest column, and only nonzero entries are
+    touched.  Returns the nonzero reduced rows sorted by pivot, descending;
+    the form is unique for the column order, so it depends only on the span.
+    """
+    reduced: Dict = {}  # pivot -> row: 1 at its pivot, 0 at every other pivot
+    for row in rows:
+        row = dict(row)
+        # the reduced rows vanish at each other's pivots, so eliminating one
+        # pivot from row never brings in another
+        for p in [k for k in row if k in reduced]:
+            c = row[p]
+            for k, v in reduced[p].items():
+                accumulate(row, k, -c * v)
+        if not row:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        p = max(row)
+        inv = 1 / row[p]
+        row = {k: v * inv for k, v in row.items()}
+        for other in reduced.values():
+            c = other.get(p)
+            if c:
+                for k, v in row.items():
+                    accumulate(other, k, -c * v)
+        reduced[p] = row
+    return [reduced[p] for p in sorted(reduced, reverse=True)]
 
 
 def constant_linear_basis(fs: Sequence):
@@ -994,27 +995,24 @@ def constant_linear_basis(fs: Sequence):
     else:
         polys = [f.as_diffpoly() if isinstance(f, RatFun) else DiffPoly.coerce(f)
                  for f in fs]
-        den = DiffPoly.const(1)
-    monomials, vectors = _vectors([p.terms for p in polys])
-    rref_rows, pivots = _rref([v for v in vectors if any(v)])
-    basis_polys = [DiffPoly({m: c for m, c in zip(monomials, row) if c})
-                   for row in rref_rows]
+    rows = _rref(p.terms for p in polys)
+    pivots = [max(row) for row in rows]
     # the reduced rows are the identity at the pivots, so those entries are
     # the coordinates; expanding them back must give the input exactly
     coords = []
-    for v in vectors:
-        c = [v[p] for p in pivots]
-        rest = v
-        for cj, row in zip(c, rref_rows):
+    for p in polys:
+        c = [p.terms.get(m, Fraction(0)) for m in pivots]
+        rest = dict(p.terms)
+        for cj, row in zip(c, rows):
             if cj:
-                rest = [x - cj * y for x, y in zip(rest, row)]
-        if any(rest):
+                for m, v in row.items():
+                    accumulate(rest, m, -cj * v)
+        if rest:
             raise AssertionError("input escaped its own span")
         coords.append(c)
+    basis = [DiffPoly._of(row) for row in rows]
     if rational:
-        basis = [RatFun(b, den) for b in basis_polys]
-    else:
-        basis = basis_polys
+        basis = [RatFun(b, den) for b in basis]
     return basis, coords
 
 

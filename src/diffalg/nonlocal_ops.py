@@ -19,6 +19,7 @@ depends on a truncation depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
@@ -372,7 +373,6 @@ def from_fraction_pair(a: DiffOp, b: DiffOp) -> NonlocalOp:
 
 
 def _binom(k: int, n: int) -> int:
-    from math import comb
     if k >= 0:
         return comb(k, n)
     # binom(k, n) for negative k: (-1)^n * comb(n - k - 1, n)

@@ -14,9 +14,8 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DependentInput
-from .jets import (DiffPoly, RatFun, accumulate, constant_linear_basis,
-                   derivatives)
+from .jets import (DiffPoly, RatFun, accumulate, derivatives, poly_gcd, poly_lcm,
+                   require_independent)
 
 
 class DiffOp:
@@ -226,7 +225,6 @@ def _left_clear_factor(op: DiffOp) -> RatFun:
     chains may normalize remainders this way; it is the Ore analog of
     taking primitive parts in a polynomial remainder sequence.
     """
-    from .jets import poly_lcm, poly_gcd, DiffPoly
     den = DiffPoly.const(1)
     for c in op.coeffs.values():
         den = poly_lcm(den, c.den)
@@ -359,9 +357,7 @@ def op_with_kernel(fs: List[DiffPoly]) -> DiffOp:
     fs = [DiffPoly.coerce(f) for f in fs]
     if not fs:
         return DiffOp.identity()
-    basis, _ = constant_linear_basis(fs)
-    if len(basis) != len(fs):
-        raise DependentInput("kernel functions must be linearly independent over Q")
+    require_independent(fs)
     op = DiffOp.identity()
     for f in fs:
         g = op.apply(f)

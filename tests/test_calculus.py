@@ -191,3 +191,50 @@ class TestBasisModTotalDerivatives:
                 for x, b in zip(c, basis):
                     rebuilt = rebuilt + x * b
                 assert rebuilt == f
+
+    def test_integration_check_stays(self, monkeypatch):
+        import diffalg.calculus as calculus
+        monkeypatch.setattr(calculus, "_integrate_reduce",
+                            lambda f: (DiffPoly.zero(), u1 * u1))
+        with pytest.raises(AssertionError, match="must integrate"):
+            basis_mod_total_derivatives([u1])
+
+    def test_matches_sympy_pivots(self, rng):
+        """The basis is the inputs at sympy's pivot columns of the matrix whose
+        column i is (delta_name f_i for each indeterminate, constant of f_i)."""
+        sympy = pytest.importorskip("sympy")
+        for trial in range(60):
+            names = ("u", "F") if trial % 3 == 0 else ("u",)
+            n = rng.randint(1, 6)
+            fs = [rand_poly(rng, terms=3, names=names, nonzero=True)]
+            while len(fs) < n:
+                r = rng.random()
+                exact = rand_poly(rng, max_order=3, names=names).total_derivative()
+                if r < 0.3:
+                    combo = exact
+                    for f in rng.sample(fs, rng.randint(1, len(fs))):
+                        combo = combo + f * Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                    fs.append(combo)
+                elif r < 0.45:
+                    fs.append(exact)
+                elif r < 0.55:
+                    fs.append(exact + Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                else:
+                    fs.append(rand_poly(rng, terms=4, names=names))
+            basis, coords, exact_parts = basis_mod_total_derivatives(fs)
+            indets = sorted({n for f in fs for n in f.indets()})
+            deltas = [{(n, m): c for n in indets
+                       for m, c in variational_derivative(f, n).terms.items()}
+                      for f in fs]
+            for f, d in zip(fs, deltas):
+                d["const"] = f.terms.get((), Fraction(0))
+            keys = sorted({k for d in deltas for k in d}, key=repr)
+            matrix = sympy.Matrix([[d.get(k, 0) for d in deltas] for k in keys])
+            reduced, pivots = matrix.rref()
+            assert basis == [fs[i] for i in pivots]
+            for i, (f, c, h) in enumerate(zip(fs, coords, exact_parts)):
+                assert c == [Fraction(str(reduced[j, i])) for j in range(len(pivots))]
+                rebuilt = h.total_derivative()
+                for x, b in zip(c, basis):
+                    rebuilt = rebuilt + x * b
+                assert rebuilt == f

@@ -34,6 +34,10 @@ class TestParseCommand:
         code, _, err = run(capsys, "parse", "--expr", "u +")
         assert code == 2 and "error" in err
 
+    def test_expansion_past_bound_exit_2(self, capsys):
+        code, _, err = run(capsys, "parse", "--expr", "(u+u'+u''+u''')^10000")
+        assert code == 2 and "past 10000 terms" in json.loads(err)["error"]
+
 
 class TestBracketCommand:
     def test_commuting_pair(self, capsys):
@@ -59,14 +63,26 @@ class TestVerdictCommands:
         assert code == 1
         assert data["integrable"] is False
         assert data["reason"] == "q = u''' not a variational derivative"
+        assert data["residual"] == "DiffOp((2)*d^3)"
+
+    def test_check_hereditary_refutation_carries_residual(self, capsys, tmp_path):
+        path = tmp_path / "u_d.json"
+        path.write_text(json.dumps({"local": [["u", 1]]}))
+        code, data, _ = run_json(capsys, "check-hereditary", "--op", str(path))
+        assert code == 1 and data["hereditary"] is False
+        assert data["reason"] == "hereditary identity residual is nonzero"
+        assert data["residual"] == "NonlocalOp((-F*u)*d^2 + u*F'')"
 
     def test_check_recursion(self, capsys):
         code, data, _ = run_json(capsys, "check-recursion", "--op",
                                  "counterexample", "--seed", "u'")
         assert code == 0 and data["recursion"] is True
+        assert "lie_derivative" not in data
         code, data, _ = run_json(capsys, "check-recursion", "--op",
                                  "counterexample", "--seed", "u''")
         assert code == 1 and data["recursion"] is False
+        assert data["lie_derivative"] == (
+            "NonlocalOp((-2*u''')*d + 2*u(4) + (-2)*d^-1*(u(5)))")
 
     def test_missing_operator_exit_2(self, capsys):
         code, _, err = run(capsys, "check-hereditary", "--op", "nonsense")

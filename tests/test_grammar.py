@@ -1,6 +1,7 @@
 """Expression grammar: parsing, printing, and the round-trip fixpoint."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,16 @@ class TestParsing:
         for text in ("u^99999999", "u(10001)"):
             with pytest.raises(OverflowError):
                 parse_function(text)
+
+    def test_expansion_bounded(self):
+        # (u+u'+u''+u''')^10000 has about 1.7e11 terms; it is refused up front
+        start = time.perf_counter()
+        for text in ("(u+u'+u''+u''')^10000", "(u+u')^10000",
+                     "(u+u'+u'')^200 * (u+u'+u'')^200"):
+            with pytest.raises(OverflowError, match="past 10000 terms"):
+                parse_function(text)
+        assert time.perf_counter() - start < 1.0
+        assert len(parse_function("(u+u'+u'')^10 * (u+u'+u'')^10").terms) == 231
 
     def test_formal_names_opt_in(self):
         assert parse_function("F'*u", names=("u", "F")) == jet("F", 1) * u

@@ -246,8 +246,15 @@ class TestGcdAndRatFun:
             f = rand_poly(rng, max_order=2, terms=2, nonzero=True)
             g = rand_poly(rng, max_order=2, terms=2, nonzero=True)
             h = poly_gcd(f, g)
-            _poly_divexact(f, h)
-            _poly_divexact(g, h)
+            assert h * _poly_divexact(f, h) == f
+            assert h * _poly_divexact(g, h) == g
+
+    def test_divexact_raises_when_not_divisible(self):
+        from diffalg.jets import _poly_divexact
+        with pytest.raises(ArithmeticError):
+            _poly_divexact(u * u + 1, u)
+        with pytest.raises(ArithmeticError):
+            _poly_divexact(u * u + 1, u + 1)
 
     def test_ratfun_reduction(self):
         r = RatFun((u + u1) * (u * u2 + 1), (u + u1) * u1)
@@ -320,6 +327,64 @@ class TestLinearBasis:
         require_independent([u, u1])
         with pytest.raises(DependentInput):
             require_independent([u, 2 * u])
+
+    def test_span_check_stays(self, monkeypatch):
+        import diffalg.jets as jets
+        monkeypatch.setattr(jets, "_rref", lambda rows: [{(): Fraction(1)}])
+        with pytest.raises(AssertionError, match="escaped its own span"):
+            constant_linear_basis([u])
+
+
+def planted_inputs(rng, n, draw):
+    """n inputs from draw(), about a third of them combinations of earlier ones."""
+    fs = [draw()]
+    while len(fs) < n:
+        if rng.random() < 0.35:
+            combo = fs[0] * 0
+            for f in rng.sample(fs, rng.randint(1, len(fs))):
+                combo = combo + f * Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+            fs.append(combo)
+        else:
+            fs.append(draw())
+    return fs
+
+
+class TestLinearBasisOracle:
+    """constant_linear_basis against sympy's reduced row echelon form."""
+
+    def test_matches_sympy_rref(self, rng):
+        sympy = pytest.importorskip("sympy")
+        dens = [DiffPoly.const(1), u, u1 + 2, u * u2 - u1]
+        for trial in range(60):
+            rational = trial % 2 == 1
+            if rational:
+                def draw():
+                    return RatFun(rand_poly(rng, terms=3, nonzero=True),
+                                  rng.choice(dens))
+            else:
+                def draw():
+                    return rand_poly(rng, terms=4, nonzero=True)
+            fs = planted_inputs(rng, rng.randint(1, 6), draw)
+            basis, coords = constant_linear_basis(fs)
+            # the oracle's rows: the inputs over their common denominator
+            den = DiffPoly.const(1)
+            if rational:
+                for f in fs:
+                    den = poly_lcm(den, f.den)
+            rows = [(RatFun.coerce(f) * den).as_diffpoly() for f in fs]
+            cols = sorted({m for p in rows for m in p.terms}, reverse=True)
+            matrix = sympy.Matrix([[p.terms.get(m, 0) for m in cols] for p in rows])
+            reduced, pivots = matrix.rref()
+            basis_rows = [(RatFun.coerce(b) * den).as_diffpoly().terms for b in basis]
+            assert basis_rows == [{m: Fraction(str(reduced[i, j]))
+                                   for j, m in enumerate(cols) if reduced[i, j] != 0}
+                                  for i in range(len(pivots))]
+            assert [max(row) for row in basis_rows] == [cols[j] for j in pivots]
+            for f, c in zip(fs, coords):
+                rebuilt = RatFun(0)
+                for x, b in zip(c, basis):
+                    rebuilt = rebuilt + RatFun.coerce(b) * x
+                assert rebuilt == RatFun.coerce(f)
 
 
 class TestParity:
