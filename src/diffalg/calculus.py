@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import NotExact, NotSupported, NotVariational, VerificationFailed
-from .jets import DiffPoly, RatFun, _rref, sum_of_products
+from .jets import DiffPoly, RatFun, _rref, exponents, sum_of_products
 
 
 def evo_apply(f, g, name: str = "u"):
@@ -89,7 +89,7 @@ def _integrate_reduce(f: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
         top = rest.top_order()
         if top == 0 or top is None:
             return h, rest
-        var = max(v for m in rest.terms for v, _ in m if v[0] == top)
+        var = max(v for m in rest.terms for v, _ in exponents(m) if v[0] == top)
         layers = rest.as_univariate(var)
         if any(e not in (0, 1) for e in layers):
             return h, rest
@@ -103,7 +103,7 @@ def _integrate_reduce(f: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
             if e == -1:
                 raise NotSupported(
                     "antiderivative of a -1 Laurent exponent is not polynomial")
-            mono = DiffPoly({((below, e + 1),): Fraction(1)})
+            mono = DiffPoly.jet(below[1], below[0], e + 1)
             partial_h = partial_h + coeff * mono * Fraction(1, e + 1)
         h = h + partial_h
         rest = rest - partial_h.total_derivative()
@@ -145,9 +145,9 @@ def potential(q: DiffPoly, name: str = "u") -> DiffPoly:
     rho = DiffPoly.zero()
     u = DiffPoly.jet(name, 0)
     for mono, coeff in q.terms.items():
-        degree = sum(e for _, e in mono)
+        degree = sum(e for _, e in exponents(mono))
         rho = rho + u * DiffPoly({mono: coeff}) * Fraction(1, degree + 1)
-    rho = rho - DiffPoly.const(rho.terms.get((), 0))
+    rho = rho - DiffPoly.const(rho.constant_term())
     if variational_derivative(rho, name) != q:
         raise VerificationFailed("homotopy potential failed its defining identity")
     return rho
@@ -183,8 +183,8 @@ def basis_mod_total_derivatives(fs: Sequence[DiffPoly]):
         for name in indets:
             for m, c in variational_derivative(f, name).terms.items():
                 rows.setdefault((name, m), {})[-i] = c
-        if () in f.terms:
-            rows.setdefault((), {})[-i] = f.terms[()]
+        if f.constant_term():
+            rows.setdefault((), {})[-i] = f.constant_term()
     reduced = _rref(rows.values())
     basis = [fs[-max(row)] for row in reduced]
     coords = [[row.get(-i, Fraction(0)) for row in reduced] for i in range(len(fs))]

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import ParseError
-from .jets import DiffPoly, RatFun
+from .jets import DiffPoly, RatFun, exponents, monomial
 
-MAX_EXPONENT = 10_000  # bound on exponents and jet orders, which drive expansion work
+MAX_EXPONENT = 10_000  # bound on every exponent, written or computed, and on jet orders
 MAX_DEPTH = 100  # bound on parenthesis nesting; the printer emits none
 MAX_TERMS = 10_000  # bound on the terms a power or a product may expand to
+MAX_PAIRS = 100_000  # bound on the term pairs of each multiplication inside a power
+MAX_POWER_BITS = 1 << 20  # bound on the bits of a coefficient raised to a power
 
 
 class _Scanner:
@@ -69,10 +71,74 @@ class _Scanner:
 
 
 def _bounded(value: int) -> int:
-    """An exponent or a jet order; coefficients stay unbounded."""
+    """An exponent or a jet order as written; literal coefficients stay unbounded."""
     if abs(value) > MAX_EXPONENT:
         raise OverflowError(f"integer {value} exceeds supported bounds")
     return value
+
+
+def _exponent_span(p: DiffPoly) -> Dict[tuple, Tuple[int, int]]:
+    """Per jet, the least and the greatest exponent over p's terms; a term
+    without the jet counts as exponent 0."""
+    span: Dict[tuple, Tuple[int, int]] = {}
+    for m in p.terms:
+        for v, e in exponents(m):
+            lo, hi = span.get(v, (0, 0))
+            span[v] = (min(lo, e), max(hi, e))
+    return span
+
+
+def _exponent_past_bound(x: int) -> OverflowError:
+    return OverflowError(f"an exponent reaches {x}, past the bound {MAX_EXPONENT}")
+
+
+def _check_power(atom: DiffPoly, e: int) -> None:
+    """Refuse atom^e if an exponent or the work of expanding it is out of bounds."""
+    top = max((max(-lo, hi) for lo, hi in _exponent_span(atom).values()), default=0)
+    if top * abs(e) > MAX_EXPONENT:
+        raise _exponent_past_bound(top * abs(e))
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in atom.terms.values()), default=0)
+    if bits * abs(e) > MAX_POWER_BITS:
+        raise OverflowError(f"the power {e} raises a coefficient past "
+                            f"{MAX_POWER_BITS} bits")
+    n = len(atom.terms)
+    if n <= 1 or e < 0:
+        return
+    if comb(n + e - 1, e) > MAX_TERMS:
+        raise OverflowError(f"a {n}-term base to the power {e} expands past "
+                            f"{MAX_TERMS} terms")
+
+    def size(k: int) -> int:  # the bound on the terms of a k-th power
+        return comb(n + k - 1, k)
+
+    # the multiplications of DiffPoly.__pow__: result * base, then base * base
+    pairs, done, base, rest = 0, 0, 1, e
+    while rest:
+        if rest & 1:
+            if done:
+                pairs = max(pairs, size(done) * size(base))
+            done += base
+        rest >>= 1
+        if rest:
+            pairs = max(pairs, size(base) ** 2)
+            base *= 2
+    if pairs > MAX_PAIRS:
+        raise OverflowError(f"a {n}-term base to the power {e} multiplies "
+                            f"{pairs} term pairs at once, past {MAX_PAIRS}")
+
+
+def _check_product(p: DiffPoly, q: DiffPoly) -> None:
+    """Refuse p*q if its expansion or one of its exponents is out of bounds."""
+    if len(p.terms) * len(q.terms) > MAX_TERMS:
+        raise OverflowError(f"a product of {len(p.terms)} by {len(q.terms)} "
+                            f"terms expands past {MAX_TERMS} terms")
+    span_p, span_q = _exponent_span(p), _exponent_span(q)
+    for v in span_p.keys() & span_q.keys():
+        (lo_p, hi_p), (lo_q, hi_q) = span_p[v], span_q[v]
+        x = max(-lo_p - lo_q, hi_p + hi_q)
+        if x > MAX_EXPONENT:
+            raise _exponent_past_bound(x)
 
 
 def _parse_jet(s: _Scanner) -> DiffPoly:
@@ -120,6 +186,7 @@ def _parse_factor(s: _Scanner) -> DiffPoly:
     if s.peek() == "^":
         s.pos += 1
         e = _bounded(s.integer())
+        _check_power(atom, e)
         if e < 0:
             if atom.is_constant():
                 value = atom.constant_value()
@@ -130,11 +197,7 @@ def _parse_factor(s: _Scanner) -> DiffPoly:
             if len(mono_items) != 1 or mono_items[0][1] != 1:
                 raise ParseError("negative powers only apply to jet monomials", s.pos)
             mono, _ = mono_items[0]
-            return DiffPoly({tuple((v, x * e) for v, x in mono): Fraction(1)})
-        n = len(atom.terms)
-        if n > 1 and comb(n + e - 1, e) > MAX_TERMS:
-            raise OverflowError(f"a {n}-term base to the power {e} expands past "
-                                f"{MAX_TERMS} terms")
+            return DiffPoly({monomial((v, x * e) for v, x in exponents(mono)): Fraction(1)})
         return atom ** e
     return atom
 
@@ -144,9 +207,7 @@ def _parse_term(s: _Scanner) -> DiffPoly:
     while s.peek() == "*":
         s.pos += 1
         factor = _parse_factor(s)
-        if len(p.terms) * len(factor.terms) > MAX_TERMS:
-            raise OverflowError(f"a product of {len(p.terms)} by {len(factor.terms)} "
-                                f"terms expands past {MAX_TERMS} terms")
+        _check_product(p, factor)
         p = p * factor
     return p
 
@@ -192,9 +253,9 @@ def _format_jet(order: int, name: str) -> str:
     return f"{name}({order})"
 
 
-def _format_monomial(mono: Tuple, coeff: Fraction) -> str:
+def _format_monomial(mono: int, coeff: Fraction) -> str:
     factors = []
-    for (order, name), e in sorted(mono):
+    for (order, name), e in reversed(exponents(mono)):
         v = _format_jet(order, name)
         factors.append(v if e == 1 else f"{v}^{e}")
     if not factors:

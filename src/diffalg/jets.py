@@ -7,89 +7,172 @@ is a Laurent polynomial over Q in finitely many jet variables, stored sparsely i
 a canonical form, so equality is an exact dictionary comparison.  RatFun is a
 gcd-reduced quotient of two DiffPoly with a monic denominator.
 
-Layout: at rest, ``DiffPoly.terms`` maps each monomial to a nonzero Fraction.
+Monomials are packed integers.  Each jet variable owns a 16-bit field, given
+to it the first time the process meets it, and a monomial is the sum of
+e * 2**(16 * field) over its jets: every exponent is a signed digit.  The
+exponents lie in [-2**14, 2**14), so adding two monomials multiplies them
+with no carry between fields, and the total derivative of a term moves one
+unit from a jet's field to the field of the next jet.  A kernel whose
+operands might push an exponent out of that range checks its results and
+raises OverflowError; a digit never carries into its neighbour.  Fields
+follow first appearance, not the jet order, so the canonical order of
+monomials (the leading term, the printer, pivot columns) compares their
+decoded views, ``exponents(m)``: the ((order, name), exp) pairs sorted
+descending, compared as tuples, with higher jets more significant.
+
+At rest, ``DiffPoly.terms`` maps each monomial to a nonzero Fraction.
 Inside products, sums of products and total derivatives, the integer kernels
 below put each operand's coefficients over the lcm of its denominators,
 multiply and accumulate plain ints, and build one Fraction per output term.
 A sum keeps the Fractions of the monomials only one side has.  A product by a
 constant or a single term scales the Fractions directly.
 
-Everything here is immutable after construction and all operations are pure.
+Everything here is immutable after construction and all operations are pure;
+the one shared state is the jet index, which only grows.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import or_
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DependentInput
 
-# A jet variable is (order, name); monomials are tuples of ((order, name), exp)
-# sorted descending, which makes plain tuple comparison the canonical
-# lexicographic monomial order with higher jets more significant.
+# A jet variable is (order, name).  A monomial is an int: one signed 16-bit
+# exponent digit per jet, in the field the jet was given on first sight (see
+# the module docstring).  Its sort key is exponents(m), so the canonical
+# order is lexicographic with higher jets more significant.
 JetKey = Tuple[int, str]
-Monomial = Tuple[Tuple[JetKey, int], ...]
+Monomial = int
 
-_ONE_MONO: Monomial = ()
+_LOG_W = 4
+_W = 1 << _LOG_W             # bits per exponent field
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+EXPONENT_LIMIT = 1 << (_W - 2)  # every exponent lies in [-EXPONENT_LIMIT, EXPONENT_LIMIT)
+_ONE_MONO: Monomial = 0
+
+_FIELD: Dict[JetKey, int] = {}  # jet -> field; per process, and it only grows
+_JETS: List[JetKey] = []        # field -> jet
+_HALVES = 0  # 2**15 in every field
+_WIDE = 0    # bits 13-15 of every field
+_NEW_FIELD = threading.Lock()
 
 
-def _mono(pairs: Iterable[Tuple[JetKey, int]]) -> Monomial:
-    return tuple(sorted(((v, e) for v, e in pairs if e != 0), reverse=True))
+def _field(v: JetKey) -> int:
+    """The field of a jet, given to it on first sight."""
+    i = _FIELD.get(v)
+    if i is None:
+        global _HALVES, _WIDE
+        with _NEW_FIELD:
+            i = _FIELD.get(v)
+            if i is None:
+                # the masks and the field's jet come first: once the field is
+                # published, another thread may build monomials with it
+                i = len(_JETS)
+                _HALVES |= _HALF << (_W * i)
+                _WIDE |= 0b111 << (_W * i + _W - 3)
+                _JETS.append(v)
+                _FIELD[v] = i
+    return i
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Merge two sorted monomials, adding exponents and dropping zeros."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
+def monomial(pairs: Iterable[Tuple[JetKey, int]]) -> Monomial:
+    """Pack ((order, name), exp) pairs, each jet at most once, into a monomial."""
+    m = 0
+    for v, e in pairs:
+        if e:
+            if not -EXPONENT_LIMIT <= e < EXPONENT_LIMIT:
+                raise OverflowError(f"exponent {e} is outside the supported range "
+                                    f"[-{EXPONENT_LIMIT}, {EXPONENT_LIMIT})")
+            m += e << (_W * _field(v))
+    return m
+
+
+def _fields(m: Monomial) -> List[Tuple[int, int]]:
+    """The (field, exponent) pairs of a monomial's nonzero digits, lowest first.
+
+    Exact for digits in [-2**15, 2**15), so also for a sum of two monomials.
+    """
     out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        a, b = m1[i], m2[j]
-        if a[0] > b[0]:
-            out.append(a)
-            i += 1
-        elif a[0] < b[0]:
-            out.append(b)
-            j += 1
-        else:
-            e = a[1] + b[1]
-            if e:
-                out.append((a[0], e))
-            i += 1
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
-
-
-def _mono_derivative(m: Monomial) -> List[Tuple[Monomial, int]]:
-    """The total derivative of a monomial, as (monomial, multiplicity) terms."""
-    out = []
-    for i, (v, e) in enumerate(m):
-        items = list(m)
-        if e == 1:
-            del items[i]
-        else:
-            items[i] = (v, e - 1)
-        # the shifted jet sorts above v: find it, or its slot, scanning up from i
-        up = (v[0] + 1, v[1])
-        j = i - 1
-        while j >= 0 and items[j][0] < up:
-            j -= 1
-        if j >= 0 and items[j][0] == up:
-            if items[j][1] == -1:
-                del items[j]
-            else:
-                items[j] = (up, items[j][1] + 1)
-        else:
-            items.insert(j + 1, (up, 1))
-        out.append((tuple(items), e))
+    while m:
+        s = ((m & -m).bit_length() - 1) & -_W  # the lowest nonzero field
+        e = (m >> s) & _MASK
+        if e & _HALF:
+            e -= 1 << _W
+        out.append((s >> _LOG_W, e))
+        m -= e << s
     return out
+
+
+@lru_cache(maxsize=1 << 12)
+def exponents(m: Monomial) -> Tuple[Tuple[JetKey, int], ...]:
+    """The decoded view of a monomial: its ((order, name), exp) pairs sorted
+    descending.  Comparing these tuples is the canonical monomial order."""
+    return tuple(sorted(((_JETS[i], e) for i, e in _fields(m)), reverse=True))
+
+
+def _small(keys) -> bool:
+    """Whether every exponent in these monomials lies in [0, 2**13).
+
+    The OR of monomials with such exponents has no bit 13-15 in any field,
+    and any negative digit sets those bits, so one OR decides it.  A product
+    or a total derivative of small monomials cannot leave the exponent range.
+    """
+    x = reduce(or_, keys, 0)
+    return x >= 0 and not x & _WIDE
+
+
+def _check(keys) -> None:
+    """Raise OverflowError unless every exponent of these monomials is in range.
+
+    Each digit must lie in [-2**15, 2**15), as a sum of two in-range digits
+    does.  Adding 2**15 to every field then makes each field unsigned, and a
+    digit is in range exactly when the top two bits of its field differ.
+    """
+    halves = _HALVES
+    for m in keys:
+        t = m + halves
+        if (t ^ (t << 1)) & halves != halves:
+            raise OverflowError(f"an exponent left the supported range "
+                                f"[-{EXPONENT_LIMIT}, {EXPONENT_LIMIT})")
+
+
+def _guard(out: dict, a, b) -> dict:
+    """out, a product of the monomials a and b, once its exponents are known in range."""
+    if not (_small(a) and _small(b)):
+        _check(out)
+    return out
+
+
+def _support(keys) -> Set[int]:
+    """The fields of the jets that occur in these monomials."""
+    x = reduce(or_, keys, 0)
+    if x >= 0 and not x & _WIDE:  # no negative digit, so the OR keeps every field
+        return {i for i, _ in _fields(x)}
+    return {i for m in keys for i, _ in _fields(m)}
+
+
+def _digit(m: Monomial, i: int) -> int:
+    """The exponent in field i."""
+    return (((m + _HALVES) >> (_W * i)) & _MASK) - _HALF
+
+
+class _Shifts(dict):
+    """A field's lowest bit -> unit(next jet) - unit(jet), filled on first use:
+    adding it to a monomial trades one power of a jet for one of its derivative."""
+
+    def __missing__(self, s: int) -> int:
+        order, name = _JETS[s >> _LOG_W]
+        shift = self[s] = (1 << (_W * _field((order + 1, name)))) - (1 << s)
+        return shift
+
+
+_SHIFT = _Shifts()
 
 
 class DiffPoly:
@@ -134,7 +217,7 @@ class DiffPoly:
     def jet(name: str, order: int, exponent: int = 1) -> "DiffPoly":
         if order < 0:
             raise ValueError("jet order must be >= 0")
-        return DiffPoly({(((order, name), exponent),): Fraction(1)})
+        return DiffPoly._of({monomial((((order, name), exponent),)): Fraction(1)})
 
     @staticmethod
     def coerce(value) -> "DiffPoly":
@@ -158,31 +241,31 @@ class DiffPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
+        return self.constant_term()
+
+    def constant_term(self) -> Fraction:
         return self.terms.get(_ONE_MONO, Fraction(0))
 
     def indets(self) -> List[str]:
-        return sorted({v[1] for m in self.terms for v, _ in m})
+        return sorted({_JETS[i][1] for i in _support(self.terms)})
 
     def top_order(self, name: Optional[str] = None) -> Optional[int]:
         """Highest jet order present, optionally restricted to one indeterminate."""
-        orders = [v[0] for m in self.terms for v, _ in m
-                  if name is None or v[1] == name]
+        orders = [_JETS[i][0] for i in _support(self.terms)
+                  if name is None or _JETS[i][1] == name]
         return max(orders) if orders else None
 
     def has_negative_exponent(self) -> bool:
-        return any(e < 0 for m in self.terms for _, e in m)
-
-    def min_exponent(self, var: JetKey) -> int:
-        exps = [dict(m).get(var, 0) for m in self.terms]
-        return min(exps) if exps else 0
+        return not _small(self.terms) and any(
+            e < 0 for m in self.terms for _, e in _fields(m))
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: exponents(kv[0]), reverse=True)
 
     def leading(self) -> Tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms)
+        m = max(self.terms, key=exponents)
         return m, self.terms[m]
 
     # -- ring operations ---------------------------------------------------
@@ -215,12 +298,12 @@ class DiffPoly:
             ((m2, c2),) = b.items()
             if not m2:
                 return _scale(self, c2)
-            return DiffPoly._of({_mono_mul(m1, m2): c1 * c2 for m1, c1 in a.items()})
+            return DiffPoly._of(_guard({m1 + m2: c1 * c2 for m1, c1 in a.items()}, a, b))
         if len(a) == 1:
             ((m1, c1),) = a.items()
             if not m1:
                 return _scale(other, c1)
-            return DiffPoly._of({_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
+            return DiffPoly._of(_guard({m1 + m2: c1 * c2 for m2, c2 in b.items()}, a, b))
         acc: Dict[Monomial, int] = {}
         den = _accumulate_product(acc, 1, a, b)
         return _from_numerators(acc, den)
@@ -230,13 +313,13 @@ class DiffPoly:
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
             raise ValueError("negative powers produce RatFun, not DiffPoly")
-        result = DiffPoly.const(1)
-        base = self
+        result, base = _ONE, self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -263,37 +346,49 @@ class DiffPoly:
     def total_derivative(self) -> "DiffPoly":
         """The total derivative: every jet (order, name) shifts to (order+1, name)."""
         numerators, den = _numerators(self.terms)
+        shift = _SHIFT
         acc: Dict[Monomial, int] = {}
         get = acc.get
         for m, n in numerators:
-            for mono, e in _mono_derivative(m):
-                acc[mono] = get(mono, 0) + n * e
+            rest = m
+            while rest:  # _fields, inlined: this loop is the hot path
+                s = ((rest & -rest).bit_length() - 1) & -_W
+                e = (rest >> s) & _MASK
+                if e & _HALF:
+                    e -= 1 << _W
+                rest -= e << s
+                key = m + shift[s]
+                acc[key] = get(key, 0) + n * e
+        if not _small(self.terms):
+            _check(acc)
         return _from_numerators(acc, den)
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Partial derivative with respect to one jet variable."""
-        var = (order, name)
+        i = _FIELD.get((order, name))
+        if i is None:
+            return DiffPoly()
+        unit = 1 << (_W * i)
         terms: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(var)
-            if not e:
-                continue
-            if e == 1:
-                del exps[var]
-            else:
-                exps[var] = e - 1
-            terms[_mono(exps.items())] = c * e
-        return DiffPoly(terms)
+            e = _digit(m, i)
+            if e:
+                terms[m - unit] = c * e
+        if not _small(self.terms):
+            _check(terms)
+        return DiffPoly._of(terms)
 
     def as_univariate(self, var: JetKey) -> Dict[int, "DiffPoly"]:
         """View as a polynomial in one jet variable with DiffPoly coefficients."""
+        i = _FIELD.get(var)
+        if i is None:
+            return {0: self} if self.terms else {}
+        s = _W * i
         out: Dict[int, Dict[Monomial, Fraction]] = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.pop(var, 0)
-            out.setdefault(e, {})[_mono(exps.items())] = c
-        return {e: DiffPoly(t) for e, t in out.items()}
+            e = _digit(m, i)
+            out.setdefault(e, {})[m - (e << s)] = c
+        return {e: DiffPoly._of(t) for e, t in out.items()}
 
     def coefficient_of(self, var: JetKey, exp: int) -> "DiffPoly":
         return self.as_univariate(var).get(exp, DiffPoly())
@@ -346,8 +441,9 @@ def _accumulate_product(acc: Dict[Monomial, int], den: int,
         if scale != 1:
             n1 *= scale
         for m2, n2 in nb:
-            m = _mono_mul(m1, m2)
+            m = m1 + m2
             acc[m] = get(m, 0) + n1 * n2
+    _guard(acc, a, b)
     return den
 
 
@@ -429,23 +525,22 @@ def _poly_divexact(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     quotient: Dict[Monomial, Fraction] = {}
     rest = f
     gm, gc = g.leading()
-    g_exps = dict(gm)
+    g_fields = _fields(gm)
     while not rest.is_zero():
         rm, rc = rest.leading()
-        exps = dict(rm)
-        for v, e in g_exps.items():
-            exps[v] = exps.get(v, 0) - e
-            if exps[v] < 0:
-                raise ArithmeticError("divisor does not divide the dividend")
-        q_mono = _mono(exps.items())
+        q_mono = rm - gm
+        if any(_digit(q_mono, i) < 0 for i, _ in g_fields):
+            raise ArithmeticError("divisor does not divide the dividend")
         q_coeff = rc / gc
         quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
-        rest = rest - DiffPoly({q_mono: q_coeff}) * g
+        rest = rest - DiffPoly._of({q_mono: q_coeff}) * g
+    _check(quotient)
     return DiffPoly(quotient)
 
 
 def _deg_in(f: DiffPoly, var: JetKey) -> int:
-    return max((dict(m).get(var, 0) for m in f.terms), default=-1)
+    i = _FIELD[var]
+    return max((_digit(m, i) for m in f.terms), default=-1)
 
 
 def _pseudo_rem(f: DiffPoly, g: DiffPoly, var: JetKey) -> DiffPoly:
@@ -459,7 +554,7 @@ def _pseudo_rem(f: DiffPoly, g: DiffPoly, var: JetKey) -> DiffPoly:
         if dr < dg:
             break
         lc_r = r.coefficient_of(var, dr)
-        x_shift = DiffPoly({((var, dr - dg),): Fraction(1)}) if dr > dg else DiffPoly.const(1)
+        x_shift = DiffPoly.jet(var[1], var[0], dr - dg) if dr > dg else _ONE
         r = r * lc_g - g * lc_r * x_shift
         n -= 1
     if n > 0 and not r.is_zero():
@@ -481,23 +576,23 @@ def _normalize_leading(f: DiffPoly) -> DiffPoly:
 
 def _mono_content(f: DiffPoly) -> Monomial:
     """The largest monomial dividing every term (per-variable minimum exponents)."""
-    exps: Optional[Dict[JetKey, int]] = None
+    exps: Optional[Dict[int, int]] = None
     for m in f.terms:
-        d = dict(m)
+        d = dict(_fields(m))
         if exps is None:
             exps = d
         else:
-            exps = {v: min(e, d.get(v, 0)) for v, e in exps.items() if d.get(v, 0)}
+            exps = {i: min(e, d[i]) for i, e in exps.items() if i in d}
         if not exps:
             return _ONE_MONO
-    return _mono(exps.items()) if exps else _ONE_MONO
+    return sum(e << (_W * i) for i, e in exps.items())
 
 
 def _divide_by_mono(f: DiffPoly, mono: Monomial) -> DiffPoly:
     if mono == _ONE_MONO:
         return f
-    inverse = _mono((v, -e) for v, e in mono)
-    return DiffPoly({_mono_mul(m, inverse): c for m, c in f.terms.items()})
+    terms = {m - mono: c for m, c in f.terms.items()}
+    return DiffPoly._of(_guard(terms, f.terms, (mono,)))
 
 
 def _eval_univariate(f: DiffPoly, var: JetKey,
@@ -507,7 +602,8 @@ def _eval_univariate(f: DiffPoly, var: JetKey,
     for m, c in f.terms.items():
         e_var = 0
         value = c
-        for v, e in m:
+        for i, e in _fields(m):
+            v = _JETS[i]
             if v == var:
                 e_var = e
             else:
@@ -570,19 +666,15 @@ def poly_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
 @lru_cache(maxsize=20_000)
 def _nontrivial_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     mono_f, mono_g = _mono_content(f), _mono_content(g)
-    common: Dict[JetKey, int] = {}
-    df, dg = dict(mono_f), dict(mono_g)
-    for v, e in df.items():
-        if v in dg:
-            common[v] = min(e, dg[v])
-    common_mono = _mono(common.items())
+    dg = dict(_fields(mono_g))
+    common_mono = sum(min(e, dg[i]) << (_W * i) for i, e in _fields(mono_f) if i in dg)
     f = _divide_by_mono(f, mono_f)
     g = _divide_by_mono(g, mono_g)
-    shared = DiffPoly({common_mono: Fraction(1)})
+    shared = DiffPoly._of({common_mono: Fraction(1)})
     if f.is_constant() or g.is_constant():
         return _normalize_leading(shared)
-    fvars = {v for m in f.terms for v, _ in m}
-    gvars = {v for m in g.terms for v, _ in m}
+    fvars = {_JETS[i] for i in _support(f.terms)}
+    gvars = {_JETS[i] for i in _support(g.terms)}
     var = max(fvars | gvars)
     if var not in fvars:
         return _normalize_leading(shared * poly_gcd(_content_of(g, var), f))
@@ -673,15 +765,15 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("RatFun denominator is zero")
         # clear Laurent exponents so gcd reduction runs on true polynomials
-        clear: Dict[JetKey, int] = {}
+        low: Dict[int, int] = {}  # field -> its most negative exponent
         for poly in (num, den):
-            for m in poly.terms:
-                for v, e in m:
-                    if e < 0:
-                        clear[v] = max(clear.get(v, 0), -min(num.min_exponent(v),
-                                                             den.min_exponent(v)))
-        if clear:
-            shift = DiffPoly({_mono(clear.items()): Fraction(1)})
+            if not _small(poly.terms):
+                for m in poly.terms:
+                    for i, e in _fields(m):
+                        if e < low.get(i, 0):
+                            low[i] = e
+        if low:
+            shift = DiffPoly._of({sum(-e << (_W * i) for i, e in low.items()): Fraction(1)})
             num = num * shift
             den = den * shift
         if not (num.is_constant() or den.is_constant()):
@@ -919,7 +1011,7 @@ class Grading:
         return self.parities[name]
 
     def of_monomial(self, m: Monomial) -> int:
-        return sum(e * (self.base_parity(v[1]) + v[0]) for v, e in m) % 2
+        return sum(e * (self.base_parity(v[1]) + v[0]) for v, e in exponents(m)) % 2
 
     def of_poly(self, f: DiffPoly) -> Optional[int]:
         """0 (even), 1 (odd), or None for mixed; zero counts as both, reported 0."""
@@ -945,12 +1037,13 @@ def parity_of(f, grading: Grading) -> str:
 # -- Q-linear reduction -------------------------------------------------------
 
 
-def _rref(rows: Iterable[dict]) -> List[dict]:
+def _rref(rows: Iterable[dict], key=None) -> List[dict]:
     """Reduced row echelon form of sparse {column: Fraction} rows.
 
-    Each row pivots on its largest column, and only nonzero entries are
-    touched.  Returns the nonzero reduced rows sorted by pivot, descending;
-    the form is unique for the column order, so it depends only on the span.
+    Each row pivots on its largest column (ordered by key), and only nonzero
+    entries are touched.  Returns the nonzero reduced rows sorted by pivot,
+    descending; the form is unique for the column order, so it depends only
+    on the span.
     """
     reduced: Dict = {}  # pivot -> row: 1 at its pivot, 0 at every other pivot
     for row in rows:
@@ -963,7 +1056,7 @@ def _rref(rows: Iterable[dict]) -> List[dict]:
                 accumulate(row, k, -c * v)
         if not row:
             continue
-        p = max(row)
+        p = max(row, key=key)
         inv = 1 / row[p]
         row = {k: v * inv for k, v in row.items()}
         for other in reduced.values():
@@ -972,7 +1065,7 @@ def _rref(rows: Iterable[dict]) -> List[dict]:
                 for k, v in row.items():
                     accumulate(other, k, -c * v)
         reduced[p] = row
-    return [reduced[p] for p in sorted(reduced, reverse=True)]
+    return [reduced[p] for p in sorted(reduced, key=key, reverse=True)]
 
 
 def constant_linear_basis(fs: Sequence):
@@ -995,8 +1088,8 @@ def constant_linear_basis(fs: Sequence):
     else:
         polys = [f.as_diffpoly() if isinstance(f, RatFun) else DiffPoly.coerce(f)
                  for f in fs]
-    rows = _rref(p.terms for p in polys)
-    pivots = [max(row) for row in rows]
+    rows = _rref((p.terms for p in polys), key=exponents)
+    pivots = [max(row, key=exponents) for row in rows]
     # the reduced rows are the identity at the pivots, so those entries are
     # the coordinates; expanding them back must give the input exactly
     coords = []

@@ -27,7 +27,7 @@ from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
                      ParseError, Unsupported)
 from .grammar import format_poly, format_ratfun, parse_function
 from .jets import (DiffPoly, Grading, RatFun, accumulate, constant_linear_basis,
-                   derivatives)
+                   derivatives, exponents, monomial)
 from .operators import DiffOp, evo_apply_op, frechet, left_divide, right_lcm
 
 Pair = Tuple[RatFun, RatFun]
@@ -513,7 +513,7 @@ def _ratfun_to_expr(r: RatFun) -> str:
         return format_poly(r.num)
     if len(r.den.terms) == 1:
         ((mono, coeff),) = r.den.terms.items()
-        inverse = DiffPoly({tuple((v, -e) for v, e in mono): 1 / coeff})
+        inverse = DiffPoly({monomial((v, -e) for v, e in exponents(mono)): 1 / coeff})
         return format_poly(r.num * inverse)
     raise NotSupported("coefficient denominators must be monomials to serialize")
 

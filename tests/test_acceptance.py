@@ -229,7 +229,7 @@ def test_criterion_7_property_suites():
     def _(rng):
         h = rand_poly(rng, max_order=4, max_degree=3)
         recovered = integrate(h.total_derivative())
-        assert recovered == h - DiffPoly.const(h.terms.get((), Fraction(0)))
+        assert recovered == h - DiffPoly.const(h.constant_term())
 
     @suite("bidiff-division")
     def _(rng):

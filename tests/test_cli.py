@@ -1,6 +1,7 @@
 """The command-line front end: commands, exit codes, corpus regression."""
 
 import json
+import time
 
 import pytest
 
@@ -37,6 +38,17 @@ class TestParseCommand:
     def test_expansion_past_bound_exit_2(self, capsys):
         code, _, err = run(capsys, "parse", "--expr", "(u+u'+u''+u''')^10000")
         assert code == 2 and "past 10000 terms" in json.loads(err)["error"]
+
+
+    def test_power_work_past_bound_exit_2(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "parse", "--expr", "(u+u')^9999")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "term pairs" in json.loads(err)["error"]
+
+    def test_exponent_past_bound_exit_2(self, capsys):
+        code, _, err = run(capsys, "parse", "--expr", "((u^10000)^10000)^10000")
+        assert code == 2 and "past the bound 10000" in json.loads(err)["error"]
 
 
 class TestBracketCommand:

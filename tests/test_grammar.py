@@ -3,12 +3,14 @@
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from diffalg import DiffPoly, jet, parse_function
 from diffalg.grammar import format_poly
 from diffalg.errors import ParseError
+from diffalg.jets import monomial
 
 from helpers import rand_poly
 
@@ -25,7 +27,7 @@ class TestParsing:
 
     def test_laurent_term(self):
         p = parse_function("u^-1*u'")
-        assert p == DiffPoly({(((1, "u"), 1), ((0, "u"), -1)): Fraction(1)})
+        assert p == DiffPoly({monomial([((1, "u"), 1), ((0, "u"), -1)]): Fraction(1)})
 
     def test_rationals(self):
         assert parse_function("3/2") == DiffPoly.const(Fraction(3, 2))
@@ -68,6 +70,39 @@ class TestParsing:
                 parse_function(text)
         assert time.perf_counter() - start < 1.0
         assert len(parse_function("(u+u'+u'')^10 * (u+u'+u'')^10").terms) == 231
+
+    def test_computed_exponents_bounded(self):
+        # the bound holds for the exponent a product or a power lands on,
+        # not only for the integers written in the text
+        assert parse_function("u^5000*u^5000") == DiffPoly.jet("u", 0, 10000)
+        assert parse_function("u^-5000*u^-5000") == DiffPoly.jet("u", 0, -10000)
+        assert parse_function("(u^-2)^5000*u'^10000") == \
+            DiffPoly.jet("u", 0, -10000) * DiffPoly.jet("u", 1, 10000)
+        for text in ("u^5000*u^5001", "u^-5000*u^-5001", "((u^10000)^10000)^10000",
+                     "(u^-2)^5001", "(u*u'^2)^5001", "u^2*(u + u^9999)"):
+            with pytest.raises(OverflowError, match="past the bound 10000"):
+                parse_function(text)
+
+    def test_power_work_bounded(self):
+        # (u+u')^9999 has 10000 terms, but binary powering would multiply
+        # bases of thousands of terms; it is refused before any of that work
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="term pairs"):
+            parse_function("(u+u')^9999")
+        assert time.perf_counter() - start < 1.0
+        expected = DiffPoly.zero()
+        for k in range(501):
+            expected = expected + comb(500, k) * DiffPoly.jet("u", 0, k) \
+                * DiffPoly.jet("u", 1, 500 - k)
+        assert repr(parse_function("(u+u')^500")) == repr(expected)
+
+    def test_constant_power_bounded(self):
+        # a constant has no exponent to bound, so the bits of its power are
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="bits"):
+            parse_function("((9^9999)^9999)^9999")
+        assert time.perf_counter() - start < 1.0
+        assert parse_function("(2^64)^100") == DiffPoly.const(2 ** 6400)
 
     def test_formal_names_opt_in(self):
         assert parse_function("F'*u", names=("u", "F")) == jet("F", 1) * u

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from diffalg import (DiffPoly, Grading, RatFun, constant_linear_basis,
                      diff_order, jet, parity_of, poly_gcd)
 from diffalg.errors import DependentInput
-from diffalg.jets import poly_lcm, require_independent, sum_of_products
+from diffalg.grammar import format_poly
+from diffalg.jets import (EXPONENT_LIMIT, _poly_divexact, exponents, monomial, poly_lcm,
+                          require_independent, sum_of_products)
 
 from helpers import rand_poly
 
@@ -49,21 +51,31 @@ def ref_mono(exps):
     return tuple(sorted(((v, e) for v, e in exps.items() if e), reverse=True))
 
 
+def view(p):
+    """p's terms keyed by the decoded view of each monomial."""
+    return {exponents(m): c for m, c in p.terms.items()}
+
+
+def packed(terms):
+    """The DiffPoly with these terms, keyed by decoded views."""
+    return DiffPoly({monomial(m): c for m, c in terms.items()})
+
+
 def ref_clean(terms):
     return {m: c for m, c in terms.items() if c}
 
 
 def ref_add(a, b, sign=1):
-    out = dict(a.terms)
-    for m, c in b.terms.items():
+    out = view(a)
+    for m, c in view(b).items():
         out[m] = out.get(m, Fraction(0)) + sign * c
     return ref_clean(out)
 
 
 def ref_mul(a, b):
     out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    for m1, c1 in view(a).items():
+        for m2, c2 in view(b).items():
             exps = dict(m1)
             for v, e in m2:
                 exps[v] = exps.get(v, 0) + e
@@ -74,7 +86,7 @@ def ref_mul(a, b):
 
 def ref_derivative(a):
     out = {}
-    for m, c in a.terms.items():
+    for m, c in view(a).items():
         for v, e in m:
             exps = dict(m)
             exps[v] -= 1
@@ -99,13 +111,15 @@ def kernel_poly(rng, terms=None):
         exps = {(rng.randint(0, 4), rng.choice("uuvF")): rng.choice((-2, -1, 1, 1, 2, 3))
                 for _ in range(rng.randint(0, 3))}
         out[ref_mono(exps)] = rng.choice(COEFFS)
-    return DiffPoly(out)
+    return packed(out)
 
 
 def assert_canonical(p):
     for m, c in p.terms.items():
         assert type(c) is Fraction and c != 0
-        assert m == ref_mono(dict(m)) and len(dict(m)) == len(m)
+        v = exponents(m)
+        assert v == ref_mono(dict(v)) and len(dict(v)) == len(v)
+        assert monomial(v) == m
 
 
 class TestIntegerKernels:
@@ -116,7 +130,7 @@ class TestIntegerKernels:
             for got, want in ((a * b, ref_mul(a, b)), (a + b, ref_add(a, b)),
                               (a - b, ref_add(a, b, -1)),
                               (a.total_derivative(), ref_derivative(a))):
-                assert got.terms == want
+                assert view(got) == want
                 assert_canonical(got)
 
     def test_sum_of_products(self):
@@ -126,9 +140,9 @@ class TestIntegerKernels:
                      for _ in range(rng.randint(0, 5))]
             want = {}
             for a, b in pairs:
-                want = ref_add(DiffPoly(want), DiffPoly(ref_mul(a, b)))
+                want = ref_add(packed(want), packed(ref_mul(a, b)))
             got = sum_of_products(iter(pairs))
-            assert got.terms == want
+            assert view(got) == want
             assert_canonical(got)
 
     def test_exact_cancellation(self):
@@ -150,6 +164,172 @@ class TestIntegerKernels:
             assert left == right and hash(left) == hash(right)
             rebuilt = DiffPoly(dict(reversed(list(left.terms.items()))))
             assert rebuilt == left and hash(rebuilt) == hash(left)
+
+
+class TestPackedMonomials:
+    """A monomial is one int with a signed exponent field per jet."""
+
+    def test_round_trip(self):
+        rng = random.Random(0x9AC)
+        for _ in range(200):
+            p = kernel_poly(rng)
+            assert_canonical(p)
+            assert packed(view(p)) == p
+
+    def test_product_just_inside_the_range(self):
+        top = DiffPoly.jet("u", 0, EXPONENT_LIMIT - 2) * u
+        assert view(top) == {(((0, "u"), EXPONENT_LIMIT - 1),): 1}
+        bottom = DiffPoly.jet("u", 0, 1 - EXPONENT_LIMIT) * DiffPoly.jet("u", 0, -1)
+        assert view(bottom) == {(((0, "u"), -EXPONENT_LIMIT),): 1}
+
+    def test_exponent_never_carries_into_the_next_field(self):
+        top = DiffPoly.jet("u", 0, EXPONENT_LIMIT - 1)
+        bottom = DiffPoly.jet("u", 0, -EXPONENT_LIMIT)
+        v = jet("v", 2)
+        for overflow in (lambda: top * u, lambda: u * top, lambda: (top + v) * (u + v),
+                         lambda: sum_of_products([(u1, u2), (top * v, u)]),
+                         lambda: bottom * DiffPoly.jet("u", 0, -1),
+                         lambda: (bottom * v).total_derivative(),
+                         lambda: bottom.partial("u", 0),
+                         lambda: DiffPoly.jet("u", 0, EXPONENT_LIMIT),
+                         lambda: monomial([((0, "u"), -EXPONENT_LIMIT - 1)])):
+            with pytest.raises(OverflowError, match=str(EXPONENT_LIMIT)):
+                overflow()
+
+    def test_power_squares_no_further_than_its_top_bit(self, monkeypatch):
+        calls = []
+        mul = DiffPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(DiffPoly, "__mul__", counting)
+        p = (u + u1) ** 8
+        # three squarings, and the product of the unit with the last square
+        assert len(calls) == 4
+        monkeypatch.undo()
+        assert p == (u + u1) * (u + u1) * (u + u1) * (u + u1) * (u + u1) ** 4
+
+    def test_jets_met_concurrently_get_distinct_fields(self):
+        # the field index is the one state threads share: threads meeting the
+        # same new jets at once must agree on their fields and lose none
+        import sys
+        import threading
+        import diffalg.jets as jets
+
+        threads_n, orders = 8, 40
+        start = threading.Barrier(threads_n, timeout=30)
+        seen = [[] for _ in range(threads_n)]
+
+        def work(k):
+            for order in range(orders):
+                start.wait()
+                seen[k].append(monomial([((order, "T"), 1), ((order, f"T{k}"), 2)]))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(threads_n)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(threads_n):
+            assert [exponents(m) for m in seen[k]] == [
+                ref_mono({(order, "T"): 1, (order, f"T{k}"): 2}) for order in range(orders)]
+        assert sorted(jets._FIELD.values()) == list(range(len(jets._JETS)))
+        assert all(jets._JETS[i] == v for v, i in jets._FIELD.items())
+        assert jets._HALVES == sum(1 << (16 * i + 15) for i in range(len(jets._JETS)))
+
+
+def ref_format(terms):
+    """The printer's rules, on terms keyed by decoded views."""
+    def jet_text(order, name):
+        return name if order == 0 else name + "'" * order if order <= 3 \
+            else f"{name}({order})"
+
+    parts = []
+    for mono, c in sorted(terms.items(), reverse=True):
+        body = "*".join(jet_text(*v) + ("" if e == 1 else f"^{e}")
+                        for v, e in sorted(mono))
+        text = str(c) if not body else body if c == 1 else f"-{body}" if c == -1 \
+            else f"{c}*{body}"
+        if parts:
+            text = "- " + text[1:] if text.startswith("-") else "+ " + text
+        parts.append(text)
+    return " ".join(parts) or "0"
+
+
+class TestMonomialOrder:
+    """Fields follow first appearance, but the canonical order stays the tuple
+    order of the decoded views."""
+
+    # orders no other test uses, met here high before low and names interleaved
+    LATE = [(37, "F"), (33, "v"), (40, "u"), (31, "u"), (38, "v"), (32, "F"),
+            (35, "u"), (34, "v"), (39, "F"), (36, "u")]
+
+    def draw(self, rng):
+        terms = {}
+        for _ in range(rng.randint(1, 7)):
+            exps = {}
+            for _ in range(rng.randint(0, 3)):
+                v = rng.choice(self.LATE) if rng.random() < 0.4 else \
+                    (rng.randint(0, 4), rng.choice("uvF"))
+                exps[v] = rng.choice((-3, -1, 1, 1, 2, 5))
+            terms[ref_mono(exps)] = rng.choice(COEFFS)
+        return terms
+
+    def test_leading_sorted_terms_and_printer(self):
+        for v in self.LATE:
+            jet(v[1], v[0])
+        rng = random.Random(0x0DE)
+        for _ in range(300):
+            terms = self.draw(rng)
+            p = packed(terms)
+            want = sorted(terms.items(), reverse=True)
+            assert [(exponents(m), c) for m, c in p.sorted_terms()] == want
+            m, c = p.leading()
+            assert (exponents(m), c) == want[0]
+            assert format_poly(p) == ref_format(terms)
+
+    def test_products_keep_the_order(self):
+        rng = random.Random(0x0DF)
+        for _ in range(100):
+            a, b = packed(self.draw(rng)), packed(self.draw(rng))
+            for p in (a * b, (a * b).total_derivative(), a - b):
+                assert format_poly(p) == ref_format(view(p))
+
+    def test_linear_basis_pivots_follow_the_tuple_order(self):
+        rng = random.Random(0xB1A)
+        for _ in range(60):
+            fs = planted_inputs(rng, rng.randint(1, 6), lambda: packed(self.draw(rng)))
+            basis, _ = constant_linear_basis(fs)
+            assert [view(b) for b in basis] == ref_rref([view(f) for f in fs])
+
+
+def ref_rref(rows):
+    """Dense Gauss-Jordan over columns in descending tuple order: each row's
+    pivot is its largest column, as the sparse kernel chooses it."""
+    cols = sorted({m for row in rows for m in row}, reverse=True)
+    matrix = [[row.get(m, Fraction(0)) for m in cols] for row in rows]
+    r = 0  # the rows above r are reduced, with their pivots in order
+    for j in range(len(cols)):
+        k = next((i for i in range(r, len(matrix)) if matrix[i][j]), None)
+        if k is None:
+            continue
+        matrix[r], matrix[k] = matrix[k], matrix[r]
+        inv = 1 / matrix[r][j]
+        matrix[r] = [x * inv for x in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][j]:
+                c = matrix[i][j]
+                matrix[i] = [x - c * y for x, y in zip(matrix[i], matrix[r])]
+        r += 1
+    return [{m: x for m, x in zip(cols, row) if x} for row in matrix[:r]]
 
 
 class TestScalarProduct:
@@ -202,8 +382,8 @@ class TestPartials:
         assert u3.partial("u", 2).is_zero()
 
     def test_laurent_rule(self):
-        inv = DiffPoly({(((0, "u"), -1),): Fraction(1)})
-        expected = DiffPoly({(((0, "u"), -2),): Fraction(-1)})
+        inv = DiffPoly({monomial([((0, "u"), -1)]): Fraction(1)})
+        expected = DiffPoly({monomial([((0, "u"), -2)]): Fraction(-1)})
         assert inv.partial("u", 0) == expected
 
     def test_partials_commute(self, rng):
@@ -266,7 +446,7 @@ class TestGcdAndRatFun:
         assert RatFun(u * u, u) == RatFun(u)
 
     def test_laurent_clearing(self):
-        r = RatFun(DiffPoly({(((0, "u"), -1),): Fraction(1)}))
+        r = RatFun(DiffPoly({monomial([((0, "u"), -1)]): Fraction(1)}))
         assert r == RatFun(DiffPoly.const(1), u)
 
     def test_smart_arithmetic_matches_naive(self, rng):
@@ -330,7 +510,8 @@ class TestLinearBasis:
 
     def test_span_check_stays(self, monkeypatch):
         import diffalg.jets as jets
-        monkeypatch.setattr(jets, "_rref", lambda rows: [{(): Fraction(1)}])
+        monkeypatch.setattr(jets, "_rref",
+                            lambda rows, key=None: [dict(DiffPoly.const(1).terms)])
         with pytest.raises(AssertionError, match="escaped its own span"):
             constant_linear_basis([u])
 
@@ -372,19 +553,95 @@ class TestLinearBasisOracle:
                 for f in fs:
                     den = poly_lcm(den, f.den)
             rows = [(RatFun.coerce(f) * den).as_diffpoly() for f in fs]
-            cols = sorted({m for p in rows for m in p.terms}, reverse=True)
+            cols = sorted({m for p in rows for m in p.terms}, key=exponents, reverse=True)
             matrix = sympy.Matrix([[p.terms.get(m, 0) for m in cols] for p in rows])
             reduced, pivots = matrix.rref()
             basis_rows = [(RatFun.coerce(b) * den).as_diffpoly().terms for b in basis]
             assert basis_rows == [{m: Fraction(str(reduced[i, j]))
                                    for j, m in enumerate(cols) if reduced[i, j] != 0}
                                   for i in range(len(pivots))]
-            assert [max(row) for row in basis_rows] == [cols[j] for j in pivots]
+            assert [max(row, key=exponents) for row in basis_rows] == [cols[j] for j in pivots]
             for f, c in zip(fs, coords):
                 rebuilt = RatFun(0)
                 for x, b in zip(c, basis):
                     rebuilt = rebuilt + RatFun.coerce(b) * x
                 assert rebuilt == RatFun.coerce(f)
+
+
+class TestGcdOracle:
+    """poly_gcd, _poly_divexact and the RatFun normal form against sympy, on
+    several names, jets first met after lower ones, and Laurent monomials."""
+
+    # orders 21-24 appear in no other test, so this suite meets them first,
+    # after the low jets every suite uses
+    JETS = [(o, n) for o in (0, 1, 2, 21, 22, 24) for n in "uvF"]
+
+    def draw(self, rng, terms=3, laurent=False):
+        out = DiffPoly.zero()
+        for _ in range(rng.randint(1, terms)):
+            t = DiffPoly.const(Fraction(rng.choice((1, -1, 2, 3, -5)), rng.choice((1, 1, 2, 7))))
+            for _ in range(rng.randint(0, 2)):
+                order, name = rng.choice(self.JETS)
+                e = rng.choice((-2, -1, 1, 2)) if laurent else rng.choice((1, 1, 2))
+                t = t * DiffPoly.jet(name, order, e)
+            out = out + t
+        return out if out else jet("u", 21)
+
+    @staticmethod
+    def to_sympy(sympy, p):
+        expr = sympy.Integer(0)
+        for m, c in p.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for (order, name), e in exponents(m):
+                term *= sympy.Symbol(f"{name}_{order}") ** e
+            expr += term
+        return expr
+
+    def test_gcd_matches_sympy_up_to_a_unit(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0x6CD)
+        for _ in range(30):
+            a, b, c = self.draw(rng), self.draw(rng), self.draw(rng, terms=2)
+            f, g = a * c, b * c
+            ours = poly_gcd(f, g)
+            assert ours.leading()[1] == 1
+            theirs = sympy.gcd(self.to_sympy(sympy, f), self.to_sympy(sympy, g))
+            ratio = sympy.cancel(self.to_sympy(sympy, ours) / theirs)
+            assert ratio.is_Rational and ratio != 0
+
+    def test_divexact_matches_sympy_div(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0xD1F)
+        for trial in range(40):
+            a, b = self.draw(rng), self.draw(rng)
+            f = a * b if trial % 3 else a * b + self.draw(rng, terms=1)
+            gens = sorted(self.to_sympy(sympy, f * b).free_symbols, key=str) \
+                or [sympy.Symbol("u_0")]
+            q, r = sympy.div(sympy.Poly(self.to_sympy(sympy, f), *gens),
+                             sympy.Poly(self.to_sympy(sympy, b), *gens))
+            if r.is_zero:
+                assert sympy.expand(self.to_sympy(sympy, _poly_divexact(f, b))
+                                    - q.as_expr()) == 0
+            else:
+                with pytest.raises(ArithmeticError):
+                    _poly_divexact(f, b)
+
+    def test_ratfun_normal_form_matches_sympy_cancel(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0xCA4)
+        for _ in range(24):
+            common = self.draw(rng, terms=2)
+            n = self.draw(rng, laurent=True) * common
+            d = self.draw(rng, laurent=True) * common
+            r = RatFun(n, d)
+            assert not r.num.has_negative_exponent()
+            assert not r.den.has_negative_exponent()
+            assert r.den.leading()[1] == 1
+            p, q = sympy.fraction(sympy.cancel(self.to_sympy(sympy, n)
+                                               / self.to_sympy(sympy, d)))
+            num, den = self.to_sympy(sympy, r.num), self.to_sympy(sympy, r.den)
+            assert sympy.expand(num * q - p * den) == 0
+            assert sympy.cancel(den / q).is_Rational
 
 
 class TestParity:
