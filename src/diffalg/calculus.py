@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import NotExact, NotSupported, NotVariational, VerificationFailed
-from .jets import DiffPoly, RatFun, _rref, exponents, sum_of_products
+from .jets import (DiffPoly, RatFun, _add_products, _derivative, _from_numerators,
+                   _numerators, _partial, _rref, exponents)
 
 
 def evo_apply(f, g, name: str = "u"):
@@ -27,6 +28,10 @@ def evo_apply(f, g, name: str = "u"):
     Only jets of the named indeterminate are differentiated; formal symbols
     such as F and G pass through untouched, which is what makes them usable
     as "for all F" placeholders.
+
+    For polynomials f = N_f/den_f and g = N_g/den_g the sum is
+    (sum_n dN_g/du^(n) * d^n N_f) / (den_f * den_g): d^n f keeps f's own
+    denominator, so the tower and the products run on integer numerators.
     """
     if isinstance(g, RatFun) and g.is_polynomial():
         g = g.num
@@ -36,37 +41,82 @@ def evo_apply(f, g, name: str = "u"):
         return RatFun(0) if rational else DiffPoly.zero()
     if not isinstance(f, RatFun):
         f = DiffPoly.coerce(f)
-
-    def products():
-        # d^n f streams: a derivatives() tower of a large chain member raises peak RSS
+    if rational or isinstance(f, RatFun):
+        total = RatFun(0)
         dnf = f
         for n in range(top + 1):
             if n:
                 dnf = dnf.total_derivative()
             part = g.partial(name, n)
             if part:
-                yield part, dnf
+                total = total + part * dnf
+        return total
+    nf, den_f = _numerators(f.terms)
+    ng, den_g = _numerators(g.terms)
+    acc: Dict[int, int] = {}
+    _add_evo(acc, nf, ng, top, name, 1)
+    return _from_numerators(acc, den_f * den_g)
 
-    if rational or isinstance(f, RatFun):
-        return sum((part * dnf for part, dnf in products()), RatFun(0))
-    return sum_of_products(products())
+
+def _add_evo(acc: Dict[int, int], nf: dict, ng: dict, top: int, name: str,
+             sign: int) -> None:
+    """acc += sign * sum_{n <= top} dN_g/du^(n) * d^n N_f, on integer numerators.
+
+    d^n N_f streams, each level replacing the last: a kept tower of a large
+    chain member raises peak RSS.  Terms that cancel leave each level, so
+    they are not differentiated again further up.
+    """
+    dnf = nf
+    for n in range(top + 1):
+        if n:
+            dnf = {m: c for m, c in _derivative(dnf).items() if c}
+        part = _partial(ng, name, n)
+        if part:
+            _add_products(acc, part, dnf, sign)
 
 
 def lie_bracket(f: DiffPoly, g: DiffPoly, name: str = "u") -> DiffPoly:
-    """{f, g} = X_f(g) - X_g(f)."""
-    return evo_apply(f, g, name) - evo_apply(g, f, name)
+    """{f, g} = X_f(g) - X_g(f).
+
+    For polynomials f = N_f/den_f and g = N_g/den_g both halves share the
+    denominator den_f * den_g (see evo_apply), so they accumulate with signs
+    +1 and -1 into one integer sum: a bracket that vanishes builds no
+    Fraction and no intermediate polynomial.
+    """
+    if isinstance(f, RatFun) or isinstance(g, RatFun):
+        return evo_apply(f, g, name) - evo_apply(g, f, name)
+    f, g = DiffPoly.coerce(f), DiffPoly.coerce(g)
+    nf, den_f = _numerators(f.terms)
+    ng, den_g = _numerators(g.terms)
+    acc: Dict[int, int] = {}
+    for a, b, top, sign in ((nf, ng, g.top_order(name), 1),
+                            (ng, nf, f.top_order(name), -1)):
+        if top is not None:
+            _add_evo(acc, a, b, top, name, sign)
+    return _from_numerators(acc, den_f * den_g)
 
 
 def variational_derivative(f: DiffPoly, name: str = "u") -> DiffPoly:
-    """Euler operator: sum (-d)^n (df/du^(n)), as p_0 - d(p_1 - d(p_2 - ...))."""
+    """Euler operator: sum (-d)^n (df/du^(n)), as p_0 - d(p_1 - d(p_2 - ...)).
+
+    The Horner form runs on f's integer numerators over f's denominator.
+    """
     f = DiffPoly.coerce(f)
     top = f.top_order(name)
     if top is None:
         return DiffPoly.zero()
-    out = f.partial(name, top)
+    nf, den = _numerators(f.terms)
+    out = _partial(nf, name, top)
     for n in range(top - 1, -1, -1):
-        out = f.partial(name, n) - out.total_derivative()
-    return out
+        d_out = _derivative(out)
+        out = _partial(nf, name, n)
+        for m, c in d_out.items():
+            c = out.get(m, 0) - c
+            if c:
+                out[m] = c
+            else:
+                out.pop(m, None)
+    return _from_numerators(out, den)
 
 
 # -- constructive integration ---------------------------------------------------

@@ -21,11 +21,17 @@ decoded views, ``exponents(m)``: the ((order, name), exp) pairs sorted
 descending, compared as tuples, with higher jets more significant.
 
 At rest, ``DiffPoly.terms`` maps each monomial to a nonzero Fraction.
-Inside products, sums of products and total derivatives, the integer kernels
-below put each operand's coefficients over the lcm of its denominators,
-multiply and accumulate plain ints, and build one Fraction per output term.
-A sum keeps the Fractions of the monomials only one side has.  A product by a
-constant or a single term scales the Fractions directly.
+Inside products, partial and total derivatives, the integer kernels below
+work on {monomial: numerator} dicts: ``_numerators`` puts a polynomial's
+coefficients over the lcm of its denominators, ``_add_products``,
+``_partial`` and ``_derivative`` multiply, accumulate and differentiate
+plain ints, and ``_from_numerators`` builds one Fraction per output term.
+Since D(N/den) = D(N)/den, a chain of these steps needs no Fraction in
+between: ``calculus`` runs whole derivative towers, evolutionary fields,
+Lie brackets and variational derivatives on numerators, with one shared
+denominator, and there is no separate sum-of-products kernel.  A sum keeps
+the Fractions of the monomials only one side has.  A product by a constant
+or a single term scales the Fractions directly.
 
 Everything here is immutable after construction and all operations are pure;
 the one shared state is the jet index, which only grows.
@@ -304,9 +310,11 @@ class DiffPoly:
             if not m1:
                 return _scale(other, c1)
             return DiffPoly._of(_guard({m1 + m2: c1 * c2 for m2, c2 in b.items()}, a, b))
+        na, da = _numerators(a)
+        nb, db = _numerators(b)
         acc: Dict[Monomial, int] = {}
-        den = _accumulate_product(acc, 1, a, b)
-        return _from_numerators(acc, den)
+        _add_products(acc, na, nb)
+        return _from_numerators(acc, da * db)
 
     __rmul__ = __mul__
 
@@ -346,37 +354,11 @@ class DiffPoly:
     def total_derivative(self) -> "DiffPoly":
         """The total derivative: every jet (order, name) shifts to (order+1, name)."""
         numerators, den = _numerators(self.terms)
-        shift = _SHIFT
-        acc: Dict[Monomial, int] = {}
-        get = acc.get
-        for m, n in numerators:
-            rest = m
-            while rest:  # _fields, inlined: this loop is the hot path
-                s = ((rest & -rest).bit_length() - 1) & -_W
-                e = (rest >> s) & _MASK
-                if e & _HALF:
-                    e -= 1 << _W
-                rest -= e << s
-                key = m + shift[s]
-                acc[key] = get(key, 0) + n * e
-        if not _small(self.terms):
-            _check(acc)
-        return _from_numerators(acc, den)
+        return _from_numerators(_derivative(numerators), den)
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Partial derivative with respect to one jet variable."""
-        i = _FIELD.get((order, name))
-        if i is None:
-            return DiffPoly()
-        unit = 1 << (_W * i)
-        terms: Dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = _digit(m, i)
-            if e:
-                terms[m - unit] = c * e
-        if not _small(self.terms):
-            _check(terms)
-        return DiffPoly._of(terms)
+        return DiffPoly._of(_partial(self.terms, name, order))
 
     def as_univariate(self, var: JetKey) -> Dict[int, "DiffPoly"]:
         """View as a polynomial in one jet variable with DiffPoly coefficients."""
@@ -404,8 +386,8 @@ _ONE = DiffPoly._of({_ONE_MONO: Fraction(1)})  # shared: DiffPoly is immutable
 # and derivatives of large polynomials.
 
 
-def _numerators(terms: Dict[Monomial, Fraction]):
-    """([(monomial, numerator)], den): the coefficients as integers over den, the
+def _numerators(terms: Dict[Monomial, Fraction]) -> Tuple[Dict[Monomial, int], int]:
+    """({monomial: numerator}, den): the coefficients as integers over den, the
     lcm of their denominators."""
     den = 1
     for c in terms.values():
@@ -413,8 +395,8 @@ def _numerators(terms: Dict[Monomial, Fraction]):
         if den % d:
             den = lcm(den, d)
     if den == 1:
-        return [(m, c.numerator) for m, c in terms.items()], 1
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
+        return {m: c.numerator for m, c in terms.items()}, 1
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
 def _from_numerators(acc: Dict[Monomial, int], den: int) -> DiffPoly:
@@ -424,27 +406,56 @@ def _from_numerators(acc: Dict[Monomial, int], den: int) -> DiffPoly:
     return DiffPoly._of({m: Fraction(n, den) for m, n in acc.items() if n})
 
 
-def _accumulate_product(acc: Dict[Monomial, int], den: int,
-                        a: Dict[Monomial, Fraction], b: Dict[Monomial, Fraction]) -> int:
-    """acc/den += a*b on integer numerators; returns the new common denominator."""
-    na, da = _numerators(a)
-    nb, db = _numerators(b)
-    d = da * db
-    if den % d:
-        scale = lcm(den, d) // den
-        for m in acc:
-            acc[m] *= scale
-        den *= scale
-    scale = den // d
+def _derivative(terms: Dict[Monomial, int]) -> Dict[Monomial, int]:
+    """The total derivative of {monomial: numerator}; sums that cancel stay as 0.
+
+    D(N/den) = D(N)/den, so a tower d^n f runs on f's numerators alone.
+    """
+    shift = _SHIFT
+    acc: Dict[Monomial, int] = {}
     get = acc.get
-    for m1, n1 in na:
-        if scale != 1:
-            n1 *= scale
-        for m2, n2 in nb:
+    for m, n in terms.items():
+        rest = m
+        while rest:  # _fields, inlined: this loop is the hot path
+            s = ((rest & -rest).bit_length() - 1) & -_W
+            e = (rest >> s) & _MASK
+            if e & _HALF:
+                e -= 1 << _W
+            rest -= e << s
+            key = m + shift[s]
+            acc[key] = get(key, 0) + n * e
+    if not _small(terms):
+        _check(acc)
+    return acc
+
+
+def _partial(terms: dict, name: str, order: int) -> dict:
+    """The partial derivative of {monomial: coefficient} in one jet; the
+    coefficients may be Fractions or integer numerators."""
+    i = _FIELD.get((order, name))
+    if i is None:
+        return {}
+    unit = 1 << (_W * i)
+    out = {}
+    for m, c in terms.items():
+        e = _digit(m, i)
+        if e:
+            out[m - unit] = c * e
+    if not _small(terms):
+        _check(out)
+    return out
+
+
+def _add_products(acc: Dict[Monomial, int], a: Dict[Monomial, int],
+                  b: Dict[Monomial, int], sign: int = 1) -> None:
+    """acc += sign * a * b, on integer numerators."""
+    get = acc.get
+    for m1, n1 in a.items():
+        n1 *= sign
+        for m2, n2 in b.items():
             m = m1 + m2
             acc[m] = get(m, 0) + n1 * n2
     _guard(acc, a, b)
-    return den
 
 
 def _scale(p: DiffPoly, c: Fraction) -> DiffPoly:
@@ -479,16 +490,6 @@ def _add_terms(a: Dict[Monomial, Fraction], b: Dict[Monomial, Fraction],
         else:
             del terms[m]
     return DiffPoly._of(terms)
-
-
-def sum_of_products(pairs: Iterable[Tuple[DiffPoly, DiffPoly]]) -> DiffPoly:
-    """The sum of a*b over the pairs, accumulated on integers over one running
-    common denominator, so no intermediate sum is built."""
-    acc: Dict[Monomial, int] = {}
-    den = 1
-    for a, b in pairs:
-        den = _accumulate_product(acc, den, a.terms, b.terms)
-    return _from_numerators(acc, den)
 
 
 def jet(name: str, order: int = 0) -> DiffPoly:

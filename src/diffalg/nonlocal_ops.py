@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
                      ParseError, Unsupported)
-from .grammar import format_poly, format_ratfun, parse_function
+from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
 from .jets import (DiffPoly, Grading, RatFun, accumulate, constant_linear_basis,
                    derivatives, exponents, monomial)
 from .operators import DiffOp, evo_apply_op, frechet, left_divide, right_lcm
@@ -571,8 +571,9 @@ def operator_from_json(data: dict) -> Tuple[NonlocalOp, Grading]:
         raise ValueError("the operator schema must be a JSON object, got "
                          + type(data).__name__)
     local_terms: Dict[int, RatFun] = {}
-    entries = _schema_pairs(data, "local", "[expression string, integer power >= 0]",
-                            lambda e, k: isinstance(e, str) and _power(k) >= 0)
+    entries = _schema_pairs(data, "local",
+                            f"[expression string, integer power 0..{MAX_EXPONENT}]",
+                            lambda e, k: isinstance(e, str) and 0 <= _power(k) <= MAX_EXPONENT)
     for i, (expr, power) in enumerate(entries):
         accumulate(local_terms, _power(power), _parse_field(expr, f"local[{i}]"))
     tails = _schema_pairs(data, "nonlocal", "[p string, q string]",

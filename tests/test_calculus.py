@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import (DiffPoly, basis_mod_total_derivatives, evo_apply,
+from diffalg import (DiffPoly, RatFun, basis_mod_total_derivatives, evo_apply,
                      integrate, is_total_derivative, jet, lie_bracket,
                      parse_function, potential, variational_derivative)
 from diffalg.calculus import _integrate_reduce
 from diffalg.errors import NotExact, NotSupported, NotVariational
+from diffalg.jets import exponents
 
 from helpers import rand_poly
 
@@ -74,6 +75,45 @@ class TestLieBracket:
 
     def test_nonzero_example(self):
         assert lie_bracket(u, u * u) == u * u
+
+    def test_rational_operands(self):
+        r = RatFun(u2, u)
+        assert lie_bracket(u1, r).is_zero() and lie_bracket(r, u1).is_zero()
+        assert lie_bracket(r, r).is_zero()
+        assert lie_bracket(RatFun(u), RatFun(u * u)) == RatFun(u * u)
+        assert lie_bracket(r, u) == evo_apply(r, u) - evo_apply(u, r) != 0
+
+    def test_matches_sympy(self, rng):
+        """{f, g} = sum dg/du_n d^n f - sum df/du_n d^n g, computed by sympy over
+        explicit jet symbols u_0 .. u_11 (orders up to 5, so d^5 f fits)."""
+        sympy = pytest.importorskip("sympy")
+        ring, *jets = sympy.polys.rings.ring("u_0:12", sympy.QQ)
+
+        def d(p):
+            return sum(p.diff(x) * y for x, y in zip(jets, jets[1:]))
+
+        def field(f, g):
+            out, dnf = 0, f
+            for x in jets[:6]:
+                out += g.diff(x) * dnf
+                dnf = d(dnf)
+            return out
+
+        def to_sympy(p):
+            out = ring.zero
+            for m, c in p.terms.items():
+                term = ring(sympy.QQ(c.numerator, c.denominator))
+                for (order, _), e in exponents(m):
+                    term *= jets[order] ** e
+                out += term
+            return out
+
+        for _ in range(50):
+            f, g = (rand_poly(rng, max_order=5, terms=4)
+                    * Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7, 12)))
+                    for _ in range(2))
+            f_s, g_s = to_sympy(f), to_sympy(g)
+            assert to_sympy(lie_bracket(f, g)) == field(f_s, g_s) - field(g_s, f_s)
 
 
 class TestVariationalDerivative:

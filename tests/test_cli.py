@@ -113,12 +113,16 @@ class TestVerdictCommands:
         ({"local": [["u", -1]]}, "local[0] must be"),
         ({"local": [["u", 1.5]]}, "local[0] must be [expression string"),
         ({"local": [["u", "1.5"]]}, "local[0] must be [expression string"),
+        ({"local": [["1", 10000000000]]}, "local[0] must be [expression string, "
+                                           "integer power 0..10000]"),
+        ({"local": [["u", 0], ["1", 10001]]}, "local[1] must be [expression string"),
         ({"local": "u"}, "local must be a list"),
         ({"nonlocal": [["u"]]}, "nonlocal[0] must be [p string, q string]"),
         ({"grading": "even"}, "grading must be an object"),
         ({"grading": {"u": "neither"}}, "grading['u'] must be 'even' or 'odd'"),
     ], ids=["expr-not-string", "power-not-integer", "second-entry", "negative-power",
-            "power-fractional", "power-fractional-string", "local-not-list",
+            "power-fractional", "power-fractional-string", "power-past-the-bound",
+            "power-just-past-the-bound", "local-not-list",
             "nonlocal-short", "grading-not-object", "bad-parity"])
     def test_schema_errors_name_the_field(self, capsys, tmp_path, schema, field):
         path = tmp_path / "bad.json"

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffalg import (DiffPoly, Grading, RatFun, constant_linear_basis,
-                     diff_order, jet, parity_of, poly_gcd)
+                     diff_order, evo_apply, jet, lie_bracket, parity_of, poly_gcd,
+                     variational_derivative)
 from diffalg.errors import DependentInput
 from diffalg.grammar import format_poly
 from diffalg.jets import (EXPONENT_LIMIT, _poly_divexact, exponents, monomial, poly_lcm,
-                          require_independent, sum_of_products)
+                          require_independent)
 
 from helpers import rand_poly
 
@@ -97,6 +98,47 @@ def ref_derivative(a):
     return ref_clean(out)
 
 
+def ref_partial(a, v):
+    out = {}
+    for m, c in view(a).items():
+        exps = dict(m)
+        e = exps.get(v, 0)
+        if e:
+            exps[v] = e - 1
+            key = ref_mono(exps)
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return ref_clean(out)
+
+
+def ref_top(a, name):
+    return max((v[0] for m in view(a) for v, _ in m if v[1] == name), default=-1)
+
+
+def ref_evo(f, g, name):
+    """sum_n dg/d(n, name) * d^n f, term by term on Fractions."""
+    out, dnf = {}, f
+    for n in range(ref_top(g, name) + 1):
+        if n:
+            dnf = packed(ref_derivative(dnf))
+        out = ref_add(packed(out), packed(ref_mul(packed(ref_partial(g, (n, name))), dnf)))
+    return out
+
+
+def ref_variational(f, name):
+    """sum_n (-d)^n df/d(n, name), term by term on Fractions."""
+    out = {}
+    for n in range(ref_top(f, name) + 1):
+        t = packed(ref_partial(f, (n, name)))
+        for _ in range(n):
+            t = packed(ref_derivative(t))
+        out = ref_add(packed(out), t, (-1) ** n)
+    return out
+
+
+def ref_bracket(f, g, name):
+    return ref_add(packed(ref_evo(f, g, name)), packed(ref_evo(g, f, name)), -1)
+
+
 def kernel_poly(rng, terms=None):
     """Mixed and large denominators, Laurent exponents, several indeterminates;
     sometimes zero, a constant or a single term."""
@@ -141,17 +183,30 @@ class TestIntegerKernels:
             want = {}
             for a, b in pairs:
                 want = ref_add(packed(want), packed(ref_mul(a, b)))
-            got = sum_of_products(iter(pairs))
+            got = sum((a * b for a, b in pairs), DiffPoly.zero())
             assert view(got) == want
             assert_canonical(got)
+
+    def test_prolongation_matches_the_fraction_reference(self):
+        rng = random.Random(0xE70)
+        for _ in range(300):
+            f, g = kernel_poly(rng), kernel_poly(rng)
+            name = rng.choice("uuvF")
+            bracket = lie_bracket(f, g, name)
+            for got, want in ((evo_apply(f, g, name), ref_evo(f, g, name)),
+                              (bracket, ref_bracket(f, g, name)),
+                              (variational_derivative(f, name), ref_variational(f, name))):
+                assert type(got) is DiffPoly and view(got) == want
+                assert_canonical(got)
+            assert lie_bracket(g, f, name) == -bracket
 
     def test_exact_cancellation(self):
         rng = random.Random(0xCA7)
         for _ in range(100):
             a, b = kernel_poly(rng, terms=5), kernel_poly(rng, terms=5)
             for zero in (a - a, a + (-a), (a + b) * (a - b) - a * a + b * b,
-                         sum_of_products([(a, b), (-a, b)]),
-                         sum_of_products([(a, b), (b, a * -1)]),
+                         a * b + (-a) * b,
+                         a * b + b * (a * -1),
                          (a * b).total_derivative() - a.total_derivative() * b
                          - a * b.total_derivative()):
                 assert zero.terms == {} and zero == DiffPoly.zero()
@@ -160,7 +215,7 @@ class TestIntegerKernels:
         rng = random.Random(0x4A5)
         for _ in range(100):
             a, b, c = (kernel_poly(rng) for _ in range(3))
-            left, right = (a + b) * c, sum_of_products([(c, b), (a, c)])
+            left, right = (a + b) * c, c * b + a * c
             assert left == right and hash(left) == hash(right)
             rebuilt = DiffPoly(dict(reversed(list(left.terms.items()))))
             assert rebuilt == left and hash(rebuilt) == hash(left)
@@ -187,7 +242,7 @@ class TestPackedMonomials:
         bottom = DiffPoly.jet("u", 0, -EXPONENT_LIMIT)
         v = jet("v", 2)
         for overflow in (lambda: top * u, lambda: u * top, lambda: (top + v) * (u + v),
-                         lambda: sum_of_products([(u1, u2), (top * v, u)]),
+                         lambda: u1 * u2 + (top * v) * u,
                          lambda: bottom * DiffPoly.jet("u", 0, -1),
                          lambda: (bottom * v).total_derivative(),
                          lambda: bottom.partial("u", 0),
@@ -195,6 +250,24 @@ class TestPackedMonomials:
                          lambda: monomial([((0, "u"), -EXPONENT_LIMIT - 1)])):
             with pytest.raises(OverflowError, match=str(EXPONENT_LIMIT)):
                 overflow()
+
+    def test_bracket_past_the_range_raises(self):
+        top = EXPONENT_LIMIT - 1
+        cases = ((u * DiffPoly.jet("u", 1, top), u2),  # d f holds u'^LIMIT, d^2 f does not
+                 (u1 * DiffPoly.jet("u", 0, top), u * u),  # a product holds u^LIMIT
+                 (DiffPoly.jet("u", 0, -EXPONENT_LIMIT), u))  # a partial of f leaves the range
+        for f, g in cases:
+            for left, right in ((f, g), (g, f)):
+                with pytest.raises(OverflowError, match=str(EXPONENT_LIMIT)):
+                    lie_bracket(left, right)
+
+    def test_bracket_just_inside_the_range(self):
+        f = u * DiffPoly.jet("u", 1, EXPONENT_LIMIT - 2) * Fraction(3, 7)
+        g = u * u1 * Fraction(-1, 3) + u2 * Fraction(5, 2)
+        got = lie_bracket(f, g)
+        assert view(got) == ref_bracket(f, g, "u") and got
+        assert_canonical(got)
+        assert max(e for m in got.terms for _, e in exponents(m)) == EXPONENT_LIMIT - 1
 
     def test_power_squares_no_further_than_its_top_bit(self, monkeypatch):
         calls = []

@@ -356,6 +356,12 @@ class TestDegreeAndJson:
             assert back == l
             assert grading.parities == {"u": 0}
 
+    def test_power_at_the_bound_loads(self):
+        from diffalg.grammar import MAX_EXPONENT
+
+        back, _ = operator_from_json({"local": [["1", MAX_EXPONENT]]})
+        assert back.local.coeffs == {MAX_EXPONENT: RatFun(1)}
+
     def test_laurent_coefficients_serialize(self):
         l = NonlocalOp(DiffOp({1: RatFun(DiffPoly.const(1), u3)}), ())
         data = operator_to_json(l)
