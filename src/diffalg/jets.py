@@ -29,9 +29,11 @@ plain ints, and ``_from_numerators`` builds one Fraction per output term.
 Since D(N/den) = D(N)/den, a chain of these steps needs no Fraction in
 between: ``calculus`` runs whole derivative towers, evolutionary fields,
 Lie brackets and variational derivatives on numerators, with one shared
-denominator, and there is no separate sum-of-products kernel.  A sum keeps
-the Fractions of the monomials only one side has.  A product by a constant
-or a single term scales the Fractions directly.
+denominator, and ``operators`` runs the Leibniz rule of operator products,
+adjoints and applications the same way; there is no separate
+sum-of-products kernel.  A sum keeps the Fractions of the monomials only one
+side has.  A product by a constant or a single term scales the Fractions
+directly.
 
 Everything here is immutable after construction and all operations are pure;
 the one shared state is the jet index, which only grows.
@@ -447,11 +449,11 @@ def _partial(terms: dict, name: str, order: int) -> dict:
 
 
 def _add_products(acc: Dict[Monomial, int], a: Dict[Monomial, int],
-                  b: Dict[Monomial, int], sign: int = 1) -> None:
-    """acc += sign * a * b, on integer numerators."""
+                  b: Dict[Monomial, int], factor: int = 1) -> None:
+    """acc += factor * a * b, on integer numerators."""
     get = acc.get
     for m1, n1 in a.items():
-        n1 *= sign
+        n1 *= factor
         for m2, n2 in b.items():
             m = m1 + m2
             acc[m] = get(m, 0) + n1 * n2

@@ -10,7 +10,10 @@ which is what the decision procedures certify against.
 Every non-local term is a word f0 d^-1 f1 ... d^-1 fk, and one rule multiplies
 a local operator into a word: E f0 = Q d + r gives
 E (f0 d^-1 w) = Q w + r d^-1 w, with the mirror rule on the right.  Division
-by d needs no Euclidean loop: sum a_k d^k = (sum_{k>=1} a_k d^(k-1)) d + a_0.
+by d needs no Euclidean loop on either side.  On the right,
+sum a_k d^k = (sum_{k>=1} a_k d^(k-1)) d + a_0.  On the left, d Q + r with
+Q = sum q_k d^k has coefficient q_(k-1) + q_k' at d^k, so from the top down
+q_(n-1) = a_n, q_(k-1) = a_k - q_k' and r = a_0 - q_0'.
 
 series_expand exists only as an independent test oracle; no decision path
 depends on a truncation depth.
@@ -28,7 +31,7 @@ from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
 from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
 from .jets import (DiffPoly, Grading, RatFun, accumulate, constant_linear_basis,
                    derivatives, exponents, monomial)
-from .operators import DiffOp, evo_apply_op, frechet, left_divide, right_lcm
+from .operators import DiffOp, evo_apply_op, frechet, right_lcm
 
 Pair = Tuple[RatFun, RatFun]
 Triple = Tuple[RatFun, RatFun, RatFun]
@@ -45,8 +48,13 @@ def _div_right_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
 
 def _div_left_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
     """op = d*Q + r with r a function; so d^-1 op = Q + d^-1 r."""
-    q, r = left_divide(op, DiffOp.d())
-    return q, r.coefficient(0)
+    q: Dict[int, RatFun] = {}
+    qk = RatFun(0)  # after step k it holds q_(k-1); after step 0, r
+    for k in range(max(op.coeffs, default=0), -1, -1):
+        qk = op.coefficient(k) - qk.total_derivative() if qk else op.coefficient(k)
+        if k and qk:
+            q[k - 1] = qk
+    return DiffOp(q), qk
 
 
 class NonlocalOp:

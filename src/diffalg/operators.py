@@ -5,17 +5,29 @@ D is the total derivative and multiplication obeys D*a = a*D + a'.  The ring
 is left and right Euclidean; both divisions, both gcds and both lcms are
 implemented, along with minimal fractions and the prescribed-kernel
 construction.
+
+Products, adjoints and applications expand by the Leibniz rule
+D^k a = sum_n comb(k, n) a^(n) D^(k-n).  When every coefficient involved is a
+polynomial (denominator 1), the expansion runs on integer numerators: each
+operator's coefficients are put over the lcm of all their denominators, the
+towers d^n N stream through ``jets._derivative``, the terms
+comb(k, n) N_a d^n N_b add up in one {monomial: int} sum per output power, and
+each output Fraction is built once.  An operator with a nonconstant
+denominator anywhere takes the same expansion over RatFun.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Dict, List, Optional, Tuple
+from math import comb, lcm
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .jets import (DiffPoly, RatFun, accumulate, derivatives, poly_gcd, poly_lcm,
-                   require_independent)
+from .jets import (_ONE, DiffPoly, Monomial, RatFun, _add_products, _derivative,
+                   _from_numerators, _numerators, accumulate, derivatives,
+                   poly_gcd, poly_lcm, require_independent)
+
+Numerators = Dict[Monomial, int]
 
 
 class DiffOp:
@@ -74,9 +86,8 @@ class DiffOp:
         return self.coeffs.get(k, RatFun(0))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, DiffPoly, RatFun)):
-            other = DiffOp.of_function(other)
-        if not isinstance(other, DiffOp):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -103,7 +114,9 @@ class DiffOp:
     # -- additive structure ----------------------------------------------------------
 
     def __add__(self, other) -> "DiffOp":
-        other = DiffOp.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
             accumulate(coeffs, k, c)
@@ -115,18 +128,36 @@ class DiffOp:
         return DiffOp({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "DiffOp":
-        return self + (-DiffOp.coerce(other))
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other) -> "DiffOp":
-        return DiffOp.coerce(other) + (-self)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     # -- multiplicative structure ----------------------------------------------------
 
     def __mul__(self, other) -> "DiffOp":
         """Operator composition; D^k * a expands by the Leibniz rule."""
-        if isinstance(other, (int, Fraction, DiffPoly, RatFun)):
-            other = DiffOp.of_function(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         top = max(self.coeffs, default=0)
+        ints_a, ints_b = _integer_form(self), _integer_form(other)
+        if ints_a is not None and ints_b is not None:
+            (na, den_a), (nb, den_b) = ints_a, ints_b
+            acc: Dict[int, Numerators] = {}
+            for l, n_b in nb.items():
+                for n, level in _tower(n_b, top):
+                    for k, n_a in na.items():
+                        if k >= n:
+                            _add_products(acc.setdefault(k - n + l, {}), n_a, level,
+                                          comb(k, n))
+            return _of_numerators(acc, den_a * den_b)
         towers = {l: derivatives(b, top) for l, b in other.coeffs.items()}
         coeffs: Dict[int, RatFun] = {}
         for k, a in self.coeffs.items():
@@ -157,7 +188,18 @@ class DiffOp:
     def apply(self, f):
         """A(f) = sum a_k d^k(f); returns DiffPoly when the result is polynomial."""
         poly_in = not isinstance(f, RatFun)
-        tower = derivatives(RatFun.coerce(f), max(self.coeffs, default=0))
+        f = RatFun.coerce(f)
+        ints = _integer_form(self)
+        if ints is not None and f.den.is_one():
+            na, den_a = ints
+            nf, den_f = _numerators(f.num.terms)
+            acc: Numerators = {}
+            for k, level in _tower(nf, max(na, default=0)):
+                if k in na:
+                    _add_products(acc, na[k], level)
+            out = _from_numerators(acc, den_a * den_f)
+            return out if poly_in else RatFun._reduced(out, _ONE)
+        tower = derivatives(f, max(self.coeffs, default=0))
         out = RatFun(0)
         for k, derivative in enumerate(tower):
             a = self.coeffs.get(k)
@@ -172,6 +214,16 @@ class DiffOp:
 
     def adjoint(self) -> "DiffOp":
         """A* with D* = -D and f* = f; an anti-involution."""
+        ints = _integer_form(self)
+        if ints is not None:
+            na, den = ints
+            acc: Dict[int, Numerators] = {}
+            for k, n_a in na.items():
+                sign = -1 if k % 2 else 1
+                for n, level in _tower(n_a, k):
+                    _add_products(acc.setdefault(k - n, {}), _UNIT, level,
+                                  sign * comb(k, n))
+            return _of_numerators(acc, den)
         coeffs: Dict[int, RatFun] = {}
         for k, a in self.coeffs.items():
             sign = -1 if k % 2 else 1
@@ -183,6 +235,57 @@ class DiffOp:
         if self.is_zero():
             return self
         return self.scale(self.leading_coefficient().inverse())
+
+
+def _operand(value) -> Optional[DiffOp]:
+    """value as an operator, or None for a type that cannot be coerced (such as
+    a NonlocalOp, whose reflected operation then answers)."""
+    if isinstance(value, DiffOp):
+        return value
+    if isinstance(value, (int, Fraction, DiffPoly, RatFun)):
+        return DiffOp.of_function(value)
+    return None
+
+
+# -- the integer Leibniz kernel --------------------------------------------------------
+
+_UNIT: Numerators = {0: 1}  # the constant 1 as numerators
+
+
+def _integer_form(op: DiffOp) -> Optional[Tuple[Dict[int, Numerators], int]]:
+    """({power: numerators}, den): op's coefficients as integers over den, the
+    lcm of all their denominators; None when some coefficient has a
+    nonconstant denominator."""
+    parts = {}
+    den = 1
+    for k, c in op.coeffs.items():
+        if not c.den.is_one():
+            return None
+        parts[k] = n, d = _numerators(c.num.terms)
+        den = lcm(den, d)
+    return {k: n if d == den else {m: c * (den // d) for m, c in n.items()}
+            for k, (n, d) in parts.items()}, den
+
+
+def _tower(n: Numerators, top: int) -> Iterator[Tuple[int, Numerators]]:
+    """(k, d^k N) for k = 0..top, streamed: each level replaces the last, sums
+    that cancel leave it, and the stream ends once a level vanishes."""
+    for k in range(top + 1):
+        if k:
+            n = {m: c for m, c in _derivative(n).items() if c}
+            if not n:
+                return
+        yield k, n
+
+
+def _of_numerators(acc: Dict[int, Numerators], den: int) -> DiffOp:
+    """The operator with coefficients acc[k] / den, zero sums dropped."""
+    out = DiffOp()
+    for k, row in acc.items():
+        p = _from_numerators(row, den)
+        if p:
+            out.coeffs[k] = RatFun._reduced(p, _ONE)
+    return out
 
 
 # -- Euclidean structure ------------------------------------------------------------

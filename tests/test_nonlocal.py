@@ -12,6 +12,8 @@ from diffalg import (DiffOp, DiffPoly, Grading, NonlocalOp, RatFun,
                      series_expand, series_product, to_fraction)
 from diffalg.calculus import is_total_derivative
 from diffalg.errors import DepthOverflow, NotInImage, Unsupported
+from diffalg.nonlocal_ops import _div_left_by_d
+from diffalg.operators import left_divide
 from helpers import rand_op, rand_poly, rand_wnl
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
@@ -126,6 +128,32 @@ class TestMultiplication:
                 assert exact == (not sq.depth2)
             except Unsupported:
                 continue
+
+
+class TestMixedArithmetic:
+    def test_local_operand_is_lifted(self, rng):
+        cases = [(D, NonlocalOp.identity()), (D, kdv_operator())]
+        cases += [(rand_op(rng, rational=True), rand_wnl(rng)) for _ in range(15)]
+        for e, l in cases:
+            lifted = NonlocalOp.from_local(e)
+            for got, want in ((e * l, lifted * l), (e + l, lifted + l),
+                              (e - l, lifted - l), (l - e, l - lifted)):
+                assert isinstance(got, NonlocalOp)
+                assert repr(got) == repr(want) and got == want
+
+
+class TestDivisionByD:
+    def test_closed_form_matches_left_divide(self):
+        rng = random.Random(0xD1F)
+        ops = [DiffOp.zero(), D, DiffOp.identity()]
+        ops += [rand_op(rng, max_deg=rng.randint(0, 5), rational=True,
+                        nonzero=False) for _ in range(197)]
+        for op in ops:
+            q, r = _div_left_by_d(op)
+            want_q, want_r = left_divide(op, D)
+            assert repr(q) == repr(want_q) and q == want_q
+            assert r == want_r.coefficient(0)
+            assert D * q + r == op
 
 
 class TestApplication:

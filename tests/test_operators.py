@@ -1,6 +1,8 @@
 """Ore arithmetic: products, adjoints, divisions, gcd/lcm, fractions, kernels."""
 
 from fractions import Fraction
+from math import comb
+import random
 
 import pytest
 
@@ -8,7 +10,8 @@ from diffalg import (DiffOp, DiffPoly, RatFun, frechet, jet, left_divide,
                      left_gcd, left_lcm, minimal_right_fraction, op_with_kernel,
                      right_divide, right_gcd, right_lcm)
 from diffalg.errors import DependentInput
-from diffalg.operators import FractionPair
+from diffalg.jets import EXPONENT_LIMIT
+from diffalg.operators import FractionPair, _integer_form
 
 from helpers import rand_op, rand_poly
 
@@ -74,6 +77,135 @@ class TestAdjoint:
         for _ in range(10):
             f = rand_poly(rng)
             assert DiffOp.of_function(f).adjoint() == DiffOp.of_function(f)
+
+
+# -- the integer Leibniz kernel against a reference over RatFun -------------------
+
+
+def ref_mul(a, b):
+    out = {}
+    for k, ak in a.coeffs.items():
+        for l, bl in b.coeffs.items():
+            dn = bl
+            for n in range(k + 1):
+                if n:
+                    dn = dn.total_derivative()
+                out[k - n + l] = out.get(k - n + l, RatFun(0)) + ak * dn * comb(k, n)
+    return DiffOp(out)
+
+
+def ref_adjoint(a):
+    out = {}
+    for k, ak in a.coeffs.items():
+        dn = ak
+        for n in range(k + 1):
+            if n:
+                dn = dn.total_derivative()
+            out[k - n] = out.get(k - n, RatFun(0)) + dn * ((-1) ** k * comb(k, n))
+    return DiffOp(out)
+
+
+def ref_apply(a, f):
+    dn, out = RatFun.coerce(f), RatFun(0)
+    for k in range(max(a.coeffs, default=0) + 1):
+        if k:
+            dn = dn.total_derivative()
+        if k in a.coeffs:
+            out = out + a.coeffs[k] * dn
+    if not isinstance(f, RatFun) and out.is_polynomial():
+        return out.as_diffpoly()
+    return out
+
+
+def kernel_coefficient(rng, rational):
+    """Fractions with unlike denominators over u, v and F; sometimes a constant,
+    sometimes a quotient with a nonconstant denominator."""
+    shape = rng.random()
+    if shape < 0.15:
+        return RatFun(Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+    c = DiffPoly.zero()
+    for _ in range(rng.randint(1, 3)):
+        c = c + rand_poly(rng, max_order=3, max_degree=2, terms=2,
+                          names=("u", "v", "F")) * Fraction(rng.randint(-5, 5),
+                                                              rng.randint(1, 7))
+    if rational and shape < 0.4:
+        # a monomial denominator keeps the quotient-rule towers free of large gcds
+        return RatFun(c, DiffPoly.jet(rng.choice("uv"), rng.randint(0, 2),
+                                      rng.randint(1, 2)))
+    return RatFun(c)
+
+
+def kernel_op(rng, rational=False):
+    """Degree 0-5, sometimes the zero operator."""
+    if rng.random() < 0.05:
+        return DiffOp.zero()
+    return DiffOp({k: kernel_coefficient(rng, rational)
+                   for k in range(rng.randint(0, 5) + 1) if rng.random() < 0.7})
+
+
+def annihilating_pair(rng):
+    """(f d - f', f): the product f d f - f' f = f^2 d loses its order-0 term,
+    and the operator sends f to zero."""
+    f = rand_poly(rng, max_order=2, max_degree=2, terms=3, names=("u", "v"),
+                  nonzero=True) * Fraction(rng.randint(1, 5), rng.randint(1, 5))
+    return DiffOp({1: RatFun(f), 0: RatFun(-f.total_derivative())}), f
+
+
+class TestIntegerKernel:
+    def test_matches_the_ratfun_reference(self):
+        rng = random.Random(0x0DE)
+        paths = {True: 0, False: 0}
+        for i in range(300):
+            if i % 10 == 0:
+                a, f = annihilating_pair(rng)
+                b = DiffOp.of_function(f)
+                assert a.apply(f) == DiffPoly.zero()
+                assert (a * b).coefficient(0).is_zero()
+            else:
+                a = kernel_op(rng, rational=i % 3 == 0)
+                b = kernel_op(rng, rational=i % 3 == 1)
+                f = kernel_coefficient(rng, rational=i % 5 == 0)
+                f = f.as_diffpoly() if f.is_polynomial() and i % 2 else f
+            paths[_integer_form(a) is not None and _integer_form(b) is not None] += 1
+            for got, want in ((a * b, ref_mul(a, b)), (b * a, ref_mul(b, a)),
+                              (a.adjoint(), ref_adjoint(a)),
+                              (a.apply(f), ref_apply(a, f))):
+                assert type(got) is type(want) and repr(got) == repr(want)
+                assert got == want
+        # both the integer path and the RatFun fallback are exercised
+        assert min(paths.values()) > 50
+
+    def test_zero_products(self):
+        rng = random.Random(0x2E0)
+        for _ in range(20):
+            a, b = kernel_op(rng), kernel_op(rng)
+            for zero in (a * DiffOp.zero(), DiffOp.zero() * a, a * b - a * b):
+                assert zero.coeffs == {} and repr(zero) == "DiffOp(0)"
+        assert DiffOp.zero().adjoint() == DiffOp.zero()
+        assert DiffOp.zero().apply(u) == DiffPoly.zero()
+
+    def test_exponent_just_inside_the_limit(self):
+        top = EXPONENT_LIMIT - 1
+        a = DiffOp.of_function(DiffPoly.jet("u", 0, top - 1))
+        assert repr(a * u) == repr(ref_mul(a, DiffOp.of_function(u)))
+        assert a * u == DiffOp.of_function(DiffPoly.jet("u", 0, top))
+        b = DiffOp.of_function(u * DiffPoly.jet("u", 1, top - 1))
+        assert repr(D * b) == repr(ref_mul(D, b))
+        assert repr(b.adjoint()) == repr(ref_adjoint(b))
+
+    def test_exponent_past_the_limit(self):
+        top = EXPONENT_LIMIT - 1
+        a = DiffOp.of_function(DiffPoly.jet("u", 0, top))
+        with pytest.raises(OverflowError):
+            a * u  # the product
+        # d(u u'^top) has the term u'^(top + 1): a tower level past the limit
+        b = u * DiffPoly.jet("u", 1, top)
+        with pytest.raises(OverflowError):
+            D * b
+        with pytest.raises(OverflowError):
+            DiffOp({1: RatFun(b)}).adjoint()
+        with pytest.raises(OverflowError):
+            D.apply(b)
 
 
 class TestDivision:
