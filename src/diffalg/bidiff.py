@@ -5,6 +5,11 @@ Freezing the first slot at a function F yields the differential operator
 M_F = sum M_kl F^(k) D^l, and left division by a differential operator runs
 on the second-slot degree exactly as in the uniqueness statement M = B*P + N
 with d1(N) < deg B.
+
+No Leibniz expansion is written out here.  M(F, G) = sum_k F^(k) R_k(G) for
+the row operators R_k = sum_l M_kl D^l, and the rows of the transpose are
+the column operators C_l = sum_k M_kl D^k, so every operation is a
+``DiffOp`` product or application on rows or columns.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, Optional, Tuple
 
-from .jets import DiffPoly, RatFun, accumulate, derivatives
-from .operators import DiffOp
+from .jets import DiffPoly, RatFun, accumulate
+from .operators import DiffOp, frechet
 
 
 class BiDiffOp:
@@ -52,6 +57,8 @@ class BiDiffOp:
         return hash(frozenset(self.entries.items()))
 
     def __add__(self, other: "BiDiffOp") -> "BiDiffOp":
+        if not isinstance(other, BiDiffOp):
+            return NotImplemented
         entries = dict(self.entries)
         for kl, c in other.entries.items():
             accumulate(entries, kl, c)
@@ -61,6 +68,8 @@ class BiDiffOp:
         return BiDiffOp({kl: -c for kl, c in self.entries.items()})
 
     def __sub__(self, other: "BiDiffOp") -> "BiDiffOp":
+        if not isinstance(other, BiDiffOp):
+            return NotImplemented
         return self + (-other)
 
     def __repr__(self) -> str:
@@ -72,23 +81,22 @@ class BiDiffOp:
         return f"BiDiffOp({{{body}}})"
 
 
-def bi_apply(m: BiDiffOp, f, g):
-    """M(F, G) = sum M_kl F^(k) G^(l)."""
-    df = derivatives(RatFun.coerce(f), m.d2() or 0)
-    dg = derivatives(RatFun.coerce(g), m.d1() or 0)
-    out = RatFun(0)
+def _rows(m: BiDiffOp) -> Dict[int, DiffOp]:
+    """The row operators R_k = sum_l M_kl D^l, so M(F, G) = sum_k F^(k) R_k(G)."""
+    rows: Dict[int, Dict[int, RatFun]] = {}
     for (k, l), c in m.entries.items():
-        out = out + c * df[k] * dg[l]
-    return out
+        rows.setdefault(k, {})[l] = c
+    return {k: DiffOp(row) for k, row in rows.items()}
+
+
+def bi_apply(m: BiDiffOp, f, g):
+    """M(F, G) = sum M_kl F^(k) G^(l) = M_F(G)."""
+    return slot_first(m, f).apply(RatFun.coerce(g))
 
 
 def slot_first(m: BiDiffOp, f) -> DiffOp:
-    """M_F = sum M_kl F^(k) D^l as a differential operator."""
-    df = derivatives(RatFun.coerce(f), m.d2() or 0)
-    coeffs: Dict[int, RatFun] = {}
-    for (k, l), c in m.entries.items():
-        accumulate(coeffs, l, c * df[k])
-    return DiffOp(coeffs)
+    """M_F = sum M_kl F^(k) D^l: each column operator C_l applied to F."""
+    return DiffOp({l: col.apply(f) for l, col in _rows(transpose(m)).items()})
 
 
 def slot_second(m: BiDiffOp, g) -> DiffOp:
@@ -97,27 +105,25 @@ def slot_second(m: BiDiffOp, g) -> DiffOp:
 
 
 def compose_left(b: DiffOp, m: BiDiffOp) -> BiDiffOp:
-    """(BM)(F, G) = B(M(F, G)); the Leibniz expansion hits both slots."""
-    top = max(b.coeffs, default=0)
-    towers = {kl: derivatives(c, top) for kl, c in m.entries.items()}
+    """(BM)(F, G) = B(M(F, G)).
+
+    D^j (F^(k) R_k(G)) = sum_i C(j, i) F^(k+i) D^(j-i) R_k(G), so row k + i of
+    BM gains B_i * R_k, with B_i = sum_j C(j, i) b_j D^(j-i).
+    """
+    parts = [DiffOp({j - i: c * comb(j, i) for j, c in b.coeffs.items() if j >= i})
+             for i in range(max(b.coeffs, default=0) + 1)]
     entries: Dict[Tuple[int, int], RatFun] = {}
-    for j, bj in b.coeffs.items():
-        for (k, l), tower in towers.items():
-            # expand D^j (c F^(k)) D^l term by term
-            for n in range(j + 1):
-                for i in range(n + 1):
-                    coeff = bj * tower[n - i] * (comb(j, n) * comb(n, i))
-                    accumulate(entries, (k + i, j - n + l), coeff)
+    for k, row in _rows(m).items():
+        for i, b_i in enumerate(parts):
+            for l, c in (b_i * row).coeffs.items():
+                accumulate(entries, (k + i, l), c)
     return BiDiffOp(entries)
 
 
 def compose_right(m: BiDiffOp, b: DiffOp) -> BiDiffOp:
-    """(MB)(F, G) = M(F, B(G)): each first-slot row is an operator times B."""
-    rows: Dict[int, Dict[int, RatFun]] = {}
-    for (k, l), c in m.entries.items():
-        rows.setdefault(k, {})[l] = c
-    return BiDiffOp({(k, l): c for k, row in rows.items()
-                     for l, c in (DiffOp(row) * b).coeffs.items()})
+    """(MB)(F, G) = M(F, B(G)): each row becomes R_k * B."""
+    return BiDiffOp({(k, l): c for k, row in _rows(m).items()
+                     for l, c in (row * b).coeffs.items()})
 
 
 def transpose(m: BiDiffOp) -> BiDiffOp:
@@ -160,14 +166,7 @@ def _fresh_names(m: BiDiffOp) -> Tuple[str, str]:
 
 
 def frechet_of_op(a: DiffOp, name: str = "u") -> BiDiffOp:
-    """The Frechet derivative of an operator: entries (k, l) -> da_k/du^(l)."""
-    entries: Dict[Tuple[int, int], RatFun] = {}
-    for k, c in a.coeffs.items():
-        top = c.top_order(name)
-        if top is None:
-            continue
-        for l in range(top + 1):
-            p = c.partial(name, l)
-            if not p.is_zero():
-                entries[(k, l)] = p
-    return BiDiffOp(entries)
+    """The Frechet derivative of an operator: row k is the Frechet derivative
+    of a_k, so the entries are (k, l) -> da_k/du^(l)."""
+    return BiDiffOp({(k, l): p for k, c in a.coeffs.items()
+                     for l, p in frechet(c, name).coeffs.items()})

@@ -10,6 +10,12 @@ so that reduction is one reduced echelon form of the vectors
 decision procedure downstream bottoms out in, so each one is exact and
 total-derivative identities are enforced by construction, never by
 approximation.
+
+No Leibniz expansion is written out here.  An evolutionary field is
+X_f(g) = D_g(f), the Frechet derivative of g applied to f: one
+``DiffOp.apply`` for rational functions, and for polynomials one streamed
+derivative tower of f on integer numerators (``jets._add_tower``), which the
+Lie bracket runs once for each half.
 """
 
 from __future__ import annotations
@@ -18,12 +24,14 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import NotExact, NotSupported, NotVariational, VerificationFailed
-from .jets import (DiffPoly, RatFun, _add_products, _derivative, _from_numerators,
+from .jets import (DiffPoly, RatFun, _add_tower, _derivative, _from_numerators,
                    _numerators, _partial, _rref, exponents)
+from .operators import frechet, helmholtz_residual
 
 
 def evo_apply(f, g, name: str = "u"):
-    """Apply the evolutionary vector field of f to g: sum d^n(f) * dg/du^(n).
+    """Apply the evolutionary vector field of f to g: X_f(g) = D_g(f), the
+    Frechet derivative of g applied to f, sum d^n(f) * dg/du^(n).
 
     Only jets of the named indeterminate are differentiated; formal symbols
     such as F and G pass through untouched, which is what makes them usable
@@ -31,57 +39,38 @@ def evo_apply(f, g, name: str = "u"):
 
     For polynomials f = N_f/den_f and g = N_g/den_g the sum is
     (sum_n dN_g/du^(n) * d^n N_f) / (den_f * den_g): d^n f keeps f's own
-    denominator, so the tower and the products run on integer numerators.
+    denominator, so it is one ``jets._add_tower`` on integer numerators.
     """
     if isinstance(g, RatFun) and g.is_polynomial():
         g = g.num
+    elif not isinstance(g, RatFun):
+        g = DiffPoly.coerce(g)
     rational = isinstance(g, RatFun)
     top = g.top_order(name)
     if top is None:
         return RatFun(0) if rational else DiffPoly.zero()
-    if not isinstance(f, RatFun):
-        f = DiffPoly.coerce(f)
     if rational or isinstance(f, RatFun):
-        total = RatFun(0)
-        dnf = f
-        for n in range(top + 1):
-            if n:
-                dnf = dnf.total_derivative()
-            part = g.partial(name, n)
-            if part:
-                total = total + part * dnf
-        return total
+        return frechet(g, name).apply(RatFun.coerce(f))
+    f = DiffPoly.coerce(f)
     nf, den_f = _numerators(f.terms)
     ng, den_g = _numerators(g.terms)
     acc: Dict[int, int] = {}
-    _add_evo(acc, nf, ng, top, name, 1)
+    _add_tower(acc, _partials(ng, name, top), nf)
     return _from_numerators(acc, den_f * den_g)
 
 
-def _add_evo(acc: Dict[int, int], nf: dict, ng: dict, top: int, name: str,
-             sign: int) -> None:
-    """acc += sign * sum_{n <= top} dN_g/du^(n) * d^n N_f, on integer numerators.
-
-    d^n N_f streams, each level replacing the last: a kept tower of a large
-    chain member raises peak RSS.  Terms that cancel leave each level, so
-    they are not differentiated again further up.
-    """
-    dnf = nf
-    for n in range(top + 1):
-        if n:
-            dnf = {m: c for m, c in _derivative(dnf).items() if c}
-        part = _partial(ng, name, n)
-        if part:
-            _add_products(acc, part, dnf, sign)
+def _partials(ng: dict, name: str, top: int) -> dict:
+    """{n: dN_g/du^(n)} for n <= top, zero partials left out."""
+    return {n: p for n in range(top + 1) if (p := _partial(ng, name, n))}
 
 
 def lie_bracket(f: DiffPoly, g: DiffPoly, name: str = "u") -> DiffPoly:
     """{f, g} = X_f(g) - X_g(f).
 
     For polynomials f = N_f/den_f and g = N_g/den_g both halves share the
-    denominator den_f * den_g (see evo_apply), so they accumulate with signs
-    +1 and -1 into one integer sum: a bracket that vanishes builds no
-    Fraction and no intermediate polynomial.
+    denominator den_f * den_g (see evo_apply), so they accumulate with
+    factors +1 and -1 into one integer sum: a bracket that vanishes builds
+    no Fraction and no intermediate polynomial.
     """
     if isinstance(f, RatFun) or isinstance(g, RatFun):
         return evo_apply(f, g, name) - evo_apply(g, f, name)
@@ -89,10 +78,10 @@ def lie_bracket(f: DiffPoly, g: DiffPoly, name: str = "u") -> DiffPoly:
     nf, den_f = _numerators(f.terms)
     ng, den_g = _numerators(g.terms)
     acc: Dict[int, int] = {}
-    for a, b, top, sign in ((nf, ng, g.top_order(name), 1),
-                            (ng, nf, f.top_order(name), -1)):
+    for a, b, top, factor in ((nf, ng, g.top_order(name), 1),
+                              (ng, nf, f.top_order(name), -1)):
         if top is not None:
-            _add_evo(acc, a, b, top, name, sign)
+            _add_tower(acc, _partials(b, name, top), a, factor)
     return _from_numerators(acc, den_f * den_g)
 
 
@@ -188,9 +177,7 @@ def potential(q: DiffPoly, name: str = "u") -> DiffPoly:
     q = DiffPoly.coerce(q)
     if q.has_negative_exponent():
         raise NotSupported("potential requires a non-Laurent polynomial")
-    from .operators import frechet
-    d_q = frechet(q, name)
-    if d_q != d_q.adjoint():
+    if helmholtz_residual(q, name):
         raise NotVariational("Frechet derivative is not self-adjoint")
     rho = DiffPoly.zero()
     u = DiffPoly.jet(name, 0)

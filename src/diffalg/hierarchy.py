@@ -46,8 +46,6 @@ class Hierarchy:
     orders: List[Optional[int]]
     grading: Optional[Grading] = None
     pair: Optional[Tuple[DiffOp, DiffOp]] = None
-    commuting_verified: bool = False
-    violations: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
     @staticmethod
@@ -104,7 +102,6 @@ class Hierarchy:
                 try:
                     s_next = nl_apply(self.operator, tip)
                 except NotInImage as exc:
-                    from .grammar import format_poly
                     raise NotInImage(
                         "Lenard-Magri hypothesis violated at step "
                         f"{len(self.chain)}: {exc}", index=exc.index,
@@ -114,7 +111,6 @@ class Hierarchy:
                 self.potentials.append(self._potential_for(s_next))
             self.chain.append(s_next)
             self.orders.append(diff_order(s_next))
-            self.commuting_verified = False
         return self
 
     def _potential_for(self, s: DiffPoly) -> Optional[DiffPoly]:
@@ -138,7 +134,6 @@ class Hierarchy:
         results = [(i, j, lie_bracket(self.chain[i], self.chain[j]))
                    for i, j in pairs]
         bad = [(i, j, r) for i, j, r in results if not r.is_zero()]
-        self.commuting_verified = not bad
         return CommutationReport(pairs_checked=len(pairs), all_zero=not bad,
                                  violations=bad)
 

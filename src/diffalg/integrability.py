@@ -17,7 +17,7 @@ from .bidiff import (BiDiffOp, compose_left, compose_right, frechet_of_op,
                      transpose)
 from .errors import Unsupported, VerificationFailed
 from .jets import DiffPoly
-from .operators import (DiffOp, FractionPair, frechet,
+from .operators import (DiffOp, FractionPair, helmholtz_residual,
                         minimal_right_fraction)
 from .nonlocal_ops import (NonlocalOp, from_fraction_pair, nl_mul, to_fraction,
                            twisted_lie)
@@ -91,17 +91,15 @@ def is_integrable_pair(a: DiffOp, b: DiffOp) -> Verdict:
     """The three-equation system: M for A, N for B, plus the mixed identity."""
     if a.is_zero() or b.is_zero():
         raise ValueError("integrable pairs need nonzero operators")
-    va = is_integrable_diffop(a)
-    if not va:
-        return Verdict(False, Refutation(
-            "first operator is not integrable",
-            residual=va.certificate.residual))
-    vb = is_integrable_diffop(b)
-    if not vb:
-        return Verdict(False, Refutation(
-            "second operator is not integrable",
-            residual=vb.certificate.residual))
-    m, n = va.certificate.m, vb.certificate.m
+    witnesses = []
+    for which, op in (("first", a), ("second", b)):
+        verdict = is_integrable_diffop(op)
+        if not verdict:
+            return Verdict(False, Refutation(
+                f"{which} operator is not integrable",
+                residual=verdict.certificate.residual))
+        witnesses.append(verdict.certificate.m)
+    m, n = witnesses
     mixed = _mixed_defect(a, b)
     recombined = compose_left(a, n) + compose_left(b, m)
     residual = mixed - recombined
@@ -153,13 +151,13 @@ def is_integrable_wnl(l: NonlocalOp) -> Verdict:
     """Weakly non-local integrability: every q a variational derivative + hereditary."""
     if l.depth2:
         raise Unsupported("integrability of depth-2 operators is undefined")
-    for i, (_, q) in enumerate(l.depth1):
-        dq = frechet(q)
-        if dq != dq.adjoint():
+    for _, q in l.depth1:
+        residual = helmholtz_residual(q)
+        if residual:
             from .grammar import format_ratfun
             return Verdict(False, Refutation(
                 f"q = {format_ratfun(q)} not a variational derivative",
-                residual=dq - dq.adjoint()))
+                residual=residual))
     verdict = is_hereditary(l)
     if not verdict:
         return verdict

@@ -27,13 +27,13 @@ coefficients over the lcm of its denominators, ``_add_products``,
 ``_partial`` and ``_derivative`` multiply, accumulate and differentiate
 plain ints, and ``_from_numerators`` builds one Fraction per output term.
 Since D(N/den) = D(N)/den, a chain of these steps needs no Fraction in
-between: ``calculus`` runs whole derivative towers, evolutionary fields,
-Lie brackets and variational derivatives on numerators, with one shared
-denominator, and ``operators`` runs the Leibniz rule of operator products,
-adjoints and applications the same way; there is no separate
-sum-of-products kernel.  A sum keeps the Fractions of the monomials only one
-side has.  A product by a constant or a single term scales the Fractions
-directly.
+between.  ``_tower`` streams d^k N and is the only integer derivative
+tower; ``_add_tower`` adds sum_k c_k d^k N on it, which is an operator
+application (``DiffOp.apply``) and an evolutionary field (``calculus``,
+with c_k = dg/du^(k)).  The Leibniz rule itself lives in ``operators.DiffOp``
+alone; ``derivatives`` is the RatFun tower its rational-coefficient arms
+use.  A sum keeps the Fractions of the monomials only one side has.  A
+product by a constant or a single term scales the Fractions directly.
 
 Everything here is immutable after construction and all operations are pure;
 the one shared state is the jet index, which only grows.
@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
 from operator import or_
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import DependentInput
 
@@ -56,6 +56,7 @@ from .errors import DependentInput
 # order is lexicographic with higher jets more significant.
 JetKey = Tuple[int, str]
 Monomial = int
+Numerators = Dict[Monomial, int]  # {monomial: integer numerator}
 
 _LOG_W = 4
 _W = 1 << _LOG_W             # bits per exponent field
@@ -429,6 +430,26 @@ def _derivative(terms: Dict[Monomial, int]) -> Dict[Monomial, int]:
     if not _small(terms):
         _check(acc)
     return acc
+
+
+def _tower(n: Numerators, top: int) -> Iterator[Tuple[int, Numerators]]:
+    """(k, d^k N) for k = 0..top, streamed: each level replaces the last, sums
+    that cancel leave it, and the stream ends once a level vanishes.  A kept
+    tower of a large chain member raises peak RSS."""
+    for k in range(top + 1):
+        if k:
+            n = {m: c for m, c in _derivative(n).items() if c}
+            if not n:
+                return
+        yield k, n
+
+
+def _add_tower(acc: Numerators, coeffs: Dict[int, Numerators], n: Numerators,
+               factor: int = 1) -> None:
+    """acc += factor * sum_k coeffs[k] * d^k N, on integer numerators."""
+    for k, level in _tower(n, max(coeffs, default=-1)):
+        if k in coeffs:
+            _add_products(acc, coeffs[k], level, factor)
 
 
 def _partial(terms: dict, name: str, order: int) -> dict:
@@ -974,7 +995,7 @@ class RatFun:
         return max(orders) if orders else None
 
 
-# -- the Leibniz kernel ---------------------------------------------------------
+# -- the RatFun tower -----------------------------------------------------------
 
 
 def derivatives(f, n: int) -> list:

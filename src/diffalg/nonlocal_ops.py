@@ -31,7 +31,7 @@ from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
 from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
 from .jets import (DiffPoly, Grading, RatFun, accumulate, constant_linear_basis,
                    derivatives, exponents, monomial)
-from .operators import DiffOp, evo_apply_op, frechet, right_lcm
+from .operators import DiffOp, _operand, evo_apply_op, frechet, right_lcm
 
 Pair = Tuple[RatFun, RatFun]
 Triple = Tuple[RatFun, RatFun, RatFun]
@@ -112,7 +112,10 @@ class NonlocalOp:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NonlocalOp):
-            other = NonlocalOp.coerce(other)
+            other = _operand(other)  # None for a type DiffOp cannot take either
+            if other is None:
+                return NotImplemented
+            other = NonlocalOp.from_local(other)
         return (self - other).is_zero()
 
     @property

@@ -6,14 +6,16 @@ is left and right Euclidean; both divisions, both gcds and both lcms are
 implemented, along with minimal fractions and the prescribed-kernel
 construction.
 
-Products, adjoints and applications expand by the Leibniz rule
-D^k a = sum_n comb(k, n) a^(n) D^(k-n).  When every coefficient involved is a
-polynomial (denominator 1), the expansion runs on integer numerators: each
-operator's coefficients are put over the lcm of all their denominators, the
-towers d^n N stream through ``jets._derivative``, the terms
-comb(k, n) N_a d^n N_b add up in one {monomial: int} sum per output power, and
-each output Fraction is built once.  An operator with a nonconstant
-denominator anywhere takes the same expansion over RatFun.
+This class is where the Leibniz rule D^k a = sum_n comb(k, n) a^(n) D^(k-n)
+lives: products, adjoints and applications expand it, and the bidifferential
+operations and evolutionary fields of rational functions are built from
+them.  When every coefficient involved is a polynomial (denominator 1), the
+expansion runs on integer numerators: each operator's coefficients are put
+over the lcm of all their denominators, the towers d^n N stream through
+``jets._tower``, the terms comb(k, n) N_a d^n N_b add up in one
+{monomial: int} sum per output power, and each output Fraction is built
+once.  An operator with a nonconstant denominator anywhere takes the same
+expansion over RatFun.
 """
 
 from __future__ import annotations
@@ -21,13 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .jets import (_ONE, DiffPoly, Monomial, RatFun, _add_products, _derivative,
-                   _from_numerators, _numerators, accumulate, derivatives,
+from .jets import (_ONE, DiffPoly, Numerators, RatFun, _add_products, _add_tower,
+                   _from_numerators, _numerators, _tower, accumulate, derivatives,
                    poly_gcd, poly_lcm, require_independent)
-
-Numerators = Dict[Monomial, int]
 
 
 class DiffOp:
@@ -189,14 +189,12 @@ class DiffOp:
         """A(f) = sum a_k d^k(f); returns DiffPoly when the result is polynomial."""
         poly_in = not isinstance(f, RatFun)
         f = RatFun.coerce(f)
-        ints = _integer_form(self)
-        if ints is not None and f.den.is_one():
+        ints = _integer_form(self) if f.den.is_one() else None
+        if ints is not None:
             na, den_a = ints
             nf, den_f = _numerators(f.num.terms)
             acc: Numerators = {}
-            for k, level in _tower(nf, max(na, default=0)):
-                if k in na:
-                    _add_products(acc, na[k], level)
+            _add_tower(acc, na, nf)
             out = _from_numerators(acc, den_a * den_f)
             return out if poly_in else RatFun._reduced(out, _ONE)
         tower = derivatives(f, max(self.coeffs, default=0))
@@ -265,17 +263,6 @@ def _integer_form(op: DiffOp) -> Optional[Tuple[Dict[int, Numerators], int]]:
         den = lcm(den, d)
     return {k: n if d == den else {m: c * (den // d) for m, c in n.items()}
             for k, (n, d) in parts.items()}, den
-
-
-def _tower(n: Numerators, top: int) -> Iterator[Tuple[int, Numerators]]:
-    """(k, d^k N) for k = 0..top, streamed: each level replaces the last, sums
-    that cancel leave it, and the stream ends once a level vanishes."""
-    for k in range(top + 1):
-        if k:
-            n = {m: c for m, c in _derivative(n).items() if c}
-            if not n:
-                return
-        yield k, n
 
 
 def _of_numerators(acc: Dict[int, Numerators], den: int) -> DiffOp:
@@ -481,6 +468,12 @@ def frechet(f, name: str = "u") -> DiffOp:
     if top is None:
         return DiffOp.zero()
     return DiffOp({m: f.partial(name, m) for m in range(top + 1)})
+
+
+def helmholtz_residual(f, name: str = "u") -> DiffOp:
+    """D_f - D_f*: zero exactly when f is a variational derivative."""
+    d_f = frechet(f, name)
+    return d_f - d_f.adjoint()
 
 
 def evo_apply_op(f, op: DiffOp, name: str = "u") -> DiffOp:

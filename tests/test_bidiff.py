@@ -1,8 +1,16 @@
 """Bidifferential operators: application, slots, composition, division, skewness."""
 
-from diffalg import (BiDiffOp, DiffOp, RatFun, bi_apply, compose_left,
-                     compose_right, frechet, frechet_of_op, is_skewsymmetric,
-                     jet, left_divide_bidiff, slot_first, slot_second)
+import random
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from diffalg import (BiDiffOp, DiffOp, DiffPoly, RatFun, bi_apply, compose_left,
+                     compose_right, evo_apply, frechet, frechet_of_op,
+                     is_skewsymmetric, jet, left_divide_bidiff, slot_first,
+                     slot_second)
+from diffalg.jets import accumulate
 from diffalg.operators import evo_apply_op
 
 from helpers import rand_bidiff, rand_op, rand_poly
@@ -174,3 +182,163 @@ class TestFrechetOfOperator:
             rhs = df * dg - dg * df + evo_apply_op(g, df) \
                 + frechet(lie_bracket(f, g))
             assert lhs == rhs
+
+
+# -- the formulas the bidifferential operations and the RatFun evolutionary
+# field were written with before they became DiffOp products and
+# applications, kept here as independent references
+
+
+def ref_tower(f, n):
+    out = [f]
+    for _ in range(n):
+        out.append(out[-1].total_derivative())
+    return out
+
+
+def ref_compose_left(b, m):
+    """D^j (c F^(k)) D^l expanded term by term: the double Leibniz loop."""
+    top = max(b.coeffs, default=0)
+    towers = {kl: ref_tower(c, top) for kl, c in m.entries.items()}
+    entries = {}
+    for j, bj in b.coeffs.items():
+        for (k, l), tower in towers.items():
+            for n in range(j + 1):
+                for i in range(n + 1):
+                    accumulate(entries, (k + i, j - n + l),
+                               bj * tower[n - i] * (comb(j, n) * comb(n, i)))
+    return BiDiffOp(entries)
+
+
+def ref_bi_apply(m, f, g):
+    """sum M_kl f^(k) g^(l)."""
+    df = ref_tower(RatFun.coerce(f), m.d2() or 0)
+    dg = ref_tower(RatFun.coerce(g), m.d1() or 0)
+    out = RatFun(0)
+    for (k, l), c in m.entries.items():
+        out = out + c * df[k] * dg[l]
+    return out
+
+
+def ref_slot_first(m, f):
+    """sum M_kl f^(k) D^l."""
+    df = ref_tower(RatFun.coerce(f), m.d2() or 0)
+    coeffs = {}
+    for (k, l), c in m.entries.items():
+        accumulate(coeffs, l, c * df[k])
+    return DiffOp(coeffs)
+
+
+def ref_frechet_of_op(a, name="u"):
+    """(k, l) -> da_k/du^(l), one partial at a time."""
+    entries = {}
+    for k, c in a.coeffs.items():
+        top = c.top_order(name)
+        for l in range((-1 if top is None else top) + 1):
+            p = c.partial(name, l)
+            if not p.is_zero():
+                entries[(k, l)] = p
+    return BiDiffOp(entries)
+
+
+def ref_evo_apply(f, g, name="u"):
+    """sum d^n(f) dg/du^(n) over RatFun, for a RatFun f."""
+    if isinstance(g, RatFun) and g.is_polynomial():
+        g = g.num
+    top = g.top_order(name)
+    if top is None:
+        return RatFun(0) if isinstance(g, RatFun) else DiffPoly.zero()
+    total, dnf = RatFun(0), f
+    for n in range(top + 1):
+        if n:
+            dnf = dnf.total_derivative()
+        part = g.partial(name, n)
+        if part:
+            total = total + part * dnf
+    return total
+
+
+def ref_function(rng):
+    """Unlike Fraction coefficients over u, v and F; some quotients by a
+    monomial (which keeps the quotient-rule towers free of large gcds), some
+    constants."""
+    shape = rng.random()
+    if shape < 0.1:
+        return RatFun(Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+    c = rand_poly(rng, max_order=2, max_degree=2, terms=3, names=("u", "v", "F"),
+                  nonzero=True) * Fraction(rng.randint(1, 5), rng.randint(1, 7))
+    if shape < 0.4:
+        return RatFun(c, DiffPoly.jet(rng.choice("uv"), rng.randint(0, 2),
+                                      rng.randint(1, 2)))
+    return RatFun(c)
+
+
+def ref_bidiff(rng):
+    return BiDiffOp({(rng.randint(0, 2), rng.randint(0, 3)): ref_function(rng)
+                     for _ in range(rng.randint(0, 4))})
+
+
+def ref_op(rng):
+    return DiffOp({k: ref_function(rng) for k in range(rng.randint(0, 3) + 1)
+                   if rng.random() < 0.7})
+
+
+def same(got, want):
+    assert type(got) is type(want) and repr(got) == repr(want) and got == want
+
+
+class TestReferenceFormulas:
+    def test_compose_left_matches_the_double_leibniz_loop(self):
+        rng = random.Random(0xB1D)
+        for _ in range(60):
+            b, m = ref_op(rng), ref_bidiff(rng)
+            same(compose_left(b, m), ref_compose_left(b, m))
+
+    def test_applications_match_the_sums(self):
+        rng = random.Random(0xA99)
+        for i in range(60):
+            m, f, g = ref_bidiff(rng), ref_function(rng), ref_function(rng)
+            if i % 2:  # polynomial slots also come as DiffPoly
+                f = f.as_diffpoly() if f.is_polynomial() else f
+                g = g.as_diffpoly() if g.is_polynomial() else g
+            same(bi_apply(m, f, g), ref_bi_apply(m, f, g))
+            same(slot_first(m, f), ref_slot_first(m, f))
+
+    def test_frechet_of_op_matches_the_partials(self):
+        rng = random.Random(0xF0A)
+        for _ in range(60):
+            a = ref_op(rng)
+            for name in ("u", "v"):
+                same(frechet_of_op(a, name), ref_frechet_of_op(a, name))
+
+    @pytest.mark.parametrize("kind", ["polynomial", "rational", "constant"])
+    def test_rational_evo_apply_matches_the_loop(self, kind):
+        rng = random.Random(0xE7A)
+        for _ in range(40):
+            f = RatFun(rand_poly(rng, max_order=2, terms=3, names=("u", "F"),
+                                 nonzero=True),
+                       DiffPoly.jet("u", rng.randint(0, 2), rng.randint(1, 2)))
+            g = ref_function(rng)
+            if kind == "polynomial":
+                g = g.num
+            elif kind == "rational":
+                g = RatFun(g.num, DiffPoly.jet("v", 0) * DiffPoly.jet("u", 1))
+            else:
+                g = rng.choice([DiffPoly.const(Fraction(2, 3)), RatFun(5),
+                                RatFun(jet("F"), jet("v"))])
+            same(evo_apply(f, g), ref_evo_apply(f, g))
+
+    def test_an_integer_characteristic_is_a_constant(self):
+        assert evo_apply(u, 3) == DiffPoly.zero()
+        assert evo_apply(RatFun(u, u1), -2) == DiffPoly.zero()
+
+
+class TestOperands:
+    def test_unknown_operands_are_not_implemented(self):
+        m = BiDiffOp({(0, 1): RatFun(u)})
+        assert m.__add__(1) is NotImplemented and m.__sub__("x") is NotImplemented
+        for bad in (1, "x", D):
+            with pytest.raises(TypeError):
+                BiDiffOp.zero() + bad
+            with pytest.raises(TypeError):
+                m - bad

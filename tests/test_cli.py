@@ -184,6 +184,12 @@ class TestHierarchyCommand:
         assert data["pairwise_zero"] is True
         assert data["violations"] == []
 
+    @pytest.mark.parametrize("command", ["hierarchy", "densities"])
+    def test_negative_steps_exit_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--op", "kdv", "--steps", "-1")
+        assert code == 2 and out == ""
+        assert "--steps" in err and "-1" in err
+
     def test_hypothesis_violation_exit_3(self, capsys):
         code, _, err = run(capsys, "hierarchy", "--op", "counterexample",
                            "--seed", "u'", "--steps", "1")

@@ -141,6 +141,12 @@ class TestMixedArithmetic:
                 assert isinstance(got, NonlocalOp)
                 assert repr(got) == repr(want) and got == want
 
+    def test_equality_with_other_types(self):
+        one = NonlocalOp.identity()
+        assert one == 1 and one == DiffOp.identity() and one == RatFun(1)
+        assert one.__eq__("x") is NotImplemented
+        assert not one == "x" and one != "x" and one != object()
+
 
 class TestDivisionByD:
     def test_closed_form_matches_left_divide(self):

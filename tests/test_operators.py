@@ -11,7 +11,7 @@ from diffalg import (DiffOp, DiffPoly, RatFun, frechet, jet, left_divide,
                      right_divide, right_gcd, right_lcm)
 from diffalg.errors import DependentInput
 from diffalg.jets import EXPONENT_LIMIT
-from diffalg.operators import FractionPair, _integer_form
+from diffalg.operators import FractionPair, _integer_form, helmholtz_residual
 
 from helpers import rand_op, rand_poly
 
@@ -372,3 +372,14 @@ class TestFrechet:
             rho = rand_poly(rng, max_order=2)
             q = variational_derivative(rho)
             assert frechet(q) == frechet(q).adjoint()
+
+    def test_helmholtz_residual(self, rng):
+        from diffalg import variational_derivative
+        for _ in range(20):
+            q = rand_poly(rng, max_order=3)
+            want = frechet(q) - frechet(q).adjoint()
+            assert repr(helmholtz_residual(q)) == repr(want)
+            assert helmholtz_residual(variational_derivative(q)).is_zero()
+        # u'^2 is not a variational derivative: D - D* = 4 u' d + 2 u''
+        assert helmholtz_residual(u1 * u1) == DiffOp({1: RatFun(4 * u1),
+                                                      0: RatFun(2 * u2)})
