@@ -222,9 +222,11 @@ def basis_mod_total_derivatives(fs: Sequence[DiffPoly]):
                 rows.setdefault((name, m), {})[-i] = c
         if f.constant_term():
             rows.setdefault((), {})[-i] = f.constant_term()
-    reduced = _rref(rows.values())
-    basis = [fs[-max(row)] for row in reduced]
-    coords = [[row.get(-i, Fraction(0)) for row in reduced] for i in range(len(fs))]
+    # a row is one coordinate, so scaling it to integers keeps the span
+    reduced = _rref(_numerators(row)[0] for row in rows.values())
+    basis = [fs[-p] for p, _ in reduced]
+    coords = [[Fraction(row.get(-i, 0), row[p]) for p, row in reduced]
+              for i in range(len(fs))]
     exact_parts = []
     for f, c in zip(fs, coords):
         for cj, b in zip(c, basis):

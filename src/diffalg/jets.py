@@ -34,6 +34,9 @@ with c_k = dg/du^(k)).  The Leibniz rule itself lives in ``operators.DiffOp``
 alone; ``derivatives`` is the RatFun tower its rational-coefficient arms
 use.  A sum keeps the Fractions of the monomials only one side has.  A
 product by a constant or a single term scales the Fractions directly.
+``_rref`` is the integer echelon kernel: it eliminates on primitive integer
+rows, so ``constant_linear_basis`` and reduction modulo total derivatives
+build each Fraction once, from its final numerator and pivot entry.
 
 Everything here is immutable after construction and all operations are pure;
 the one shared state is the jet index, which only grows.
@@ -44,7 +47,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
+from math import gcd, lcm
 from operator import or_
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -1061,35 +1064,80 @@ def parity_of(f, grading: Grading) -> str:
 # -- Q-linear reduction -------------------------------------------------------
 
 
-def _rref(rows: Iterable[dict], key=None) -> List[dict]:
-    """Reduced row echelon form of sparse {column: Fraction} rows.
+def _primitive(row: dict, pivot) -> dict:
+    """row divided by the gcd of its entries, with a positive pivot entry."""
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def _eliminate(row: dict, reduced: dict) -> dict:
+    """A nonzero integer multiple of row with every pivot of reduced cleared,
+    zero entries dropped; reduced maps each pivot to a row that is 0 at the
+    other pivots, so clearing one pivot never brings in another.  All the
+    pivots present go in one pass, scaled by the lcm that makes each
+    multiplier an integer."""
+    hits = [p for p in row if p in reduced]
+    if not hits:
+        return row
+    scale = 1
+    for p in hits:
+        v = reduced[p][p]
+        scale = lcm(scale, v // gcd(v, row[p]))
+    acc = {k: scale * v for k, v in row.items()}
+    for p in hits:
+        factor = scale * row[p] // reduced[p][p]
+        for k, v in reduced[p].items():
+            acc[k] = acc.get(k, 0) - factor * v
+    return {k: v for k, v in acc.items() if v}
+
+
+def _rref(rows: Iterable[Dict[object, int]], key=None) -> List[Tuple[object, dict]]:
+    """Reduced row echelon form of sparse rows of nonzero integers, fraction-free.
 
     Each row pivots on its largest column (ordered by key), and only nonzero
-    entries are touched.  Returns the nonzero reduced rows sorted by pivot,
-    descending; the form is unique for the column order, so it depends only
-    on the span.
+    entries are touched.  Every kept row is primitive: coprime integers with
+    a positive pivot entry, so row / row[pivot] is the reduced row over Q.  A
+    new row has the kept pivots cleared (``_eliminate``) and is divided by
+    its content; then its pivot is cleared from each kept row the same way
+    (fraction-free elimination, after Bareiss 1968, with the content taken
+    out at each step so that the integers stay small).  Returns the
+    (pivot, row) pairs sorted by pivot, descending; the reduced form is
+    unique for the column order, so it depends only on the span, and scaling
+    an input row changes nothing.
     """
-    reduced: Dict = {}  # pivot -> row: 1 at its pivot, 0 at every other pivot
+    reduced: Dict = {}  # pivot -> primitive row, 0 at every other pivot
     for row in rows:
-        row = dict(row)
-        # the reduced rows vanish at each other's pivots, so eliminating one
-        # pivot from row never brings in another
-        for p in [k for k in row if k in reduced]:
-            c = row[p]
-            for k, v in reduced[p].items():
-                accumulate(row, k, -c * v)
+        row = _eliminate(row, reduced)
         if not row:
             continue
         p = max(row, key=key)
-        inv = 1 / row[p]
-        row = {k: v * inv for k, v in row.items()}
-        for other in reduced.values():
-            c = other.get(p)
-            if c:
-                for k, v in row.items():
-                    accumulate(other, k, -c * v)
+        row = _primitive(row, p)
+        for q, other in list(reduced.items()):
+            if p in other:
+                reduced[q] = _primitive(_eliminate(other, {p: row}), q)
         reduced[p] = row
-    return [reduced[p] for p in sorted(reduced, key=key, reverse=True)]
+    return [(p, reduced[p]) for p in sorted(reduced, key=key, reverse=True)]
+
+
+def _over_common_den(fs: Sequence) -> Tuple[List[DiffPoly], DiffPoly]:
+    """(nums, den) with fs[i] = nums[i] / den, where den is the monic lcm of
+    the denominators of the DiffPoly or RatFun inputs.
+
+    With no nonconstant denominator, den is 1 and a Laurent DiffPoly stays a
+    vector of Laurent monomials.  Otherwise every input is a RatFun first,
+    with its Laurent exponents cleared into its denominator: the monomial
+    order is not multiplicative on Laurent monomials, so the pivots depend
+    on that choice.
+    """
+    if not any(isinstance(f, RatFun) and not f.den.is_one() for f in fs):
+        return [f.num if isinstance(f, RatFun) else DiffPoly.coerce(f)
+                for f in fs], _ONE
+    rats = [RatFun.coerce(f) for f in fs]
+    den = reduce(poly_lcm, dict.fromkeys(r.den for r in rats if not r.den.is_one()))
+    return [r.num if r.den == den else r.num * _poly_divexact(den, r.den)
+            for r in rats], den
 
 
 def constant_linear_basis(fs: Sequence):
@@ -1098,37 +1146,28 @@ def constant_linear_basis(fs: Sequence):
     Accepts DiffPoly or RatFun inputs.  Returns (basis, coords) with each
     input equal to sum(coords[i][j] * basis[j]); the basis is the canonical
     reduced echelon basis of the span, so it only depends on the span itself.
+    Rational inputs are reduced as their numerators over one common
+    denominator, and the basis is returned over it.
     """
     fs = list(fs)
     if not fs:
         return [], []
-    rational = any(isinstance(f, RatFun) and not f.is_polynomial() for f in fs)
-    if rational:
-        rats = [RatFun.coerce(f) for f in fs]
-        den = DiffPoly.const(1)
-        for r in rats:
-            den = poly_lcm(den, r.den)
-        polys = [(r * den).as_diffpoly() for r in rats]
-    else:
-        polys = [f.as_diffpoly() if isinstance(f, RatFun) else DiffPoly.coerce(f)
-                 for f in fs]
-    rows = _rref((p.terms for p in polys), key=exponents)
-    pivots = [max(row, key=exponents) for row in rows]
-    # the reduced rows are the identity at the pivots, so those entries are
-    # the coordinates; expanding them back must give the input exactly
+    polys, den = _over_common_den(fs)
+    nums = [_numerators(p.terms) for p in polys]
+    rows = _rref((n for n, _ in nums), key=exponents)
+    # row_j / v_j (v_j its pivot entry) is 1 at its own pivot and 0 at the
+    # others, so input N/d has the coordinates N[pivot_j]/d; expanding them
+    # back must give the input exactly, so clearing the pivots from N on
+    # integers must leave nothing
+    pivots = dict(rows)
     coords = []
-    for p in polys:
-        c = [p.terms.get(m, Fraction(0)) for m in pivots]
-        rest = dict(p.terms)
-        for cj, row in zip(c, rows):
-            if cj:
-                for m, v in row.items():
-                    accumulate(rest, m, -cj * v)
-        if rest:
+    for n, d in nums:
+        if _eliminate(n, pivots):
             raise AssertionError("input escaped its own span")
-        coords.append(c)
-    basis = [DiffPoly._of(row) for row in rows]
-    if rational:
+        coords.append([Fraction(n.get(p, 0), d) for p, _ in rows])
+    basis = [DiffPoly._of({m: Fraction(v, row[p]) for m, v in row.items()})
+             for p, row in rows]
+    if not den.is_one():
         basis = [RatFun(b, den) for b in basis]
     return basis, coords
 

@@ -22,14 +22,16 @@ depends on a truncation depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
                      ParseError, Unsupported)
 from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
-from .jets import (DiffPoly, Grading, RatFun, accumulate, constant_linear_basis,
+from .jets import (DiffPoly, Grading, RatFun, _from_numerators, _numerators,
+                   _over_common_den, accumulate, constant_linear_basis,
                    derivatives, exponents, monomial)
 from .operators import DiffOp, _operand, evo_apply_op, frechet, right_lcm
 
@@ -89,10 +91,13 @@ class NonlocalOp:
         return NonlocalOp(DiffOp.coerce(op), (), (), _canonical=True)
 
     @staticmethod
-    def coerce(value) -> "NonlocalOp":
+    def _operand(value) -> Optional["NonlocalOp"]:
+        """value as an operator, or None for a type that a DiffOp cannot take
+        either, so that the arithmetic returns NotImplemented."""
         if isinstance(value, NonlocalOp):
             return value
-        return NonlocalOp.from_local(value)
+        op = _operand(value)
+        return None if op is None else NonlocalOp.from_local(op)
 
     # -- queries --------------------------------------------------------------
 
@@ -111,11 +116,9 @@ class NonlocalOp:
         return None
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, NonlocalOp):
-            other = _operand(other)  # None for a type DiffOp cannot take either
-            if other is None:
-                return NotImplemented
-            other = NonlocalOp.from_local(other)
+        other = NonlocalOp._operand(other)
+        if other is None:
+            return NotImplemented
         return (self - other).is_zero()
 
     @property
@@ -131,7 +134,9 @@ class NonlocalOp:
     # -- linear structure ---------------------------------------------------------
 
     def __add__(self, other) -> "NonlocalOp":
-        other = NonlocalOp.coerce(other)
+        other = NonlocalOp._operand(other)
+        if other is None:
+            return NotImplemented
         return NonlocalOp(self.local + other.local,
                           self.depth1 + other.depth1,
                           self.depth2 + other.depth2)
@@ -145,16 +150,28 @@ class NonlocalOp:
                           _canonical=True)
 
     def __sub__(self, other) -> "NonlocalOp":
-        return self + (-NonlocalOp.coerce(other))
+        other = NonlocalOp._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other) -> "NonlocalOp":
-        return NonlocalOp.coerce(other) + (-self)
+        other = NonlocalOp._operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "NonlocalOp":
-        return nl_mul(self, NonlocalOp.coerce(other))
+        other = NonlocalOp._operand(other)
+        if other is None:
+            return NotImplemented
+        return nl_mul(self, other)
 
     def __rmul__(self, other) -> "NonlocalOp":
-        return nl_mul(NonlocalOp.coerce(other), self)
+        other = NonlocalOp._operand(other)
+        if other is None:
+            return NotImplemented
+        return nl_mul(other, self)
 
     def apply(self, f):
         return nl_apply(self, f)
@@ -167,26 +184,42 @@ class NonlocalOp:
 
 
 def _gather(pairs: Sequence[Pair]) -> List[Pair]:
-    """sum p_i (x) q_i rewritten over a basis of the q side; zero p sides drop."""
+    """sum p_i (x) q_i rewritten over a basis of the q side; zero p sides drop.
+
+    The collected p_m = sum_i c_im p_i accumulates on integer numerators over
+    the common denominator of the p side and becomes one RatFun, scaled to a
+    monic numerator; the scale moves to its q_m, so the tensor is unchanged.
+    """
     basis, coords = constant_linear_basis([q for _, q in pairs])
-    collected: List[RatFun] = [RatFun(0)] * len(basis)
-    for (p, _), row in zip(pairs, coords):
-        for m, c in enumerate(row):
-            if c:
-                collected[m] = collected[m] + p * c
-    return [(pm, RatFun.coerce(qb)) for pm, qb in zip(collected, basis)
-            if not pm.is_zero()]
+    polys, den = _over_common_den([p for p, _ in pairs])
+    nums = [_numerators(p.terms) for p in polys]  # p_i = n_i / (d_i * den)
+    out = []
+    for m, qb in enumerate(basis):
+        terms = [(row[m], n, d) for row, (n, d) in zip(coords, nums) if row[m]]
+        scale = lcm(*(c.denominator * d for c, _, d in terms))
+        acc: Dict[int, int] = {}
+        for c, n, d in terms:
+            factor = c.numerator * (scale // (c.denominator * d))
+            for mono, v in n.items():
+                acc[mono] = acc.get(mono, 0) + factor * v
+        acc = {mono: v for mono, v in acc.items() if v}
+        if acc:
+            lead = acc[max(acc, key=exponents)]
+            pm = _from_numerators(acc, lead)  # p_m / lc(p_m)
+            pm = RatFun._reduced(pm, den) if den.is_one() else RatFun(pm, den)
+            qb = RatFun.coerce(qb)  # a canonical RatFun stays one when scaled
+            out.append((pm, RatFun._reduced(qb.num * Fraction(lead, scale), qb.den)))
+    return out
 
 
 def _reduce_tensor(pairs: Sequence[Pair]) -> Tuple[Pair, ...]:
-    """Canonical presentation of sum p_i (x) q_i with independent sides."""
+    """Canonical presentation of sum p_i (x) q_i with independent sides.
+
+    Both sides end as reduced bases and every q has a monic numerator, with
+    the scalars on the p side: a form that depends only on the tensor.
+    """
     live = _gather([(p, q) for p, q in pairs if not p.is_zero() and not q.is_zero()])
-    out = []
-    for qs, pb in _gather([(q, p) for p, q in live]):
-        # scalars live on the p side so every q is monic
-        lc = qs.num.leading()[1]
-        out.append((pb * lc, qs * (1 / lc)))
-    return tuple(out)
+    return tuple((p, q) for q, p in _gather([(q, p) for p, q in live]))
 
 
 def _middle_slot_poly(b: RatFun) -> DiffPoly:
@@ -259,17 +292,34 @@ def nl_mul(l1: NonlocalOp, l2: NonlocalOp) -> NonlocalOp:
 
 
 def nl_power(l: NonlocalOp, k: int) -> NonlocalOp:
-    """Repeated product with a mandatory weakly non-local result at each stage."""
+    """L^k by repeated squaring, with a mandatory weakly non-local result at
+    each stage.
+
+    Every square L^(2^j) and every partial product is a power L^i with i <= k,
+    and each one is checked: a depth-2 term in any of them raises
+    DepthOverflow.  A weakly non-local operator has one canonical form, so the
+    result is the one the left-to-right chain L^(k-1) L gives, in about
+    2 log2 k products instead of k - 1.
+    """
     if k < 1:
         raise ValueError("power must be >= 1")
-    out = l
-    for _ in range(k - 1):
-        out = nl_mul(out, l)
+
+    def product(a: NonlocalOp, b: NonlocalOp) -> NonlocalOp:
+        out = nl_mul(a, b)
         if out.depth2:
             raise DepthOverflow(
                 "a power left the weakly non-local class: some p_i q_j is "
                 "not a total derivative")
-    return out
+        return out
+
+    out, square = None, l  # square is L^(2^j) at bit j of k
+    while True:
+        if k & 1:
+            out = square if out is None else product(out, square)
+        k >>= 1
+        if not k:
+            return out
+        square = product(square, square)
 
 
 # -- action on functions ------------------------------------------------------------

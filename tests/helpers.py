@@ -8,6 +8,7 @@ from fractions import Fraction
 import random
 
 from diffalg import DiffOp, DiffPoly, NonlocalOp, RatFun, BiDiffOp, jet
+from diffalg.jets import accumulate
 
 
 def rand_poly(rng: random.Random, max_order: int = 4, max_degree: int = 3,
@@ -72,3 +73,110 @@ def rand_wnl(rng: random.Random, max_deg: int = 2, pairs: int = 1) -> NonlocalOp
         q = rand_poly(rng, max_order=2, max_degree=2, terms=2, nonzero=True)
         tail.append((RatFun(p), RatFun(q)))
     return NonlocalOp(local, tuple(tail))
+
+
+# -- references for the canonical forms ------------------------------------------
+#
+# The Fraction and RatFun loops that the integer kernels of jets._rref,
+# jets.constant_linear_basis and nonlocal_ops._gather replaced, and the
+# left-to-right power chain that nl_power's repeated squaring replaced.  Tests
+# compare the package against them by repr.
+
+
+def planted_inputs(rng, n, draw):
+    """n inputs from draw(), about a third of them combinations of earlier ones."""
+    fs = [draw()]
+    while len(fs) < n:
+        if rng.random() < 0.35:
+            combo = fs[0] * 0
+            for f in rng.sample(fs, rng.randint(1, len(fs))):
+                combo = combo + f * Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+            fs.append(combo)
+        else:
+            fs.append(draw())
+    return fs
+
+
+def ref_sparse_rref(rows, key=None):
+    """Reduced row echelon form of sparse {column: Fraction} rows: each row
+    pivots on its largest column, and each reduced row is 1 at its pivot."""
+    reduced = {}
+    for row in rows:
+        row = {k: Fraction(v) for k, v in row.items() if v}
+        for p in [k for k in row if k in reduced]:
+            c = row[p]
+            for k, v in reduced[p].items():
+                accumulate(row, k, -c * v)
+        if not row:
+            continue
+        p = max(row, key=key)
+        inv = 1 / row[p]
+        row = {k: v * inv for k, v in row.items()}
+        for other in reduced.values():
+            c = other.get(p)
+            if c:
+                for k, v in row.items():
+                    accumulate(other, k, -c * v)
+        reduced[p] = row
+    return [reduced[p] for p in sorted(reduced, key=key, reverse=True)]
+
+
+def ref_linear_basis(fs):
+    """constant_linear_basis on Fraction rows, over one RatFun denominator."""
+    from diffalg.jets import exponents, poly_lcm
+    fs = list(fs)
+    if not fs:
+        return [], []
+    rational = any(isinstance(f, RatFun) and not f.is_polynomial() for f in fs)
+    if rational:
+        rats = [RatFun.coerce(f) for f in fs]
+        den = DiffPoly.const(1)
+        for r in rats:
+            den = poly_lcm(den, r.den)
+        polys = [(r * den).as_diffpoly() for r in rats]
+    else:
+        polys = [f.as_diffpoly() if isinstance(f, RatFun) else DiffPoly.coerce(f)
+                 for f in fs]
+    rows = ref_sparse_rref((p.terms for p in polys), key=exponents)
+    pivots = [max(row, key=exponents) for row in rows]
+    coords = [[p.terms.get(m, Fraction(0)) for m in pivots] for p in polys]
+    basis = [DiffPoly(row) for row in rows]
+    if rational:
+        basis = [RatFun(b, den) for b in basis]
+    return basis, coords
+
+
+def ref_gather(pairs):
+    """sum p_i (x) q_i over a basis of the q side, one RatFun sum per coordinate."""
+    basis, coords = ref_linear_basis([q for _, q in pairs])
+    collected = [RatFun(0)] * len(basis)
+    for (p, _), row in zip(pairs, coords):
+        for m, c in enumerate(row):
+            if c:
+                collected[m] = collected[m] + p * c
+    return [(pm, RatFun.coerce(qb)) for pm, qb in zip(collected, basis)
+            if not pm.is_zero()]
+
+
+def ref_reduce_tensor(pairs):
+    """Two gathers, then each q scaled to a monic numerator."""
+    live = ref_gather([(p, q) for p, q in pairs if not p.is_zero() and not q.is_zero()])
+    out = []
+    for qs, pb in ref_gather([(q, p) for p, q in live]):
+        lc = qs.num.leading()[1]
+        out.append((pb * lc, qs * (1 / lc)))
+    return tuple(out)
+
+
+def ref_power(l, k):
+    """L^k as the chain L^(k-1) L, each stage required weakly non-local."""
+    from diffalg import nl_mul
+    from diffalg.errors import DepthOverflow
+    out = l
+    for _ in range(k - 1):
+        out = nl_mul(out, l)
+        if out.depth2:
+            raise DepthOverflow(
+                "a power left the weakly non-local class: some p_i q_j is "
+                "not a total derivative")
+    return out

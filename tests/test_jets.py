@@ -1,6 +1,7 @@
 """The differential polynomial ring: arithmetic, derivations, gcd, bases, parity."""
 
 from fractions import Fraction
+from math import gcd
 import random
 
 import pytest
@@ -11,10 +12,11 @@ from diffalg import (DiffPoly, Grading, RatFun, constant_linear_basis,
                      variational_derivative)
 from diffalg.errors import DependentInput
 from diffalg.grammar import format_poly
-from diffalg.jets import (EXPONENT_LIMIT, _poly_divexact, exponents, monomial, poly_lcm,
-                          require_independent)
+import diffalg.jets as jets
+from diffalg.jets import (EXPONENT_LIMIT, _numerators, _poly_divexact, accumulate,
+                          exponents, monomial, poly_lcm, require_independent)
 
-from helpers import rand_poly
+from helpers import planted_inputs, rand_poly, ref_linear_basis, ref_sparse_rref
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 
@@ -583,24 +585,12 @@ class TestLinearBasis:
 
     def test_span_check_stays(self, monkeypatch):
         import diffalg.jets as jets
+        # a kernel that loses u: its one (pivot, integer row) is the constant 1
+        one = next(iter(DiffPoly.const(1).terms))
         monkeypatch.setattr(jets, "_rref",
-                            lambda rows, key=None: [dict(DiffPoly.const(1).terms)])
+                            lambda rows, key=None: [(one, {one: 1})])
         with pytest.raises(AssertionError, match="escaped its own span"):
             constant_linear_basis([u])
-
-
-def planted_inputs(rng, n, draw):
-    """n inputs from draw(), about a third of them combinations of earlier ones."""
-    fs = [draw()]
-    while len(fs) < n:
-        if rng.random() < 0.35:
-            combo = fs[0] * 0
-            for f in rng.sample(fs, rng.randint(1, len(fs))):
-                combo = combo + f * Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-            fs.append(combo)
-        else:
-            fs.append(draw())
-    return fs
 
 
 class TestLinearBasisOracle:
@@ -639,6 +629,54 @@ class TestLinearBasisOracle:
                 for x, b in zip(c, basis):
                     rebuilt = rebuilt + RatFun.coerce(b) * x
                 assert rebuilt == RatFun.coerce(f)
+
+
+
+class TestEchelonReference:
+    """The integer echelon kernel against the Fraction loop it replaced
+    (helpers.ref_sparse_rref and ref_linear_basis), compared by repr."""
+
+    @pytest.mark.parametrize("columns", ["monomials", "integers"])
+    def test_rref_matches_the_fraction_loop(self, columns):
+        rng = random.Random(0xEC4)
+        key = exponents if columns == "monomials" else None
+        for _ in range(150):
+            rows = []
+            for _ in range(rng.randint(1, 7)):
+                if rows and rng.random() < 0.35:  # a planted dependent row
+                    row = {}
+                    for r in rng.sample(rows, rng.randint(1, len(rows))):
+                        c = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                        for k, v in r.items():
+                            accumulate(row, k, c * v)
+                elif columns == "monomials":
+                    row = dict(kernel_poly(rng, terms=4).terms)
+                else:  # the columns -i of basis_mod_total_derivatives
+                    row = {-rng.randint(0, 6): rng.choice(COEFFS)
+                           for _ in range(rng.randint(1, 4))}
+                rows.append(row)
+            got = jets._rref((_numerators(r)[0] for r in rows), key=key)
+            for p, row in got:
+                assert row[p] > 0 and gcd(*row.values()) == 1
+            assert repr([{k: Fraction(v, row[p]) for k, v in row.items()}
+                         for p, row in got]) == repr(ref_sparse_rref(rows, key=key))
+
+    @pytest.mark.parametrize("kind", ["polynomial", "rational", "laurent"])
+    def test_linear_basis_matches_the_fraction_loop(self, kind):
+        rng = random.Random(0xB45)
+        dens = [u, u1 + 2, u * u2 - u1, u1 * u1]
+        for _ in range(80):
+            def draw():
+                f = rand_poly(rng, terms=4, names=("u", "F"), nonzero=True)
+                f = f * rng.choice(COEFFS)
+                if kind == "polynomial" or rng.random() < 0.3:
+                    return f
+                if kind == "laurent" and rng.random() < 0.5:
+                    return f * DiffPoly.jet("u", 1, -1)  # a DiffPoly over u'
+                return RatFun(f, rng.choice(dens))
+            fs = planted_inputs(rng, rng.randint(1, 6), draw)
+            assert repr(constant_linear_basis(fs)) == repr(ref_linear_basis(fs))
+
 
 
 class TestGcdOracle:

@@ -1,20 +1,22 @@
 """Weakly non-local operators: canonical forms, products, actions, series oracle."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from diffalg import (DiffOp, DiffPoly, Grading, NonlocalOp, RatFun,
+from diffalg import (BiDiffOp, DiffOp, DiffPoly, Grading, NonlocalOp, RatFun,
                      from_fraction_pair, is_recursion_for, jet, lie_derivative,
                      nl_mul, nl_power, operator_from_json,
                      operator_to_json, parity_class, parse_function,
                      series_expand, series_product, to_fraction)
 from diffalg.calculus import is_total_derivative
 from diffalg.errors import DepthOverflow, NotInImage, Unsupported
-from diffalg.nonlocal_ops import _div_left_by_d
+from diffalg.nonlocal_ops import _div_left_by_d, _gather, _reduce_tensor
 from diffalg.operators import left_divide
-from helpers import rand_op, rand_poly, rand_wnl
+from helpers import (planted_inputs, rand_op, rand_poly, rand_wnl, ref_gather, ref_power,
+                     ref_reduce_tensor)
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -27,6 +29,14 @@ def kdv_operator() -> NonlocalOp:
 
 def counterexample() -> NonlocalOp:
     return NonlocalOp(DiffOp.of_function(u2), ((RatFun(-1), RatFun(u3)),))
+
+
+POWER_OPERATORS = {
+    "kdv": {"local": [["2*u", 0], ["1", 2]], "nonlocal": [["u'", "1"]]},
+    "mkdv": {"local": [["4*u^2", 0], ["1", 2]], "nonlocal": [["4*u'", "u"]]},
+    "burgers": {"local": [["u", 0], ["1", 1]], "nonlocal": [["u'", "1"]]},
+    "counterexample": {"local": [["u''", 0]], "nonlocal": [["-1", "u'''"]]},
+}
 
 
 class TestCanonicalize:
@@ -108,6 +118,34 @@ class TestMultiplication:
         with pytest.raises(DepthOverflow):
             nl_power(l, 2)
 
+    @pytest.mark.parametrize("name", sorted(POWER_OPERATORS))
+    def test_power_matches_the_chain(self, name):
+        l, _ = operator_from_json(POWER_OPERATORS[name])
+        for k in range(1, 10):
+            assert repr(nl_power(l, k)) == repr(ref_power(l, k))
+
+    def test_power_squares(self, monkeypatch):
+        import diffalg.nonlocal_ops as nonlocal_ops
+        calls = []
+        mul = nonlocal_ops.nl_mul
+        monkeypatch.setattr(nonlocal_ops, "nl_mul",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        l, _ = operator_from_json(POWER_OPERATORS["burgers"])
+        for k in range(1, 10):
+            calls.clear()
+            nl_power(l, k)
+            # one square per bit below the top one, one product per extra set bit
+            assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_power_overflow_keeps_its_message(self, k):
+        l = NonlocalOp(DiffOp.zero(), ((RatFun(1), RatFun(u)),))
+        with pytest.raises(DepthOverflow) as want:
+            ref_power(l, k)
+        with pytest.raises(DepthOverflow) as got:
+            nl_power(l, k)
+        assert str(got.value) == str(want.value)
+
     def test_counterexample_square_stays_weakly_nonlocal(self):
         # its p q = -u''' = (-u'')' is exact, so the middle slot clears
         sq = nl_power(counterexample(), 2)
@@ -146,6 +184,49 @@ class TestMixedArithmetic:
         assert one == 1 and one == DiffOp.identity() and one == RatFun(1)
         assert one.__eq__("x") is NotImplemented
         assert not one == "x" and one != "x" and one != object()
+
+    @pytest.mark.parametrize("other", [BiDiffOp.zero(), "x", 1.5],
+                             ids=["bidiff", "str", "float"])
+    def test_foreign_operands_return_not_implemented(self, other):
+        one = NonlocalOp.identity()
+        for method in ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__"):
+            assert getattr(one, method)(other) is NotImplemented
+        for op in (operator.add, operator.sub, operator.mul):
+            for a, b in ((one, other), (other, one)):
+                with pytest.raises(TypeError) as err:
+                    op(a, b)
+                assert "coerce" not in str(err.value)
+
+
+class TestCanonicalFormReference:
+    """_gather and _reduce_tensor against the RatFun loops they replaced
+    (helpers.ref_gather and ref_reduce_tensor), compared by repr."""
+
+    @pytest.mark.parametrize("p_kind", ["polynomial", "rational"])
+    @pytest.mark.parametrize("q_kind", ["polynomial", "rational"])
+    def test_gather_matches_the_ratfun_loop(self, p_kind, q_kind):
+        rng = random.Random(0x6A7)
+        dens = [u, u1 + 2, u * u2 - u1, u1 * u1]
+
+        def side(kind):
+            f = rand_poly(rng, terms=3, names=("u", "F"), nonzero=True)
+            f = f * Fraction(rng.choice((-7, -2, 1, 3, 10)), rng.choice((1, 2, 9)))
+            if kind == "rational" and rng.random() < 0.7:
+                return RatFun(f, rng.choice(dens))
+            return RatFun(f)
+
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            pairs = list(zip(planted_inputs(rng, n, lambda: side(p_kind)),
+                             planted_inputs(rng, n, lambda: side(q_kind))))
+            got, want = _gather(pairs), ref_gather(pairs)
+            assert len(got) == len(want)
+            for pair, (pw, qw) in zip(got, want):
+                # _gather makes each collected p monic and scales its q
+                lc = pw.num.leading()[1]
+                assert repr(pair) == repr((pw * (1 / lc), qw * lc))
+            assert repr(_reduce_tensor(pairs)) == repr(ref_reduce_tensor(pairs))
 
 
 class TestDivisionByD:
