@@ -14,8 +14,10 @@ approximation.
 No Leibniz expansion is written out here.  An evolutionary field is
 X_f(g) = D_g(f), the Frechet derivative of g applied to f: one
 ``DiffOp.apply`` for rational functions, and for polynomials one streamed
-derivative tower of f on integer numerators (``jets._add_tower``), which the
-Lie bracket runs once for each half.
+derivative tower of f on integer numerators (``jets._add_tower``).  The Lie
+brackets of a list of polynomials (``brackets``, and ``lie_bracket`` as its
+two-member case) stream one tower per member, and every bracket that member
+is in takes its half from that one stream.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import NotExact, NotSupported, NotVariational, VerificationFailed
-from .jets import (DiffPoly, RatFun, _add_tower, _derivative, _from_numerators,
-                   _numerators, _partial, _rref, exponents)
+from .jets import (DiffPoly, RatFun, _add_products, _add_tower, _derivative,
+                   _from_numerators, _numerators, _partial, _rref, _tower,
+                   exponents)
 from .operators import frechet, helmholtz_residual
 
 
@@ -65,24 +68,44 @@ def _partials(ng: dict, name: str, top: int) -> dict:
 
 
 def lie_bracket(f: DiffPoly, g: DiffPoly, name: str = "u") -> DiffPoly:
-    """{f, g} = X_f(g) - X_g(f).
-
-    For polynomials f = N_f/den_f and g = N_g/den_g both halves share the
-    denominator den_f * den_g (see evo_apply), so they accumulate with
-    factors +1 and -1 into one integer sum: a bracket that vanishes builds
-    no Fraction and no intermediate polynomial.
-    """
+    """{f, g} = X_f(g) - X_g(f); for polynomials, ``brackets([f, g])``."""
     if isinstance(f, RatFun) or isinstance(g, RatFun):
         return evo_apply(f, g, name) - evo_apply(g, f, name)
-    f, g = DiffPoly.coerce(f), DiffPoly.coerce(g)
-    nf, den_f = _numerators(f.terms)
-    ng, den_g = _numerators(g.terms)
-    acc: Dict[int, int] = {}
-    for a, b, top, factor in ((nf, ng, g.top_order(name), 1),
-                              (ng, nf, f.top_order(name), -1)):
-        if top is not None:
-            _add_tower(acc, _partials(b, name, top), a, factor)
-    return _from_numerators(acc, den_f * den_g)
+    return brackets((f, g), name)[0, 1]
+
+
+def brackets(fs: Sequence[DiffPoly], name: str = "u") -> Dict[Tuple[int, int], DiffPoly]:
+    """{(i, j): {f_i, f_j}} for every i < j, in ascending (i, j) order.
+
+    For polynomials f_i = N_i/den_i both halves of {f_i, f_j} share the
+    denominator den_i * den_j (see evo_apply), so they accumulate with factors
+    +1 and -1 into one integer sum.  Each member's tower d^k N_i is streamed
+    once, up to the highest partial order of any other member, and at level k
+    it feeds every bracket whose other member depends on u^(k).  A bracket is
+    built as soon as its second member's stream ends; only such pending
+    half-brackets are held, never a tower.  A RatFun member sends every pair
+    through ``lie_bracket``'s rational arm.
+    """
+    if any(isinstance(f, RatFun) for f in fs):
+        return {(i, j): lie_bracket(fs[i], fs[j], name)
+                for i in range(len(fs)) for j in range(i + 1, len(fs))}
+    polys = [DiffPoly.coerce(f) for f in fs]
+    nums = [_numerators(f.terms) for f in polys]
+    parts = [{} if (top := f.top_order(name)) is None else _partials(n, name, top)
+             for f, (n, _) in zip(polys, nums)]
+    pending: Dict[Tuple[int, int], Dict[int, int]] = {}
+    out: Dict[Tuple[int, int], DiffPoly] = {}
+    for i, (n_i, den_i) in enumerate(nums):
+        others = [(j, p) for j, p in enumerate(parts) if j != i]
+        need = max((max(p, default=-1) for _, p in others), default=-1)
+        for k, level in _tower(n_i, need):
+            for j, p in others:
+                if k in p:
+                    key, factor = ((i, j), 1) if i < j else ((j, i), -1)
+                    _add_products(pending.setdefault(key, {}), p[k], level, factor)
+        for j in range(i):
+            out[j, i] = _from_numerators(pending.pop((j, i), {}), nums[j][1] * den_i)
+    return {key: out[key] for key in sorted(out)}
 
 
 def variational_derivative(f: DiffPoly, name: str = "u") -> DiffPoly:
@@ -115,15 +138,24 @@ def _integrate_reduce(f: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
     """Peel total-derivative layers off f; returns (h, residual) with f = d(h) + residual.
 
     The residual is nonzero only when f is not a total derivative; by
-    construction it is either a polynomial in order-0 jets alone or the first
-    layer that fails the affine-linearity test.
+    construction it is a polynomial in order-0 jets alone, the first layer
+    that fails the affine-linearity test, or the first rest that recurs: when
+    two indeterminates share the top order, peeling one can bring the other
+    back, and on a non-exact f the peels can cycle.
     """
     h = DiffPoly.zero()
     rest = f
-    guard = 0
+    # every earlier rest, and their monomial sets: hashing those packed ints is
+    # far cheaper than hashing Fractions, and only a repeated set needs the
+    # full comparison
+    history, shapes = [], set()
     while not rest.is_zero():
-        guard += 1
-        if guard > 10_000:
+        shape = frozenset(rest.terms)
+        if shape in shapes and rest in history:
+            return h, rest
+        shapes.add(shape)
+        history.append(rest)
+        if len(history) > 10_000:
             raise AssertionError("integration reduction failed to terminate")
         top = rest.top_order()
         if top == 0 or top is None:

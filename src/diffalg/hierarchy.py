@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .calculus import evo_apply, integrate, is_total_derivative, lie_bracket, potential
+from .calculus import brackets, evo_apply, integrate, is_total_derivative, potential
 from .errors import DiffAlgError, NotInImage, NotVariational
 from .jets import DiffPoly, Grading, RatFun, diff_order
 from .operators import DiffOp
@@ -129,12 +129,11 @@ class Hierarchy:
     # -- certification ------------------------------------------------------
 
     def verify_commuting(self) -> "CommutationReport":
-        pairs = [(i, j) for i in range(len(self.chain))
-                 for j in range(i + 1, len(self.chain))]
-        results = [(i, j, lie_bracket(self.chain[i], self.chain[j]))
-                   for i, j in pairs]
-        bad = [(i, j, r) for i, j, r in results if not r.is_zero()]
-        return CommutationReport(pairs_checked=len(pairs), all_zero=not bad,
+        """Every pairwise bracket {S_i, S_j}, i < j, computed exactly in one
+        pass (``calculus.brackets``); violations in ascending (i, j) order."""
+        results = brackets(self.chain)
+        bad = [(i, j, r) for (i, j), r in results.items() if not r.is_zero()]
+        return CommutationReport(pairs_checked=len(results), all_zero=not bad,
                                  violations=bad)
 
     def order_growth(self) -> "OrderGrowthReport":

@@ -30,7 +30,8 @@ Since D(N/den) = D(N)/den, a chain of these steps needs no Fraction in
 between.  ``_tower`` streams d^k N and is the only integer derivative
 tower; ``_add_tower`` adds sum_k c_k d^k N on it, which is an operator
 application (``DiffOp.apply``) and an evolutionary field (``calculus``,
-with c_k = dg/du^(k)).  The Leibniz rule itself lives in ``operators.DiffOp``
+with c_k = dg/du^(k)), and ``calculus.brackets`` shares one stream among
+all the Lie brackets of a list.  The Leibniz rule itself lives in ``operators.DiffOp``
 alone; ``derivatives`` is the RatFun tower its rational-coefficient arms
 use.  A sum keeps the Fractions of the monomials only one side has.  A
 product by a constant or a single term scales the Fractions directly.
@@ -437,8 +438,9 @@ def _derivative(terms: Dict[Monomial, int]) -> Dict[Monomial, int]:
 
 def _tower(n: Numerators, top: int) -> Iterator[Tuple[int, Numerators]]:
     """(k, d^k N) for k = 0..top, streamed: each level replaces the last, sums
-    that cancel leave it, and the stream ends once a level vanishes.  A kept
-    tower of a large chain member raises peak RSS."""
+    that cancel leave it, and the stream ends once a level vanishes.  Kept
+    towers of a large chain would raise peak RSS; what ``calculus.brackets``
+    holds instead is each half-bracket, until its second member streams."""
     for k in range(top + 1):
         if k:
             n = {m: c for m, c in _derivative(n).items() if c}

@@ -78,8 +78,9 @@ def rand_wnl(rng: random.Random, max_deg: int = 2, pairs: int = 1) -> NonlocalOp
 # -- references for the canonical forms ------------------------------------------
 #
 # The Fraction and RatFun loops that the integer kernels of jets._rref,
-# jets.constant_linear_basis and nonlocal_ops._gather replaced, and the
-# left-to-right power chain that nl_power's repeated squaring replaced.  Tests
+# jets.constant_linear_basis and nonlocal_ops._gather replaced, the
+# left-to-right power chain that nl_power's repeated squaring replaced, and the
+# per-pair Lie bracket that calculus.brackets' shared towers replaced.  Tests
 # compare the package against them by repr.
 
 
@@ -180,3 +181,19 @@ def ref_power(l, k):
                 "a power left the weakly non-local class: some p_i q_j is "
                 "not a total derivative")
     return out
+
+
+def ref_lie_bracket(f, g, name="u"):
+    """{f, g} for polynomials, one pair at a time: the tower of f up to the top
+    order of g, then the tower of g up to the top order of f."""
+    from diffalg.calculus import _partials
+    from diffalg.jets import _add_tower, _from_numerators, _numerators
+    f, g = DiffPoly.coerce(f), DiffPoly.coerce(g)
+    nf, den_f = _numerators(f.terms)
+    ng, den_g = _numerators(g.terms)
+    acc = {}
+    for a, b, top, factor in ((nf, ng, g.top_order(name), 1),
+                              (ng, nf, f.top_order(name), -1)):
+        if top is not None:
+            _add_tower(acc, _partials(b, name, top), a, factor)
+    return _from_numerators(acc, den_f * den_g)

@@ -7,11 +7,11 @@ import pytest
 from diffalg import (DiffPoly, RatFun, basis_mod_total_derivatives, evo_apply,
                      integrate, is_total_derivative, jet, lie_bracket,
                      parse_function, potential, variational_derivative)
-from diffalg.calculus import _integrate_reduce
+from diffalg.calculus import _integrate_reduce, brackets
 from diffalg.errors import NotExact, NotSupported, NotVariational
 from diffalg.jets import exponents
 
-from helpers import rand_poly
+from helpers import rand_poly, ref_lie_bracket
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 F, G, H = jet("F"), jet("G"), jet("H")
@@ -108,12 +108,76 @@ class TestLieBracket:
                 out += term
             return out
 
+        def draw():
+            return (rand_poly(rng, max_order=5, terms=4)
+                    * Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7, 12))))
+
         for _ in range(50):
-            f, g = (rand_poly(rng, max_order=5, terms=4)
-                    * Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7, 12)))
-                    for _ in range(2))
+            f, g = draw(), draw()
             f_s, g_s = to_sympy(f), to_sympy(g)
             assert to_sympy(lie_bracket(f, g)) == field(f_s, g_s) - field(g_s, f_s)
+        for _ in range(10):
+            fs = [draw() for _ in range(4)]
+            f_s = [to_sympy(f) for f in fs]
+            got = brackets(fs)
+            assert list(got) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+            for (i, j), r in got.items():
+                assert to_sympy(r) == field(f_s[i], f_s[j]) - field(f_s[j], f_s[i])
+
+
+class TestBrackets:
+    """brackets streams one tower per member for all pairs; the per-pair
+    loop it replaced is the reference."""
+
+    @staticmethod
+    def member(rng):
+        kind = rng.random()
+        if kind < 0.08:
+            return DiffPoly.zero()
+        if kind < 0.16:
+            return DiffPoly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        f = (rand_poly(rng, max_order=5, terms=4, names=("u", "F"), nonzero=True)
+             * Fraction(rng.choice((-7, -2, 1, 3, 5)), rng.choice((1, 2, 3, 7, 12))))
+        if kind < 0.28:  # Laurent in the bracket's own indeterminate
+            f = f * DiffPoly.jet("u", rng.randint(0, 3), -1)
+        return f
+
+    def test_matches_the_per_pair_reference(self, rng):
+        nonzero = 0
+        for _ in range(120):
+            fs = [self.member(rng) for _ in range(rng.randint(1, 6))]
+            got = brackets(fs)
+            assert list(got) == [(i, j) for i in range(len(fs))
+                                 for j in range(i + 1, len(fs))]
+            for (i, j), r in got.items():
+                assert repr(r) == repr(ref_lie_bracket(fs[i], fs[j]))
+                nonzero += not r.is_zero()
+        assert nonzero > 100
+
+    def test_unlike_denominators_and_the_other_name(self):
+        f = Fraction(1, 3) * u * u1 + Fraction(2, 5) * F * u
+        g = Fraction(1, 7) * u3 + Fraction(3, 2) * F * jet("F", 2)
+        h = Fraction(5, 4) * u2 * jet("F", 1)
+        got = brackets([f, g, h])
+        for (i, j), r in got.items():
+            pair = [(f, g, h)[i], (f, g, h)[j]]
+            assert repr(r) == repr(ref_lie_bracket(*pair)) == repr(lie_bracket(*pair))
+            assert not r.is_zero()
+        # a member free of u contributes no partials, only its own tower
+        assert brackets([F, u1]) == {(0, 1): jet("F", 1)}
+
+    def test_small_lists(self):
+        assert brackets([]) == {} and brackets([u3 * u]) == {}
+        assert brackets([u, u * u]) == {(0, 1): u * u}
+
+    def test_rational_member_takes_the_rational_arm(self):
+        r = RatFun(u2, u)
+        fs = [u1, r, u * u]
+        got = brackets(fs)
+        assert list(got) == [(0, 1), (0, 2), (1, 2)]
+        for (i, j), b in got.items():
+            assert b == evo_apply(fs[i], fs[j]) - evo_apply(fs[j], fs[i])
+        assert not got[1, 2].is_zero()
 
 
 class TestVariationalDerivative:
@@ -168,6 +232,22 @@ class TestIntegrate:
         h, r = _integrate_reduce(u1 * u + DiffPoly.const(4))
         assert r == DiffPoly.const(4)
         assert h.total_derivative() == u1 * u
+
+    @pytest.mark.parametrize("names", [("u", "F"), ("F", "u")])
+    def test_cycling_peels_return_the_residual(self, names):
+        """Two indeterminates at the same top order: peeling one brings the
+        other back, and the rests alternate with period 2."""
+        a, b = names
+        f = parse_function(
+            f"-2*{b}'''*{a}(4) - 2*{a}'''*{b}(4) - {a}'*{b}''*{a}''' "
+            f"+ {a}*{b}''' + {a}'*{b}'' + 4", ("u", "F"))
+        assert not is_total_derivative(f)
+        h, residual = _integrate_reduce(f)
+        assert residual == parse_function(f"-{a}'*{b}''*{a}''' + 4", ("u", "F"))
+        assert h.total_derivative() + residual == f
+        with pytest.raises(NotExact) as err:
+            integrate(f)
+        assert err.value.residual == residual
 
 
 class TestPotential:

@@ -13,7 +13,7 @@ import diffalg
 
 CHILD = r"""
 import random
-from diffalg import RatFun, constant_linear_basis, jet, nl_power
+from diffalg import Hierarchy, RatFun, constant_linear_basis, jet, nl_power
 from diffalg.calculus import basis_mod_total_derivatives
 from diffalg.corpus import builtin_names, load_operator
 from helpers import planted_inputs, rand_poly
@@ -35,6 +35,11 @@ for trial in range(60):
         f = rand_poly(rng, terms=3, names=("u", "F"))
         return f + rand_poly(rng, max_order=3, names=("u", "F")).total_derivative()
     print(basis_mod_total_derivatives(planted_inputs(rng, rng.randint(1, 6), density)))
+
+kdv = Hierarchy.from_operator(load_operator("kdv")[0]).extend(5)
+print(kdv.verify_commuting())
+kdv.chain = [u, u * u, u2, jet("u", 3) * u, u1 * u2, u * u1]
+print(kdv.verify_commuting())
 """
 
 
@@ -51,5 +56,5 @@ def run(seed: int) -> str:
 
 def test_reprs_do_not_depend_on_the_hash_seed():
     first, second = run(0), run(1)
-    assert first.count("\n") == 4 * 5 + 2 * 60
+    assert first.count("\n") == 4 * 5 + 2 * 60 + 2
     assert first == second

@@ -111,6 +111,27 @@ class TestVerifyCommuting:
         (i, j, residual), = report.violations
         assert (i, j) == (0, 1) and residual == u * u
 
+    def test_violations_in_pair_order(self):
+        """(1, 2) and (0, 3) both fail, so the report order is the pair
+        order, not the order in which the brackets complete."""
+        chain = [u, u * u, u2, u3 * u]
+        h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=chain,
+                      potentials=[None] * 4, orders=[0, 0, 2, 3])
+        report = h.verify_commuting()
+        expected = [(i, j, lie_bracket(chain[i], chain[j]))
+                    for i in range(4) for j in range(i + 1, 4)]
+        expected = [(i, j, r) for i, j, r in expected if not r.is_zero()]
+        assert report.pairs_checked == 6 and not report.all_zero
+        assert report.violations == expected
+        assert [(i, j) for i, j, _ in expected] == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+    def test_one_member_chain(self):
+        h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u1],
+                      potentials=[None], orders=[1])
+        report = h.verify_commuting()
+        assert report.pairs_checked == 0 and report.all_zero
+        assert report.violations == []
+
 
 class TestOrderGrowth:
     def test_kdv(self, kdv_chain):
