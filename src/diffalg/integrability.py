@@ -19,8 +19,8 @@ from .errors import Unsupported, VerificationFailed
 from .jets import DiffPoly
 from .operators import (DiffOp, FractionPair, helmholtz_residual,
                         minimal_right_fraction)
-from .nonlocal_ops import (NonlocalOp, from_fraction_pair, nl_mul, to_fraction,
-                           twisted_lie)
+from .nonlocal_ops import (NonlocalOp, _negated, _of_words, _product, _twisted_parts,
+                           from_fraction_pair, to_fraction, twisted_lie)
 
 FORMAL = "F"
 
@@ -111,35 +111,41 @@ def is_integrable_pair(a: DiffOp, b: DiffOp) -> Verdict:
 
 
 def _hereditary_sides(l: NonlocalOp, a: DiffOp, b: DiffOp) -> NonlocalOp:
-    """LHS - RHS of the hereditary identity with a fresh formal indeterminate."""
+    """LHS - RHS of the hereditary identity with a fresh formal indeterminate.
+
+    LHS = X_{A(F)}(L) - [(D_A)_F, L] and RHS = L (X_{B(F)}(L) - [(D_B)_F, L]);
+    only the inner twisted Lie derivative, a factor of the product, is made
+    canonical on its own.  The rest is added as raw local parts and words and
+    canonicalized once, words first: a non-polynomial depth-2 middle slot
+    raises Unsupported before any local parts are added.
+    """
     f = DiffPoly.jet(FORMAL, 0)
-    da_f = slot_first(frechet_of_op(a), f)
-    db_f = slot_first(frechet_of_op(b), f)
-    af = a.apply(f)
-    bf = b.apply(f)
-    lhs = twisted_lie(l, da_f, af)
-    inner = twisted_lie(l, db_f, bf)
-    rhs = nl_mul(l, inner)
-    return lhs - rhs
+    locals_, words = _twisted_parts(l, slot_first(frechet_of_op(a), f), a.apply(f))
+    inner = twisted_lie(l, slot_first(frechet_of_op(b), f), b.apply(f))
+    rhs_local, rhs_words = _product(l, inner)
+    return _of_words(locals_ + [-rhs_local], words + _negated(rhs_words))
 
 
 def is_hereditary(op: Union[NonlocalOp, FractionPair]) -> Verdict:
-    """Exact test of the Nijenhuis identity in the depth-2 algebra."""
+    """Exact test of the Nijenhuis identity in the depth-2 algebra.
+
+    The formal slot is checked before the fraction is extracted, which for a
+    large rational operator is the slow step.
+    """
     if isinstance(op, FractionPair):
         if op.side != "right":
             raise Unsupported("hereditariness works on right fractions")
         pair = minimal_right_fraction(op.num, op.den)
-        l = from_fraction_pair(pair.num, pair.den)
-        a, b = pair.num, pair.den
+        l, fraction = from_fraction_pair(pair.num, pair.den), (pair.num, pair.den)
     else:
-        l = op
+        l, fraction = op, None
         if l.depth2:
             raise Unsupported("hereditariness is defined for weakly non-local "
                               "operators only")
-        a, b = to_fraction(l)
     for coeff in list(l.local.coeffs.values()) + [x for pq in l.depth1 for x in pq]:
         if FORMAL in coeff.num.indets() + coeff.den.indets():
             raise Unsupported("operator coefficients collide with the formal slot")
+    a, b = fraction or to_fraction(l)
     difference = _hereditary_sides(l, a, b)
     if difference.is_zero():
         return Verdict(True, None)

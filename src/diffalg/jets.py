@@ -783,6 +783,19 @@ def poly_lcm(f: DiffPoly, g: DiffPoly) -> DiffPoly:
 # -- rational differential functions ----------------------------------------
 
 
+def _clearing_monomial(polys: Iterable[DiffPoly]) -> Monomial:
+    """The least monomial whose product with each of these Laurent polynomials
+    is a polynomial: minus the most negative exponent of every jet."""
+    low: Dict[int, int] = {}  # field -> its most negative exponent
+    for poly in polys:
+        if not _small(poly.terms):
+            for m in poly.terms:
+                for i, e in _fields(m):
+                    if e < low.get(i, 0):
+                        low[i] = e
+    return sum(-e << (_W * i) for i, e in low.items())
+
+
 class RatFun:
     """Quotient of differential polynomials, gcd-reduced with monic denominator."""
 
@@ -794,15 +807,9 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("RatFun denominator is zero")
         # clear Laurent exponents so gcd reduction runs on true polynomials
-        low: Dict[int, int] = {}  # field -> its most negative exponent
-        for poly in (num, den):
-            if not _small(poly.terms):
-                for m in poly.terms:
-                    for i, e in _fields(m):
-                        if e < low.get(i, 0):
-                            low[i] = e
-        if low:
-            shift = DiffPoly._of({sum(-e << (_W * i) for i, e in low.items()): Fraction(1)})
+        shift = _clearing_monomial((num, den))
+        if shift:
+            shift = DiffPoly._of({shift: Fraction(1)})
             num = num * shift
             den = den * shift
         if not (num.is_constant() or den.is_constant()):
@@ -836,6 +843,17 @@ class RatFun:
     def _reduced(num: DiffPoly, den: DiffPoly) -> "RatFun":
         """Fast path for num, den already coprime polynomials."""
         return RatFun.__new__(RatFun)._normalize(num, den)
+
+    @staticmethod
+    def _of_laurent(p: DiffPoly) -> "RatFun":
+        """RatFun(p) for a Laurent polynomial p, with no gcd: p times the
+        monomial that clears its negative exponents has a term free of each
+        jet in that monomial, so the two are coprime."""
+        shift = _clearing_monomial((p,))
+        if not shift:
+            return RatFun._reduced(p, _ONE)
+        shift = DiffPoly._of({shift: Fraction(1)})
+        return RatFun._reduced(p * shift, shift)
 
     # -- queries -------------------------------------------------------------
 

@@ -5,7 +5,11 @@ canonical form: the p directions and q directions are reduced bases of the
 tensor they present, and depth-2 middle slots are representatives independent
 modulo total derivatives (exact middle slots are rewritten away through
 d^-1 g' d^-1 = g d^-1 - d^-1 g).  Canonical forms make the zero test exact,
-which is what the decision procedures certify against.
+which is what the decision procedures certify against.  A decision identity
+builds one canonical form: the twisted Lie derivative X_g(L) - W L + L W, and
+the two sides of the hereditary identity, add their terms as raw local parts
+and words (``_product``, ``_twisted_parts``), and only the sum is
+canonicalized.
 
 Every non-local term is a word f0 d^-1 f1 ... d^-1 fk, and one rule multiplies
 a local operator into a word: E f0 = Q d + r gives
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
@@ -64,17 +68,22 @@ class NonlocalOp:
 
     __slots__ = ("local", "depth1", "depth2")
 
-    def __init__(self, local: DiffOp = None, depth1: Sequence[Pair] = (),
-                 depth2: Sequence[Triple] = (), _canonical: bool = False):
-        local = DiffOp.coerce(local) if local is not None else DiffOp.zero()
+    def __init__(self, local: Union[DiffOp, List[DiffOp], None] = None,
+                 depth1: Sequence[Pair] = (), depth2: Sequence[Triple] = (),
+                 _canonical: bool = False):
+        """``local`` is an operator, or a list of operators that are added up
+        once the non-local terms are canonical: a non-polynomial depth-2
+        middle slot then raises Unsupported before any local parts are added,
+        whose RatFun sums are where rational operators meet the gcd wall."""
         depth1 = tuple((RatFun.coerce(p), RatFun.coerce(q)) for p, q in depth1)
         depth2 = tuple((RatFun.coerce(a), RatFun.coerce(b), RatFun.coerce(c))
                        for a, b, c in depth2)
-        if _canonical:
-            self.local, self.depth1, self.depth2 = local, depth1, depth2
-        else:
-            canonical = _canonicalize(local, depth1, depth2)
-            self.local, self.depth1, self.depth2 = canonical
+        if not _canonical:
+            depth1, depth2 = _canonicalize(depth1, depth2)
+        if isinstance(local, list):
+            local = sum(local[1:], local[0])
+        self.local = DiffOp.coerce(local) if local is not None else DiffOp.zero()
+        self.depth1, self.depth2 = depth1, depth2
 
     # -- constructors ---------------------------------------------------------
 
@@ -230,7 +239,9 @@ def _middle_slot_poly(b: RatFun) -> DiffPoly:
     return b.as_diffpoly()
 
 
-def _canonicalize(local: DiffOp, depth1: Sequence[Pair], depth2: Sequence[Triple]):
+def _canonicalize(depth1: Sequence[Pair],
+                  depth2: Sequence[Triple]) -> Tuple[Tuple[Pair, ...], Tuple[Triple, ...]]:
+    """The canonical non-local terms; the local part needs no rewriting."""
     pairs: List[Pair] = [(p, q) for p, q in depth1]
     triples = [(a, b, c) for a, b, c in depth2
                if not (a.is_zero() or b.is_zero() or c.is_zero())]
@@ -247,7 +258,7 @@ def _canonicalize(local: DiffOp, depth1: Sequence[Pair], depth2: Sequence[Triple
                 pairs += [(a * hr, c), (-a, hr * c)]
         triples = [(a, RatFun(reps[j]), c) for j in sorted(grouped)
                    for a, c in _reduce_tensor(grouped[j])]
-    return local, _reduce_tensor(pairs), tuple(triples)
+    return _reduce_tensor(pairs), tuple(triples)
 
 
 # -- multiplication -----------------------------------------------------------------
@@ -271,8 +282,24 @@ def _word_times_op(w: Word, e: DiffOp, words: List[Word]) -> DiffOp:
     return _word_times_op(w[:-1], quotient, words)
 
 
+def _of_words(locals_: List[DiffOp], words: Sequence[Word]) -> NonlocalOp:
+    """The canonical form of sum(locals_) plus the words, built once."""
+    return NonlocalOp(locals_, [w for w in words if len(w) == 2],
+                      [w for w in words if len(w) == 3])
+
+
+def _negated(words: Sequence[Word]) -> List[Word]:
+    return [(-w[0],) + w[1:] for w in words]
+
+
 def nl_mul(l1: NonlocalOp, l2: NonlocalOp) -> NonlocalOp:
     """Exact product, canonicalized; raises DepthOverflow past depth 2."""
+    local, words = _product(l1, l2)
+    return _of_words([local], words)
+
+
+def _product(l1: NonlocalOp, l2: NonlocalOp) -> Tuple[DiffOp, List[Word]]:
+    """The product as its local part and its words, not yet canonical."""
     if l1.depth2 and (l2.depth1 or l2.depth2):
         raise DepthOverflow("left factor already has depth 2")
     if l2.depth2 and (l1.depth1 or l1.depth2):
@@ -287,8 +314,7 @@ def nl_mul(l1: NonlocalOp, l2: NonlocalOp) -> NonlocalOp:
             local = local + _word_times_op(w, l2.local, words)
     # tail times tail: the last slot of w1 and the first of w2 merge into one
     words += [w1[:-1] + (w1[-1] * w2[0],) + w2[1:] for w1 in l1.words for w2 in l2.words]
-    return NonlocalOp(local, [w for w in words if len(w) == 2],
-                      [w for w in words if len(w) == 3])
+    return local, words
 
 
 def nl_power(l: NonlocalOp, k: int) -> NonlocalOp:
@@ -352,23 +378,31 @@ def nl_apply(l: NonlocalOp, f):
 # -- Lie derivatives ------------------------------------------------------------------
 
 
-def evo_on_nonlocal(g, l: NonlocalOp, name: str = "u") -> NonlocalOp:
-    """X_g acts coefficientwise: on E, on every p and on every q."""
-    local = evo_apply_op(g, l.local, name)
-    pairs: List[Pair] = []
-    for p, q in l.depth1:
-        pairs.append((evo_apply(g, p, name), q))
-        pairs.append((p, evo_apply(g, q, name)))
+def _twisted_parts(l: NonlocalOp, w: DiffOp, g) -> Tuple[List[DiffOp], List[Word]]:
+    """X_g(L) - W L + L W as local parts and words, none of them summed.
+
+    X_g acts coefficientwise: on E, on every p and on every q.
+    """
     if l.depth2:
         raise Unsupported("evolutionary action on depth-2 terms is not needed "
                           "and not defined here")
-    return NonlocalOp(local, tuple(pairs))
+    w_nl = NonlocalOp.from_local(w)
+    wl_local, wl_words = _product(w_nl, l)
+    lw_local, lw_words = _product(l, w_nl)
+    words: List[Word] = []
+    for p, q in l.depth1:
+        words += [(evo_apply(g, p), q), (p, evo_apply(g, q))]
+    return ([evo_apply_op(g, l.local), -wl_local, lw_local],
+            words + _negated(wl_words) + lw_words)
 
 
 def twisted_lie(l: NonlocalOp, w: DiffOp, g) -> NonlocalOp:
-    """X_g(L) - [W, L] for a local operator W; the hereditary identity's bricks."""
-    w_nl = NonlocalOp.from_local(w)
-    return evo_on_nonlocal(g, l) - (nl_mul(w_nl, l) - nl_mul(l, w_nl))
+    """X_g(L) - [W, L] for a local operator W; the hereditary identity's bricks.
+
+    All three terms are added as raw local parts and words, and the sum is
+    canonicalized once.
+    """
+    return _of_words(*_twisted_parts(l, w, g))
 
 
 def lie_derivative(l: NonlocalOp, f) -> NonlocalOp:

@@ -14,8 +14,12 @@ expansion runs on integer numerators: each operator's coefficients are put
 over the lcm of all their denominators, the towers d^n N stream through
 ``jets._tower``, the terms comb(k, n) N_a d^n N_b add up in one
 {monomial: int} sum per output power, and each output Fraction is built
-once.  An operator with a nonconstant denominator anywhere takes the same
-expansion over RatFun.
+once.  A product also takes a coefficient over one monomial, such as the
+1/q of B = (1/q) d: it is a Laurent polynomial, whose numerator's monomials
+shift by the denominator's, and an output coefficient with negative
+exponents becomes a quotient by a monomial again.  An operator with a
+non-monomial denominator anywhere, and an application or adjoint with any
+nonconstant denominator, takes the same expansion over RatFun.
 """
 
 from __future__ import annotations
@@ -147,17 +151,20 @@ class DiffOp:
         if other is None:
             return NotImplemented
         top = max(self.coeffs, default=0)
-        ints_a, ints_b = _integer_form(self), _integer_form(other)
+        ints_a, ints_b = _integer_form(self, True), _integer_form(other, True)
         if ints_a is not None and ints_b is not None:
             (na, den_a), (nb, den_b) = ints_a, ints_b
             acc: Dict[int, Numerators] = {}
-            for l, n_b in nb.items():
-                for n, level in _tower(n_b, top):
-                    for k, n_a in na.items():
-                        if k >= n:
-                            _add_products(acc.setdefault(k - n + l, {}), n_a, level,
-                                          comb(k, n))
-            return _of_numerators(acc, den_a * den_b)
+            try:
+                for l, n_b in nb.items():
+                    for n, level in _tower(n_b, top):
+                        for k, n_a in na.items():
+                            if k >= n:
+                                _add_products(acc.setdefault(k - n + l, {}), n_a,
+                                              level, comb(k, n))
+                return _of_numerators(acc, den_a * den_b)
+            except OverflowError:
+                pass  # an exponent left the packed range: the RatFun arm decides
         towers = {l: derivatives(b, top) for l, b in other.coeffs.items()}
         coeffs: Dict[int, RatFun] = {}
         for k, a in self.coeffs.items():
@@ -250,28 +257,42 @@ def _operand(value) -> Optional[DiffOp]:
 _UNIT: Numerators = {0: 1}  # the constant 1 as numerators
 
 
-def _integer_form(op: DiffOp) -> Optional[Tuple[Dict[int, Numerators], int]]:
+def _integer_form(op: DiffOp, laurent: bool = False
+                  ) -> Optional[Tuple[Dict[int, Numerators], int]]:
     """({power: numerators}, den): op's coefficients as integers over den, the
     lcm of all their denominators; None when some coefficient has a
-    nonconstant denominator."""
+    nonconstant denominator.
+
+    With ``laurent``, a coefficient over one monomial (a monic one-term
+    denominator) is taken as the Laurent polynomial it is: its numerator's
+    monomials are shifted by the denominator's, so they may carry negative
+    exponents.  Only products take this; an application or an adjoint
+    returns polynomials from its integer arm.
+    """
     parts = {}
     den = 1
     for k, c in op.coeffs.items():
-        if not c.den.is_one():
+        if c.den.is_one():
+            parts[k] = n, d = _numerators(c.num.terms)
+        elif laurent and len(c.den.terms) == 1:
+            (shift,) = c.den.terms
+            n, d = _numerators(c.num.terms)
+            parts[k] = {m - shift: v for m, v in n.items()}, d
+        else:
             return None
-        parts[k] = n, d = _numerators(c.num.terms)
         den = lcm(den, d)
     return {k: n if d == den else {m: c * (den // d) for m, c in n.items()}
             for k, (n, d) in parts.items()}, den
 
 
 def _of_numerators(acc: Dict[int, Numerators], den: int) -> DiffOp:
-    """The operator with coefficients acc[k] / den, zero sums dropped."""
+    """The operator with coefficients acc[k] / den, zero sums dropped; a
+    coefficient with negative exponents becomes a quotient by a monomial."""
     out = DiffOp()
     for k, row in acc.items():
         p = _from_numerators(row, den)
         if p:
-            out.coeffs[k] = RatFun._reduced(p, _ONE)
+            out.coeffs[k] = RatFun._of_laurent(p)
     return out
 
 

@@ -79,9 +79,11 @@ def rand_wnl(rng: random.Random, max_deg: int = 2, pairs: int = 1) -> NonlocalOp
 #
 # The Fraction and RatFun loops that the integer kernels of jets._rref,
 # jets.constant_linear_basis and nonlocal_ops._gather replaced, the
-# left-to-right power chain that nl_power's repeated squaring replaced, and the
-# per-pair Lie bracket that calculus.brackets' shared towers replaced.  Tests
-# compare the package against them by repr.
+# left-to-right power chain that nl_power's repeated squaring replaced, the
+# per-pair Lie bracket that calculus.brackets' shared towers replaced, and the
+# nested twisted Lie derivative and hereditary sides, canonical at every step,
+# that the single canonical form of each identity replaced.  Tests compare the
+# package against them by repr.
 
 
 def planted_inputs(rng, n, draw):
@@ -197,3 +199,35 @@ def ref_lie_bracket(f, g, name="u"):
         if top is not None:
             _add_tower(acc, _partials(b, name, top), a, factor)
     return _from_numerators(acc, den_f * den_g)
+
+
+def ref_twisted_lie(l, w, g, name="u"):
+    """X_g(L) - [W, L] as evo_on_nonlocal(g, l) - (nl_mul(W, l) - nl_mul(l, W)),
+    where evo_on_nonlocal is X_g acting coefficientwise, made canonical."""
+    from diffalg import nl_mul
+    from diffalg.calculus import evo_apply
+    from diffalg.errors import Unsupported
+    from diffalg.operators import evo_apply_op
+    local = evo_apply_op(g, l.local, name)
+    pairs = []
+    for p, q in l.depth1:
+        pairs.append((evo_apply(g, p, name), q))
+        pairs.append((p, evo_apply(g, q, name)))
+    if l.depth2:
+        raise Unsupported("evolutionary action on depth-2 terms is not needed "
+                          "and not defined here")
+    evo_on_nonlocal = NonlocalOp(local, tuple(pairs))
+    w_nl = NonlocalOp.from_local(w)
+    return evo_on_nonlocal - (nl_mul(w_nl, l) - nl_mul(l, w_nl))
+
+
+def ref_hereditary_residual(l):
+    """LHS - RHS of the hereditary identity, each side canonical on its own:
+    LHS = ref_twisted_lie(L, (D_A)_F, A(F)), RHS = L ref_twisted_lie(L, (D_B)_F, B(F))."""
+    from diffalg import nl_mul, to_fraction
+    from diffalg.bidiff import frechet_of_op, slot_first
+    f = DiffPoly.jet("F", 0)
+    a, b = to_fraction(l)
+    lhs = ref_twisted_lie(l, slot_first(frechet_of_op(a), f), a.apply(f))
+    inner = ref_twisted_lie(l, slot_first(frechet_of_op(b), f), b.apply(f))
+    return lhs - nl_mul(l, inner)

@@ -13,7 +13,8 @@ import diffalg
 
 CHILD = r"""
 import random
-from diffalg import Hierarchy, RatFun, constant_linear_basis, jet, nl_power
+from diffalg import (Hierarchy, RatFun, constant_linear_basis, is_hereditary, jet,
+                     lie_derivative, nl_power, operator_from_json, parse_function)
 from diffalg.calculus import basis_mod_total_derivatives
 from diffalg.corpus import builtin_names, load_operator
 from helpers import planted_inputs, rand_poly
@@ -40,6 +41,13 @@ kdv = Hierarchy.from_operator(load_operator("kdv")[0]).extend(5)
 print(kdv.verify_commuting())
 kdv.chain = [u, u * u, u2, jet("u", 3) * u, u1 * u2, u * u1]
 print(kdv.verify_commuting())
+
+# two non-hereditary operators: residuals of depth 2 and of depth 1
+for data in ({"local": [["3*u'", 1]], "nonlocal": [["3*u^2 - 3", "u'"]]},
+             {"local": [["2*u'' + u*u'", 0]], "nonlocal": [["u''", "1"]]}):
+    l, _ = operator_from_json(data)
+    print(lie_derivative(l, parse_function("u''' + u*u'")))
+    print(is_hereditary(l).certificate.residual)
 """
 
 
@@ -56,5 +64,5 @@ def run(seed: int) -> str:
 
 def test_reprs_do_not_depend_on_the_hash_seed():
     first, second = run(0), run(1)
-    assert first.count("\n") == 4 * 5 + 2 * 60 + 2
+    assert first.count("\n") == 4 * 5 + 2 * 60 + 2 + 2 * 2
     assert first == second

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from diffalg import (BiDiffOp, DiffOp, DiffPoly, NonlocalOp, RatFun,
-                     compose_left, hereditary_coefficient_bound, is_hereditary,
-                     is_integrable_diffop, is_integrable_pair, is_integrable_wnl,
-                     is_recursion_for, jet, lie_bracket, lie_defect, nl_power)
+                     compose_left, hereditary_coefficient_bound, integrability,
+                     is_hereditary, is_integrable_diffop, is_integrable_pair,
+                     is_integrable_wnl, is_recursion_for, jet, lie_bracket,
+                     lie_defect, nl_power, operator_from_json)
 from diffalg.bidiff import frechet_of_op, slot_first
 from diffalg.errors import Unsupported
 from diffalg.integrability import _mixed_defect
@@ -141,6 +142,26 @@ class TestHereditary:
     def test_local_hereditary(self):
         l = NonlocalOp.from_local(DiffOp({1: RatFun(1), 0: RatFun(u1)}))
         assert is_hereditary(l).result
+
+    def test_formal_slot_checked_before_the_fraction(self, monkeypatch):
+        # to_fraction of a large rational operator takes seconds; an operator
+        # that uses the formal slot is refused before it runs
+        def no_fraction(l):
+            raise AssertionError("to_fraction ran before the formal-slot check")
+
+        monkeypatch.setattr(integrability, "to_fraction", no_fraction)
+        l = NonlocalOp(DiffOp({2: RatFun(1), 0: RatFun(jet("F") * u)}),
+                       ((RatFun(u1), RatFun(1)),))
+        with pytest.raises(Unsupported, match="collide with the formal slot"):
+            is_hereditary(l)
+
+    def test_nonpolynomial_middle_slot_refused_before_local_sums(self):
+        # LHS - RHS is canonicalized once, words first: the rational local
+        # parts of this operator's sides are never added
+        l, _ = operator_from_json({"local": [["3*u^2", 0], ["3*u^2", 1], ["u*u'", 2]],
+                                   "nonlocal": [["u^2", "u''"], ["u^2", "u"]]})
+        with pytest.raises(Unsupported, match="depth-2 middle slot is not polynomial"):
+            is_hereditary(l)
 
     def test_refutations_reevaluate_nonzero(self):
         for op in (DiffOp({1: RatFun(1), 0: RatFun(u * u)}),

@@ -7,16 +7,17 @@ from fractions import Fraction
 import pytest
 
 from diffalg import (BiDiffOp, DiffOp, DiffPoly, Grading, NonlocalOp, RatFun,
-                     from_fraction_pair, is_recursion_for, jet, lie_derivative,
-                     nl_mul, nl_power, operator_from_json,
-                     operator_to_json, parity_class, parse_function,
-                     series_expand, series_product, to_fraction)
+                     frechet, from_fraction_pair, is_hereditary, is_recursion_for,
+                     jet, lie_derivative, nl_mul, nl_power, nonlocal_ops,
+                     operator_from_json, operator_to_json, parity_class,
+                     parse_function, series_expand, series_product, to_fraction)
 from diffalg.calculus import is_total_derivative
 from diffalg.errors import DepthOverflow, NotInImage, Unsupported
-from diffalg.nonlocal_ops import _div_left_by_d, _gather, _reduce_tensor
+from diffalg.nonlocal_ops import _div_left_by_d, _gather, _reduce_tensor, twisted_lie
 from diffalg.operators import left_divide
-from helpers import (planted_inputs, rand_op, rand_poly, rand_wnl, ref_gather, ref_power,
-                     ref_reduce_tensor)
+from helpers import (planted_inputs, rand_op, rand_poly, rand_wnl, ref_gather,
+                     ref_hereditary_residual, ref_power, ref_reduce_tensor,
+                     ref_twisted_lie)
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -302,6 +303,72 @@ class TestLieDerivative:
             rhs = nl_mul(lie_derivative(l1, f), l2) \
                 + nl_mul(l1, lie_derivative(l2, f))
             assert (lhs - rhs).is_zero()
+
+
+class TestSingleCanonicalForm:
+    """twisted_lie and the hereditary sides add raw local parts and words and
+    canonicalize once; the nested form, canonical at every step, is the
+    reference."""
+
+    def test_twisted_lie_matches_the_nested_form(self):
+        rng = random.Random(0x71E)
+        for i in range(40):
+            l = rand_wnl(rng, pairs=i % 3)
+            f = rand_poly(rng, max_order=3, terms=3)
+            assert repr(lie_derivative(l, f)) == repr(ref_twisted_lie(l, frechet(f), f))
+            w = rand_op(rng, max_deg=2, max_order=2, nonzero=False)
+            g = rand_poly(rng, max_order=2, terms=2, names=("u", "F"))
+            assert repr(twisted_lie(l, w, g)) == repr(ref_twisted_lie(l, w, g))
+
+    def test_hereditary_residuals_match_the_nested_form(self):
+        rng = random.Random(0xE5D)
+        outcomes = []
+        for _ in range(30):
+            local = rand_op(rng, max_deg=2, max_order=2, nonzero=False)
+            p = rand_poly(rng, max_order=2, max_degree=2, terms=2, nonzero=True)
+            q = rng.choice((RatFun(1), RatFun(2), RatFun(u), RatFun(u1)))
+            l = NonlocalOp(local, ((RatFun(p), q),))
+            try:
+                verdict = is_hereditary(l)
+            except Unsupported as exc:  # a non-polynomial middle slot
+                with pytest.raises(Unsupported) as want:
+                    ref_hereditary_residual(l)
+                assert str(want.value) == str(exc)
+                outcomes.append("refused")
+                continue
+            want = ref_hereditary_residual(l)
+            if verdict:
+                assert want.is_zero()
+                outcomes.append("hereditary")
+                continue
+            residual = verdict.certificate.residual
+            assert repr(residual) == repr(want)
+            outcomes.append("depth 2" if residual.depth2 else "depth 1")
+        assert all(outcomes.count(kind) >= 4
+                   for kind in ("refused", "hereditary", "depth 1", "depth 2"))
+
+    def test_depth2_rejected_before_any_evolution(self, monkeypatch):
+        def no_evolution(*args):
+            raise AssertionError("X_g ran before the depth check")
+
+        monkeypatch.setattr(nonlocal_ops, "evo_apply", no_evolution)
+        monkeypatch.setattr(nonlocal_ops, "evo_apply_op", no_evolution)
+        deep = NonlocalOp(DiffOp.of_function(u), (),
+                          ((RatFun(u), RatFun(1), RatFun(u)),))
+        with pytest.raises(Unsupported, match="evolutionary action on depth-2 terms "
+                                              "is not needed and not defined here"):
+            lie_derivative(deep, u2)
+
+    def test_middle_slot_checked_before_local_parts_are_added(self):
+        class Unsummable(DiffOp):
+            __slots__ = ()
+
+            def __add__(self, other):
+                raise AssertionError("local parts added before the middle-slot check")
+
+        with pytest.raises(Unsupported, match="middle slot is not polynomial"):
+            NonlocalOp([Unsummable(), D], (), ((RatFun(u), RatFun(1, u), RatFun(u)),))
+        assert NonlocalOp([D, D, -D]).local == D
 
 
 class TestFractions:

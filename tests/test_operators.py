@@ -8,9 +8,9 @@ import pytest
 
 from diffalg import (DiffOp, DiffPoly, RatFun, frechet, jet, left_divide,
                      left_gcd, left_lcm, minimal_right_fraction, op_with_kernel,
-                     right_divide, right_gcd, right_lcm)
+                     operators, right_divide, right_gcd, right_lcm)
 from diffalg.errors import DependentInput
-from diffalg.jets import EXPONENT_LIMIT
+from diffalg.jets import EXPONENT_LIMIT, derivatives
 from diffalg.operators import FractionPair, _integer_form, helmholtz_residual
 
 from helpers import rand_op, rand_poly
@@ -117,9 +117,13 @@ def ref_apply(a, f):
     return out
 
 
-def kernel_coefficient(rng, rational):
+SMALL_DENS = (u + 1, u2 + u)
+
+
+def kernel_coefficient(rng, den=None):
     """Fractions with unlike denominators over u, v and F; sometimes a constant,
-    sometimes a quotient with a nonconstant denominator."""
+    sometimes a quotient: over a monomial with den="monomial", over the
+    polynomial den when it is one."""
     shape = rng.random()
     if shape < 0.15:
         return RatFun(Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
@@ -128,19 +132,23 @@ def kernel_coefficient(rng, rational):
         c = c + rand_poly(rng, max_order=3, max_degree=2, terms=2,
                           names=("u", "v", "F")) * Fraction(rng.randint(-5, 5),
                                                               rng.randint(1, 7))
-    if rational and shape < 0.4:
-        # a monomial denominator keeps the quotient-rule towers free of large gcds
+    if den == "monomial" and shape < 0.4:
         return RatFun(c, DiffPoly.jet(rng.choice("uv"), rng.randint(0, 2),
                                       rng.randint(1, 2)))
+    if isinstance(den, DiffPoly) and shape < 0.6:
+        return RatFun(c, den)
     return RatFun(c)
 
 
-def kernel_op(rng, rational=False):
-    """Degree 0-5, sometimes the zero operator."""
+def kernel_op(rng, den=None):
+    """Degree 0-5, sometimes the zero operator.  Over a polynomial den, degree
+    0-2 and one den for both factors: unlike non-monomial denominators meet
+    the gcd wall even in small products."""
     if rng.random() < 0.05:
         return DiffOp.zero()
-    return DiffOp({k: kernel_coefficient(rng, rational)
-                   for k in range(rng.randint(0, 5) + 1) if rng.random() < 0.7})
+    top = 2 if isinstance(den, DiffPoly) else 5
+    return DiffOp({k: kernel_coefficient(rng, den)
+                   for k in range(rng.randint(0, top) + 1) if rng.random() < 0.7})
 
 
 def annihilating_pair(rng):
@@ -162,17 +170,19 @@ class TestIntegerKernel:
                 assert a.apply(f) == DiffPoly.zero()
                 assert (a * b).coefficient(0).is_zero()
             else:
-                a = kernel_op(rng, rational=i % 3 == 0)
-                b = kernel_op(rng, rational=i % 3 == 1)
-                f = kernel_coefficient(rng, rational=i % 5 == 0)
+                small = SMALL_DENS[i // 3 % 2]
+                a = kernel_op(rng, ("monomial", None, small)[i % 3])
+                b = kernel_op(rng, (None, "monomial", small)[i % 3])
+                f = kernel_coefficient(rng, "monomial" if i % 5 == 0 else None)
                 f = f.as_diffpoly() if f.is_polynomial() and i % 2 else f
-            paths[_integer_form(a) is not None and _integer_form(b) is not None] += 1
+            paths[_integer_form(a, True) is not None
+                  and _integer_form(b, True) is not None] += 1
             for got, want in ((a * b, ref_mul(a, b)), (b * a, ref_mul(b, a)),
                               (a.adjoint(), ref_adjoint(a)),
                               (a.apply(f), ref_apply(a, f))):
                 assert type(got) is type(want) and repr(got) == repr(want)
                 assert got == want
-        # both the integer path and the RatFun fallback are exercised
+        # both the integer arm of products and the RatFun fallback are exercised
         assert min(paths.values()) > 50
 
     def test_zero_products(self):
@@ -206,6 +216,45 @@ class TestIntegerKernel:
             DiffOp({1: RatFun(b)}).adjoint()
         with pytest.raises(OverflowError):
             D.apply(b)
+
+    def test_laurent_coefficients(self):
+        # a coefficient over one monomial takes the integer arm of products
+        F, v = jet("F"), jet("v", 1)
+        for c in (RatFun(1, u), RatFun(u1, u3), RatFun(F, u), RatFun(v * u + 2, u * u1)):
+            ops = (DiffOp.of_function(c), DiffOp({1: c}), DiffOp({2: c, 0: RatFun(u)}),
+                   DiffOp({3: RatFun(u1), 1: c * c, 0: c}), D * D + F)
+            for a in ops:
+                for b in ops:
+                    assert _integer_form(a, True) is not None
+                    got, want = a * b, ref_mul(a, b)
+                    assert type(got) is type(want) and repr(got) == repr(want)
+                    assert got == want
+        # 1/u times u d keeps no negative exponent: a polynomial coefficient
+        assert DiffOp.of_function(RatFun(1, u)) * DiffOp({1: RatFun(u)}) == \
+            DiffOp({1: RatFun(1)})
+
+    def test_laurent_exponent_past_the_limit(self, monkeypatch):
+        # F/u^top times itself needs u^(-2 top), outside the packed range: the
+        # integer arm hands the product to the RatFun arm, which decides it
+        # as it did before monomial denominators took the integer arm
+        top = EXPONENT_LIMIT - 1
+        a = DiffOp({1: RatFun(jet("F"), DiffPoly.jet("u", 0, top))})
+        ratfun_arm = []
+
+        def towers(f, n):
+            ratfun_arm.append(f)
+            return derivatives(f, n)
+
+        monkeypatch.setattr(operators, "derivatives", towers)
+        with pytest.raises(OverflowError) as want:
+            ref_mul(a, a)
+        with pytest.raises(OverflowError) as got:
+            a * a
+        assert ratfun_arm and str(got.value) == str(want.value)
+        # just inside the limit the integer arm holds it
+        b = DiffOp({1: RatFun(jet("F"), DiffPoly.jet("u", 0, top // 2))})
+        ratfun_arm.clear()
+        assert repr(b * b) == repr(ref_mul(b, b)) and not ratfun_arm
 
 
 class TestDivision:
