@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, OverflowError, FileNotFoundError, json.JSONDecodeError,
+    except (ParseError, OverflowError, OSError, json.JSONDecodeError,
             ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .grammar import parse_function
 from .jets import Grading
 from .nonlocal_ops import NonlocalOp, operator_from_json
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     operator_json: dict
     pair: Optional[Tuple[List, List]] = None  # (A coeffs, B coeffs) in schema form
@@ -106,17 +104,20 @@ def builtin_names() -> List[str]:
 
 
 def load_operator(spec: str) -> Tuple[NonlocalOp, Grading]:
-    """Resolve --op arguments: a JSON file path or a builtin corpus name."""
+    """Resolve --op arguments: a JSON file path or a builtin corpus name.
+
+    An existing path is always read as a file.  Only a bare builtin name (no
+    directory part, no ``.json``) resolves to a builtin, so a mistyped path
+    is an error, never a builtin's verdict.
+    """
     if os.path.exists(spec):
         with open(spec) as fh:
             data = json.load(fh)
         if isinstance(data, dict) and "operator" in data:
             data = data["operator"]
         return operator_from_json(data)
-    name = spec[:-5] if spec.endswith(".json") else spec
-    name = os.path.basename(name)
-    if name in ENTRIES:
-        return ENTRIES[name].load()
+    if spec in ENTRIES:
+        return ENTRIES[spec].load()
     raise FileNotFoundError(
         f"no such operator file or builtin: {spec!r}; builtins: "
         + ", ".join(builtin_names()))

@@ -9,8 +9,7 @@ recomputation, never assumed from the structure results that predict them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .calculus import brackets, evo_apply, integrate, is_total_derivative, potential
 from .errors import DiffAlgError, NotInImage, NotVariational
@@ -35,18 +34,22 @@ def seeds(l: NonlocalOp) -> List[DiffPoly]:
     return out
 
 
-@dataclass
 class Hierarchy:
     """A chain S_0..S_N with S_{k+1} = L(S_k), plus certification state."""
 
-    operator: NonlocalOp
-    seeds: List[DiffPoly]
-    chain: List[DiffPoly]
-    potentials: List[Optional[DiffPoly]]
-    orders: List[Optional[int]]
-    grading: Optional[Grading] = None
-    pair: Optional[Tuple[DiffOp, DiffOp]] = None
-    notes: List[str] = field(default_factory=list)
+    def __init__(self, operator: NonlocalOp, seeds: List[DiffPoly],
+                 chain: List[DiffPoly], potentials: List[Optional[DiffPoly]],
+                 orders: List[Optional[int]], grading: Optional[Grading] = None,
+                 pair: Optional[Tuple[DiffOp, DiffOp]] = None,
+                 notes: Optional[List[str]] = None):
+        self.operator = operator
+        self.seeds = seeds
+        self.chain = chain
+        self.potentials = potentials
+        self.orders = orders
+        self.grading = grading
+        self.pair = pair
+        self.notes = [] if notes is None else notes
 
     @staticmethod
     def from_operator(l: NonlocalOp, seed: Optional[DiffPoly] = None,
@@ -203,15 +206,13 @@ class Hierarchy:
         return data
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(NamedTuple):
     pairs_checked: int
     all_zero: bool
     violations: List[Tuple[int, int, DiffPoly]]
 
 
-@dataclass(frozen=True)
-class OrderGrowthReport:
+class OrderGrowthReport(NamedTuple):
     coefficient_order_bound: int
     degree: Optional[int]
     certified_steps: List[int]
@@ -222,8 +223,7 @@ class OrderGrowthReport:
 # -- powers and conserved densities ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DensityRecord:
+class DensityRecord(NamedTuple):
     """A conserved density extracted from one tail pair of L^k."""
 
     power: int

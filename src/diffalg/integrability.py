@@ -9,8 +9,7 @@ with sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .bidiff import (BiDiffOp, compose_left, compose_right, frechet_of_op,
                      is_skewsymmetric, left_divide_bidiff, slot_first,
@@ -25,8 +24,7 @@ from .nonlocal_ops import (NonlocalOp, _negated, _of_words, _product, _twisted_p
 FORMAL = "F"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Skewsymmetric bidifferential witnesses for an integrable operator or pair."""
 
     m: BiDiffOp
@@ -34,20 +32,19 @@ class Witness:
     skew_checked: bool = False
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(NamedTuple):
     """What failed and the exact nonzero object that certifies the failure."""
 
     reason: str
     residual: object = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     result: bool
     certificate: Union[Witness, Refutation, None] = None
 
     def __bool__(self) -> bool:
+        # a two-field tuple is always true; the verdict is the result
         return self.result
 
 

@@ -25,10 +25,9 @@ depends on a truncation depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
@@ -554,8 +553,7 @@ def series_product(s1: Dict[int, RatFun], s2: Dict[int, RatFun],
 # -- parity --------------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParityClass:
+class ParityClass(NamedTuple):
     """Membership in the even-operator class with odd p's and even q's.
 
     ``member`` is the standard class (E even, p_i odd, q_i even);

@@ -24,7 +24,6 @@ nonconstant denominator, takes the same expansion over RatFun.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Dict, List, Optional, Tuple
@@ -165,10 +164,14 @@ class DiffOp:
                 return _of_numerators(acc, den_a * den_b)
             except OverflowError:
                 pass  # an exponent left the packed range: the RatFun arm decides
-        towers = {l: derivatives(b, top) for l, b in other.coeffs.items()}
+        # descending powers: the gcds that the sums meet, and so the cost,
+        # must not depend on the order in which the factors were built
+        towers = [(l, derivatives(other.coeffs[l], top))
+                  for l in sorted(other.coeffs, reverse=True)]
         coeffs: Dict[int, RatFun] = {}
-        for k, a in self.coeffs.items():
-            for l, tower in towers.items():
+        for k in sorted(self.coeffs, reverse=True):
+            a = self.coeffs[k]
+            for l, tower in towers:
                 for n in range(k + 1):
                     if tower[n]:  # a constant's tower is [c, 0, 0, ...]
                         accumulate(coeffs, k - n + l, a * tower[n] * comb(k, n))
@@ -414,19 +417,16 @@ def right_lcm(a: DiffOp, b: DiffOp) -> Tuple[DiffOp, DiffOp, DiffOp]:
     return lcm * lc, s1 * lc, (-t1) * lc
 
 
-@dataclass(frozen=True)
 class FractionPair:
-    """A rational operator presented as a fraction of differential operators."""
+    """A rational operator presented as a fraction of differential operators:
+    L = num * den^-1 for side "right", den^-1 * num for "left"."""
 
-    num: DiffOp
-    den: DiffOp
-    side: str = "right"  # L = num * den^-1 for "right", den^-1 * num for "left"
-
-    def __post_init__(self):
-        if self.side not in ("right", "left"):
+    def __init__(self, num: DiffOp, den: DiffOp, side: str = "right"):
+        if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
-        if self.den.is_zero():
+        if den.is_zero():
             raise ValueError("fraction denominator is zero")
+        self.num, self.den, self.side = num, den, side
 
 
 def minimal_right_fraction(a: DiffOp, b: DiffOp) -> FractionPair:

@@ -100,6 +100,15 @@ class TestVerdictCommands:
         code, _, err = run(capsys, "check-hereditary", "--op", "nonsense")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("spec", ["/no/such/dir/kdv.json", "kdv.json", "corpus/kdv", "."],
+                             ids=["missing-directory", "missing-file", "path-to-a-name",
+                                  "a-directory"])
+    def test_path_never_falls_back_to_a_builtin(self, capsys, tmp_path, monkeypatch, spec):
+        # only a bare name resolves to a builtin; a path that does not load exits 2
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "check-hereditary", "--op", spec)
+        assert code == 2 and not out and repr(spec) in json.loads(err)["error"]
+
     def test_schema_not_an_object_exit_2(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -125,6 +125,18 @@ class TestVerifyCommuting:
         assert report.violations == expected
         assert [(i, j) for i, j, _ in expected] == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
 
+    def test_reassigned_chain_prints_its_report(self):
+        h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u1],
+                      potentials=[None], orders=[1])
+        other = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u1],
+                          potentials=[None], orders=[1])
+        h.notes.append("note")
+        assert other.notes == []  # each hierarchy has its own notes list
+        h.chain = [u, u * u, u2]
+        assert str(h.verify_commuting()) == (
+            "CommutationReport(pairs_checked=3, all_zero=False, violations="
+            "[(0, 1, DiffPoly(u^2)), (1, 2, DiffPoly(2*u'^2))])")
+
     def test_one_member_chain(self):
         h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u1],
                       potentials=[None], orders=[1])

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import (BiDiffOp, DiffOp, DiffPoly, NonlocalOp, RatFun,
-                     compose_left, hereditary_coefficient_bound, integrability,
-                     is_hereditary, is_integrable_diffop, is_integrable_pair,
-                     is_integrable_wnl, is_recursion_for, jet, lie_bracket,
-                     lie_defect, nl_power, operator_from_json)
+from diffalg import (BiDiffOp, DiffOp, DiffPoly, NonlocalOp, RatFun, Refutation,
+                     Verdict, Witness, compose_left, hereditary_coefficient_bound,
+                     integrability, is_hereditary, is_integrable_diffop,
+                     is_integrable_pair, is_integrable_wnl, is_recursion_for, jet,
+                     lie_bracket, lie_defect, nl_power, operator_from_json)
 from diffalg.bidiff import frechet_of_op, slot_first
 from diffalg.errors import Unsupported
 from diffalg.integrability import _mixed_defect
@@ -178,9 +178,19 @@ class TestIntegrableWnl:
 
     def test_counterexample_certificate(self):
         verdict = is_integrable_wnl(counterexample())
-        assert not verdict.result
+        assert not verdict.result and not verdict
         assert verdict.certificate.reason == \
             "q = u''' not a variational derivative"
+
+    def test_verdict_truth_is_its_result(self):
+        # a verdict is a two-field record; its truth must be the result,
+        # not that of a non-empty tuple
+        refuted = Verdict(False, Refutation("r", residual=1))
+        assert not refuted and Verdict(True) and Verdict(result=True).certificate is None
+        assert repr(refuted) == ("Verdict(result=False, "
+                                 "certificate=Refutation(reason='r', residual=1))")
+        witness = Witness(m=BiDiffOp.zero())
+        assert witness.n is None and witness.skew_checked is False
 
     def test_potential_burgers_reduces_to_local(self):
         l = NonlocalOp.from_local(DiffOp({1: RatFun(1), 0: RatFun(u1)}))

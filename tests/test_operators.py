@@ -42,6 +42,18 @@ class TestMultiplication:
             a, b = rand_op(rng), rand_op(rng)
             assert (a * b).degree() == a.degree() + b.degree()
 
+    def test_ratfun_arm_cost_does_not_depend_on_the_listing_order(self):
+        # the RatFun arm sums its Leibniz terms through gcds, so the order in
+        # which it takes the powers sets how many gcds it computes
+        from diffalg.jets import _nontrivial_gcd
+        b = DiffOp({0: RatFun(DiffPoly.const(-2), u2 * u2 - 3 * u)})
+        outcomes = []
+        for listing in ({2: 3 * u1, 1: 2 * u2 - 3}, {1: 2 * u2 - 3, 2: 3 * u1}):
+            _nontrivial_gcd.cache_clear()
+            product = DiffOp(listing) * b
+            outcomes.append((product, _nontrivial_gcd.cache_info().misses))
+        assert outcomes[0] == outcomes[1]
+
 
 class TestApply:
     def test_examples(self):
@@ -355,8 +367,13 @@ class TestFractions:
             assert fp.num * c1 == (a * x) * c2
 
     def test_side_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fraction denominator is zero$"):
             FractionPair(D, DiffOp.zero())
+        with pytest.raises(ValueError, match="^side must be 'right' or 'left'$"):
+            FractionPair(D, D, "middle")
+        fp = FractionPair(D * D, D, side="left")
+        assert (fp.num, fp.den, fp.side) == (D * D, D, "left")
+        assert FractionPair(D, D).side == "right"
 
     def test_left_and_right_minimal_denominators_agree_in_degree(self, rng):
         from diffalg.operators import minimal_left_fraction
