@@ -6,8 +6,8 @@ procedures for hereditariness and integrability and a Lenard-Magri engine
 that generates and certifies commuting symmetry chains.
 """
 
-from .jets import (DiffPoly, Grading, RatFun, constant_linear_basis,
-                   diff_order, jet, parity_of, poly_gcd)
+from .jets import DiffPoly, Grading, RatFun, diff_order, jet, parity_of, poly_gcd
+from .linalg import constant_linear_basis
 from .calculus import (basis_mod_total_derivatives, evo_apply, integrate,
                        is_total_derivative, lie_bracket, potential,
                        variational_derivative)

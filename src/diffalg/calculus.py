@@ -23,12 +23,13 @@ is in takes its half from that one stream.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Sequence, Tuple
 
 from .errors import NotExact, NotSupported, NotVariational, VerificationFailed
 from .jets import (DiffPoly, RatFun, _add_products, _add_tower, _derivative,
-                   _from_numerators, _numerators, _partial, _rref, _tower,
-                   exponents)
+                   _from_numerators, _numerators, _partial, _tower, exponents)
+from .linalg import _rref
 from .operators import frechet, helmholtz_residual
 
 
@@ -55,11 +56,9 @@ def evo_apply(f, g, name: str = "u"):
     if rational or isinstance(f, RatFun):
         return frechet(g, name).apply(RatFun.coerce(f))
     f = DiffPoly.coerce(f)
-    nf, den_f = _numerators(f.terms)
-    ng, den_g = _numerators(g.terms)
     acc: Dict[int, int] = {}
-    _add_tower(acc, _partials(ng, name, top), nf)
-    return _from_numerators(acc, den_f * den_g)
+    _add_tower(acc, _partials(g.nums, name, top), f.nums)
+    return _from_numerators(acc, f.den * g.den)
 
 
 def _partials(ng: dict, name: str, top: int) -> dict:
@@ -90,7 +89,7 @@ def brackets(fs: Sequence[DiffPoly], name: str = "u") -> Dict[Tuple[int, int], D
         return {(i, j): lie_bracket(fs[i], fs[j], name)
                 for i in range(len(fs)) for j in range(i + 1, len(fs))}
     polys = [DiffPoly.coerce(f) for f in fs]
-    nums = [_numerators(f.terms) for f in polys]
+    nums = [(f.nums, f.den) for f in polys]
     parts = [{} if (top := f.top_order(name)) is None else _partials(n, name, top)
              for f, (n, _) in zip(polys, nums)]
     pending: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -117,7 +116,7 @@ def variational_derivative(f: DiffPoly, name: str = "u") -> DiffPoly:
     top = f.top_order(name)
     if top is None:
         return DiffPoly.zero()
-    nf, den = _numerators(f.terms)
+    nf = f.nums
     out = _partial(nf, name, top)
     for n in range(top - 1, -1, -1):
         d_out = _derivative(out)
@@ -128,7 +127,7 @@ def variational_derivative(f: DiffPoly, name: str = "u") -> DiffPoly:
                 out[m] = c
             else:
                 out.pop(m, None)
-    return _from_numerators(out, den)
+    return _from_numerators(out, f.den)
 
 
 # -- constructive integration ---------------------------------------------------
@@ -150,7 +149,7 @@ def _integrate_reduce(f: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
     # full comparison
     history, shapes = [], set()
     while not rest.is_zero():
-        shape = frozenset(rest.terms)
+        shape = frozenset(rest.nums)
         if shape in shapes and rest in history:
             return h, rest
         shapes.add(shape)
@@ -160,7 +159,7 @@ def _integrate_reduce(f: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
         top = rest.top_order()
         if top == 0 or top is None:
             return h, rest
-        var = max(v for m in rest.terms for v, _ in exponents(m) if v[0] == top)
+        var = max(v for m in rest.nums for v, _ in exponents(m) if v[0] == top)
         layers = rest.as_univariate(var)
         if any(e not in (0, 1) for e in layers):
             return h, rest
@@ -211,11 +210,12 @@ def potential(q: DiffPoly, name: str = "u") -> DiffPoly:
         raise NotSupported("potential requires a non-Laurent polynomial")
     if helmholtz_residual(q, name):
         raise NotVariational("Frechet derivative is not self-adjoint")
-    rho = DiffPoly.zero()
-    u = DiffPoly.jet(name, 0)
-    for mono, coeff in q.terms.items():
-        degree = sum(e for _, e in exponents(mono))
-        rho = rho + u * DiffPoly({mono: coeff}) * Fraction(1, degree + 1)
+    # every term of q over its degree + 1, on q's numerators over the lcm
+    # of those weights
+    weights = {m: sum(e for _, e in exponents(m)) + 1 for m in q.nums}
+    scale = lcm(*weights.values())
+    rho = DiffPoly.jet(name, 0) * _from_numerators(
+        {m: n * (scale // weights[m]) for m, n in q.nums.items()}, q.den * scale)
     rho = rho - DiffPoly.const(rho.constant_term())
     if variational_derivative(rho, name) != q:
         raise VerificationFailed("homotopy potential failed its defining identity")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .calculus import lie_bracket
 from .corpus import builtin_names, load_operator
@@ -211,6 +210,9 @@ def main(argv=None) -> int:
 
 
 def _internal_error(exc: Exception) -> int:
+    # imported here: traceback brings in linecache, tokenize and textwrap,
+    # which no other exit needs
+    import traceback
     print(json.dumps({"internal_error": f"{type(exc).__name__}: {exc}",
                       "traceback": traceback.format_exc()}), file=sys.stderr)
     return EXIT_INTERNAL

@@ -81,7 +81,7 @@ def _exponent_span(p: DiffPoly) -> Dict[tuple, Tuple[int, int]]:
     """Per jet, the least and the greatest exponent over p's terms; a term
     without the jet counts as exponent 0."""
     span: Dict[tuple, Tuple[int, int]] = {}
-    for m in p.terms:
+    for m in p.nums:
         for v, e in exponents(m):
             lo, hi = span.get(v, (0, 0))
             span[v] = (min(lo, e), max(hi, e))
@@ -102,7 +102,7 @@ def _check_power(atom: DiffPoly, e: int) -> None:
     if bits * abs(e) > MAX_POWER_BITS:
         raise OverflowError(f"the power {e} raises a coefficient past "
                             f"{MAX_POWER_BITS} bits")
-    n = len(atom.terms)
+    n = len(atom.nums)
     if n <= 1 or e < 0:
         return
     if comb(n + e - 1, e) > MAX_TERMS:
@@ -130,8 +130,8 @@ def _check_power(atom: DiffPoly, e: int) -> None:
 
 def _check_product(p: DiffPoly, q: DiffPoly) -> None:
     """Refuse p*q if its expansion or one of its exponents is out of bounds."""
-    if len(p.terms) * len(q.terms) > MAX_TERMS:
-        raise OverflowError(f"a product of {len(p.terms)} by {len(q.terms)} "
+    if len(p.nums) * len(q.nums) > MAX_TERMS:
+        raise OverflowError(f"a product of {len(p.nums)} by {len(q.nums)} "
                             f"terms expands past {MAX_TERMS} terms")
     span_p, span_q = _exponent_span(p), _exponent_span(q)
     for v in span_p.keys() & span_q.keys():
@@ -288,8 +288,8 @@ def format_ratfun(r: RatFun) -> str:
     if r.den.is_one():
         return format_poly(r.num)
     num, den = format_poly(r.num), format_poly(r.den)
-    if len(r.num.terms) > 1:
+    if len(r.num.nums) > 1:
         num = f"({num})"
-    if len(r.den.terms) > 1:
+    if len(r.den.nums) > 1:
         den = f"({den})"
     return f"{num}/{den}"

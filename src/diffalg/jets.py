@@ -20,24 +20,25 @@ monomials (the leading term, the printer, pivot columns) compares their
 decoded views, ``exponents(m)``: the ((order, name), exp) pairs sorted
 descending, compared as tuples, with higher jets more significant.
 
-At rest, ``DiffPoly.terms`` maps each monomial to a nonzero Fraction.
-Inside products, partial and total derivatives, the integer kernels below
-work on {monomial: numerator} dicts: ``_numerators`` puts a polynomial's
-coefficients over the lcm of its denominators, ``_add_products``,
-``_partial`` and ``_derivative`` multiply, accumulate and differentiate
-plain ints, and ``_from_numerators`` builds one Fraction per output term.
-Since D(N/den) = D(N)/den, a chain of these steps needs no Fraction in
-between.  ``_tower`` streams d^k N and is the only integer derivative
-tower; ``_add_tower`` adds sum_k c_k d^k N on it, which is an operator
-application (``DiffOp.apply``) and an evolutionary field (``calculus``,
-with c_k = dg/du^(k)), and ``calculus.brackets`` shares one stream among
-all the Lie brackets of a list.  The Leibniz rule itself lives in ``operators.DiffOp``
-alone; ``derivatives`` is the RatFun tower its rational-coefficient arms
-use.  A sum keeps the Fractions of the monomials only one side has.  A
-product by a constant or a single term scales the Fractions directly.
-``_rref`` is the integer echelon kernel: it eliminates on primitive integer
-rows, so ``constant_linear_basis`` and reduction modulo total derivatives
-build each Fraction once, from its final numerator and pivot entry.
+At rest, a DiffPoly is integer numerators over one denominator: ``nums``
+maps each monomial to a nonzero int and ``den`` is an int > 0 with
+gcd(den, *nums) = 1, so den is the lcm of the coefficients' denominators
+and the pair is canonical.  A Fraction is built only where a caller asks
+for a coefficient: ``leading``, ``constant_term``, and the ``terms`` view
+that the printer reads.  The kernels below work on these {monomial:
+numerator} dicts: ``_add_products``, ``_partial`` and ``_derivative``
+multiply, accumulate and differentiate plain ints, a sum merges two dicts
+over the lcm of the denominators, a product by a constant or a single term
+scales the ints, and ``_from_numerators`` is the one normaliser (zero sums
+out, the common factor of den and the numerators divided out).  Since
+D(N/den) = D(N)/den, a derivative keeps its polynomial's den.  ``_tower``
+streams d^k N and is the only integer derivative tower; ``_add_tower`` adds
+sum_k c_k d^k N on it, which is an operator application (``DiffOp.apply``)
+and an evolutionary field (``calculus``, with c_k = dg/du^(k)), and
+``calculus.brackets`` shares one stream among all the Lie brackets of a
+list.  The Leibniz rule itself lives in ``operators.DiffOp`` alone;
+``derivatives`` is the RatFun tower its rational-coefficient arms use.  The
+Q-linear kernels (echelon forms, linear bases) live in ``linalg``.
 
 Everything here is immutable after construction and all operations are pure;
 the one shared state is the jet index, which only grows.
@@ -50,9 +51,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-from .errors import DependentInput
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 # A jet variable is (order, name).  A monomial is an int: one signed 16-bit
 # exponent digit per jet, in the field the jet was given on first sight (see
@@ -189,29 +188,38 @@ _SHIFT = _Shifts()
 
 
 class DiffPoly:
-    """A differential (Laurent) polynomial over Q.
+    """A differential (Laurent) polynomial over Q: integer numerators ``nums``
+    ({monomial: nonzero int}) over one denominator ``den`` (an int > 0), with
+    gcd(den, *nums) = 1.  ``terms`` is the {monomial: Fraction} view.
 
     Negative exponents are permitted (they arise when parsing coefficient
     fields such as 1/u'''); the integration routines reject them where the
     algorithm cannot handle them.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("nums", "den", "_terms", "_hash")
 
     def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None):
-        self.terms: Dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    self.terms[m] = Fraction(c)
+        self.nums, self.den = _numerators(
+            {m: Fraction(c) for m, c in terms.items() if c} if terms else {})
+        self._terms: Optional[Dict[Monomial, Fraction]] = None
         self._hash: Optional[int] = None
 
     @staticmethod
-    def _of(terms: Dict[Monomial, Fraction]) -> "DiffPoly":
-        """Wrap terms already in canonical form (nonzero Fractions), without a copy."""
+    def _of(nums: Numerators, den: int = 1) -> "DiffPoly":
+        """Wrap numerators already in canonical form, without a copy."""
         p = DiffPoly.__new__(DiffPoly)
-        p.terms, p._hash = terms, None
+        p.nums, p.den, p._terms, p._hash = nums, den, None, None
         return p
+
+    @property
+    def terms(self) -> Dict[Monomial, Fraction]:
+        """{monomial: nonzero Fraction}, built on first use; read it, never
+        change it."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {m: Fraction(n, den) for m, n in self.nums.items()}
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -221,16 +229,16 @@ class DiffPoly:
 
     @staticmethod
     def const(value) -> "DiffPoly":
-        c = Fraction(value)
+        c = value if isinstance(value, (int, Fraction)) else Fraction(value)
         if c == 1:
             return _ONE
-        return DiffPoly._of({_ONE_MONO: c}) if c else DiffPoly()
+        return DiffPoly._of({_ONE_MONO: c.numerator}, c.denominator) if c else DiffPoly()
 
     @staticmethod
     def jet(name: str, order: int, exponent: int = 1) -> "DiffPoly":
         if order < 0:
             raise ValueError("jet order must be >= 0")
-        return DiffPoly._of({monomial((((order, name), exponent),)): Fraction(1)})
+        return DiffPoly._of({monomial((((order, name), exponent),)): 1})
 
     @staticmethod
     def coerce(value) -> "DiffPoly":
@@ -243,13 +251,13 @@ class DiffPoly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(m == _ONE_MONO for m in self.terms)
+        return all(m == _ONE_MONO for m in self.nums)
 
     def is_one(self) -> bool:
-        return self.terms == _ONE.terms
+        return self.den == 1 and self.nums == _ONE.nums
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -257,71 +265,65 @@ class DiffPoly:
         return self.constant_term()
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(_ONE_MONO, Fraction(0))
+        return Fraction(self.nums.get(_ONE_MONO, 0), self.den)
 
     def indets(self) -> List[str]:
-        return sorted({_JETS[i][1] for i in _support(self.terms)})
+        return sorted({_JETS[i][1] for i in _support(self.nums)})
 
     def top_order(self, name: Optional[str] = None) -> Optional[int]:
         """Highest jet order present, optionally restricted to one indeterminate."""
-        orders = [_JETS[i][0] for i in _support(self.terms)
+        orders = [_JETS[i][0] for i in _support(self.nums)
                   if name is None or _JETS[i][1] == name]
         return max(orders) if orders else None
 
     def has_negative_exponent(self) -> bool:
-        return not _small(self.terms) and any(
-            e < 0 for m in self.terms for _, e in _fields(m))
+        return not _small(self.nums) and any(
+            e < 0 for m in self.nums for _, e in _fields(m))
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: exponents(kv[0]), reverse=True)
 
     def leading(self) -> Tuple[Monomial, Fraction]:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=exponents)
-        return m, self.terms[m]
+        m = max(self.nums, key=exponents)
+        return m, Fraction(self.nums[m], self.den)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "DiffPoly":
         if not isinstance(other, (DiffPoly, int, Fraction)):
             return NotImplemented
-        return _add_terms(self.terms, DiffPoly.coerce(other).terms, False)
+        return _merge(self, DiffPoly.coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly._of({m: -c for m, c in self.terms.items()})
+        return DiffPoly._of({m: -n for m, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "DiffPoly":
         if not isinstance(other, (DiffPoly, int, Fraction)):
             return NotImplemented
-        return _add_terms(self.terms, DiffPoly.coerce(other).terms, True)
+        return _merge(self, DiffPoly.coerce(other), -1)
 
     def __rsub__(self, other) -> "DiffPoly":
-        return _add_terms(DiffPoly.coerce(other).terms, self.terms, True)
+        return _merge(DiffPoly.coerce(other), self, -1)
 
     def __mul__(self, other) -> "DiffPoly":
         if isinstance(other, (int, Fraction)):
-            return _scale(self, Fraction(other))
+            return _scale(self, other.numerator, other.denominator)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self.nums, other.nums
         if len(b) == 1:
-            ((m2, c2),) = b.items()
-            if not m2:
-                return _scale(self, c2)
-            return DiffPoly._of(_guard({m1 + m2: c1 * c2 for m1, c1 in a.items()}, a, b))
+            ((m2, n2),) = b.items()
+            return _scale(self, n2, other.den, m2)
         if len(a) == 1:
-            ((m1, c1),) = a.items()
-            if not m1:
-                return _scale(other, c1)
-            return DiffPoly._of(_guard({m1 + m2: c1 * c2 for m2, c2 in b.items()}, a, b))
-        na, da = _numerators(a)
-        nb, db = _numerators(b)
-        acc: Dict[Monomial, int] = {}
-        _add_products(acc, na, nb)
-        return _from_numerators(acc, da * db)
+            ((m1, n1),) = a.items()
+            return _scale(other, n1, self.den, m1)
+        acc: Numerators = {}
+        _add_products(acc, a, b)
+        return _from_numerators(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -342,15 +344,15 @@ class DiffPoly:
             other = DiffPoly.const(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((self.den, frozenset(self.nums.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self) -> str:
         from .grammar import format_poly
@@ -360,30 +362,29 @@ class DiffPoly:
 
     def total_derivative(self) -> "DiffPoly":
         """The total derivative: every jet (order, name) shifts to (order+1, name)."""
-        numerators, den = _numerators(self.terms)
-        return _from_numerators(_derivative(numerators), den)
+        return _from_numerators(_derivative(self.nums), self.den)
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Partial derivative with respect to one jet variable."""
-        return DiffPoly._of(_partial(self.terms, name, order))
+        return _from_numerators(_partial(self.nums, name, order), self.den)
 
     def as_univariate(self, var: JetKey) -> Dict[int, "DiffPoly"]:
         """View as a polynomial in one jet variable with DiffPoly coefficients."""
         i = _FIELD.get(var)
         if i is None:
-            return {0: self} if self.terms else {}
+            return {0: self} if self.nums else {}
         s = _W * i
-        out: Dict[int, Dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
+        out: Dict[int, Numerators] = {}
+        for m, n in self.nums.items():
             e = _digit(m, i)
-            out.setdefault(e, {})[m - (e << s)] = c
-        return {e: DiffPoly._of(t) for e, t in out.items()}
+            out.setdefault(e, {})[m - (e << s)] = n
+        return {e: _from_numerators(t, self.den) for e, t in out.items()}
 
     def coefficient_of(self, var: JetKey, exp: int) -> "DiffPoly":
         return self.as_univariate(var).get(exp, DiffPoly())
 
 
-_ONE = DiffPoly._of({_ONE_MONO: Fraction(1)})  # shared: DiffPoly is immutable
+_ONE = DiffPoly._of({_ONE_MONO: 1})  # shared: DiffPoly is immutable
 
 
 # -- the integer kernels ------------------------------------------------------
@@ -406,11 +407,21 @@ def _numerators(terms: Dict[Monomial, Fraction]) -> Tuple[Dict[Monomial, int], i
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
-def _from_numerators(acc: Dict[Monomial, int], den: int) -> DiffPoly:
-    """The DiffPoly with coefficients acc[m] / den, zero sums dropped."""
-    if den == 1:
-        return DiffPoly._of({m: Fraction(n) for m, n in acc.items() if n})
-    return DiffPoly._of({m: Fraction(n, den) for m, n in acc.items() if n})
+def _from_numerators(acc: Numerators, den: int) -> DiffPoly:
+    """The DiffPoly acc / den for any den != 0: zero sums dropped, den made
+    positive, and gcd(den, *acc) divided out.  acc itself is never changed,
+    but the result may hold it, so the caller must not change it either."""
+    if den < 0:
+        den = -den
+        acc = {m: -n for m, n in acc.items() if n}
+    elif 0 in acc.values():
+        acc = {m: n for m, n in acc.items() if n}
+    if den != 1:
+        g = gcd(den, *acc.values())
+        if g != 1:
+            den //= g
+            acc = {m: n // g for m, n in acc.items()}
+    return DiffPoly._of(acc, den)
 
 
 def _derivative(terms: Dict[Monomial, int]) -> Dict[Monomial, int]:
@@ -457,9 +468,8 @@ def _add_tower(acc: Numerators, coeffs: Dict[int, Numerators], n: Numerators,
             _add_products(acc, coeffs[k], level, factor)
 
 
-def _partial(terms: dict, name: str, order: int) -> dict:
-    """The partial derivative of {monomial: coefficient} in one jet; the
-    coefficients may be Fractions or integer numerators."""
+def _partial(terms: Numerators, name: str, order: int) -> Numerators:
+    """The partial derivative of {monomial: numerator} in one jet."""
     i = _FIELD.get((order, name))
     if i is None:
         return {}
@@ -486,38 +496,55 @@ def _add_products(acc: Dict[Monomial, int], a: Dict[Monomial, int],
     _guard(acc, a, b)
 
 
-def _scale(p: DiffPoly, c: Fraction) -> DiffPoly:
-    """c * p on the Fractions themselves, for a constant factor."""
-    if not c:
+def _scale(p: DiffPoly, num: int, den: int = 1, shift: Monomial = _ONE_MONO) -> DiffPoly:
+    """p * (num / den) * shift, for ints num and den != 0 and a monomial shift:
+    num cancels against p's denominator and den against p's numerators."""
+    nums = p.nums
+    if den < 0:
+        num, den = -num, -den
+    if not num or not nums:
         return DiffPoly()
-    if c == 1:
+    if num == den == 1 and not shift:
         return p  # immutable, so the product may share it
-    return DiffPoly._of({m: c * v for m, v in p.terms.items()})
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    g = gcd(num, p.den)
+    if g != 1:
+        num //= g
+    h = gcd(den, *nums.values()) if den != 1 else 1
+    if h != 1:
+        den //= h
+        out = {m + shift: n // h * num for m, n in nums.items()}
+    elif num != 1 or shift:
+        out = {m + shift: n * num for m, n in nums.items()}
+    else:
+        out = nums
+    if shift:
+        _guard(out, nums, (shift,))
+    return DiffPoly._of(out, p.den // g * den)
 
 
-def _add_terms(a: Dict[Monomial, Fraction], b: Dict[Monomial, Fraction],
-               negate: bool) -> DiffPoly:
-    """a + b (a - b when negate): a's untouched Fractions are kept, and each
-    shared monomial is summed once on integers."""
-    terms = dict(a)
-    for m, c in b.items():
-        old = terms.get(m)
-        if old is None:
-            terms[m] = -c if negate else c
-            continue
-        n, d = c.numerator, c.denominator
-        if negate:
-            n = -n
-        od = old.denominator
-        if od == d:
-            s = Fraction(old.numerator + n, d)
-        else:
-            s = Fraction(old.numerator * d + n * od, od * d)
-        if s:
-            terms[m] = s
-        else:
-            del terms[m]
-    return DiffPoly._of(terms)
+def _merge(a: DiffPoly, b: DiffPoly, sign: int) -> DiffPoly:
+    """a + sign * b on integer numerators: over the shared denominator when
+    the two agree, else with both sides scaled to the lcm of the two."""
+    if not b.nums:
+        return a
+    if not a.nums:
+        return b if sign == 1 else -b
+    den = a.den
+    if den == b.den:
+        acc = dict(a.nums)
+    else:
+        den = lcm(den, b.den)
+        scale = den // a.den
+        acc = {m: n * scale for m, n in a.nums.items()}
+        sign *= den // b.den
+    get = acc.get
+    for m, n in b.nums.items():
+        acc[m] = get(m, 0) + sign * n
+    return _from_numerators(acc, den)
 
 
 def jet(name: str, order: int = 0) -> DiffPoly:
@@ -545,31 +572,52 @@ def _poly_divexact(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     each step removes the remainder's leading term in a well-order and the
     loop ends, either with a zero remainder or at a leading term that g's
     leading monomial does not divide.
+
+    The division runs on integers: f's numerators by P, the primitive part
+    of g's.  By Gauss's lemma a quotient by a primitive polynomial that
+    divides is an integer polynomial, so a leading quotient coefficient that
+    is not an integer also means that g does not divide f.  The remainder
+    is one dict, changed in place at g's terms only; the denominators and
+    g's content c come back once, at the end: f/g = (N_f/P) g.den / (f.den c).
     """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if g.is_constant():
-        inv = 1 / g.constant_value()
-        return f * inv
-    quotient: Dict[Monomial, Fraction] = {}
-    rest = f
-    gm, gc = g.leading()
+        return _scale(f, g.den, g.nums[_ONE_MONO])
+    gm = max(g.nums, key=exponents)
+    content = gcd(*g.nums.values())
+    if g.nums[gm] < 0:
+        content = -content
+    prim = {m: n // content for m, n in g.nums.items()}
+    lead = prim[gm]
     g_fields = _fields(gm)
-    while not rest.is_zero():
-        rm, rc = rest.leading()
+    quotient: Numerators = {}
+    rest = dict(f.nums)
+    while rest:
+        rm = max(rest, key=exponents)
         q_mono = rm - gm
         if any(_digit(q_mono, i) < 0 for i, _ in g_fields):
             raise ArithmeticError("divisor does not divide the dividend")
-        q_coeff = rc / gc
-        quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
-        rest = rest - DiffPoly._of({q_mono: q_coeff}) * g
-    _check(quotient)
-    return DiffPoly(quotient)
+        q, r = divmod(rest[rm], lead)
+        if r:
+            raise ArithmeticError("divisor does not divide the dividend")
+        _check((q_mono,))  # so q_mono + m stays free of carries
+        quotient[q_mono] = q
+        for m, n in prim.items():
+            m += q_mono
+            n = rest.get(m, 0) - q * n
+            if n:
+                rest[m] = n
+            else:
+                del rest[m]
+    if g.den != 1:
+        quotient = {m: n * g.den for m, n in quotient.items()}
+    return _from_numerators(quotient, f.den * content)
 
 
 def _deg_in(f: DiffPoly, var: JetKey) -> int:
     i = _FIELD[var]
-    return max((_digit(m, i) for m in f.terms), default=-1)
+    return max((_digit(m, i) for m in f.nums), default=-1)
 
 
 def _pseudo_rem(f: DiffPoly, g: DiffPoly, var: JetKey) -> DiffPoly:
@@ -599,14 +647,13 @@ def _content_and_pp(f: DiffPoly, var: JetKey) -> Tuple[DiffPoly, DiffPoly]:
 def _normalize_leading(f: DiffPoly) -> DiffPoly:
     if f.is_zero():
         return f
-    _, c = f.leading()
-    return f * (1 / c)
+    return _from_numerators(f.nums, f.nums[max(f.nums, key=exponents)])
 
 
 def _mono_content(f: DiffPoly) -> Monomial:
     """The largest monomial dividing every term (per-variable minimum exponents)."""
     exps: Optional[Dict[int, int]] = None
-    for m in f.terms:
+    for m in f.nums:
         d = dict(_fields(m))
         if exps is None:
             exps = d
@@ -620,24 +667,24 @@ def _mono_content(f: DiffPoly) -> Monomial:
 def _divide_by_mono(f: DiffPoly, mono: Monomial) -> DiffPoly:
     if mono == _ONE_MONO:
         return f
-    terms = {m - mono: c for m, c in f.terms.items()}
-    return DiffPoly._of(_guard(terms, f.terms, (mono,)))
+    nums = {m - mono: n for m, n in f.nums.items()}
+    return DiffPoly._of(_guard(nums, f.nums, (mono,)), f.den)
 
 
 def _eval_univariate(f: DiffPoly, var: JetKey,
                      point: Dict[JetKey, int]) -> Dict[int, Fraction]:
-    """Image of f under substituting integers for every variable except var."""
+    """Image of f's numerators under substituting integers for every variable
+    except var; f's constant denominator changes no gcd degree."""
     out: Dict[int, Fraction] = {}
-    for m, c in f.terms.items():
+    for m, value in f.nums.items():
         e_var = 0
-        value = c
         for i, e in _fields(m):
             v = _JETS[i]
             if v == var:
                 e_var = e
             else:
-                value = value * Fraction(point[v]) ** e
-        out[e_var] = out.get(e_var, Fraction(0)) + value
+                value = value * (point[v] ** e if e > 0 else Fraction(point[v]) ** e)
+        out[e_var] = out.get(e_var, 0) + value
     return {e: v for e, v in out.items() if v}
 
 
@@ -651,12 +698,12 @@ def _univariate_gcd_degree(fu: Dict[int, Fraction], gu: Dict[int, Fraction]) -> 
         if da < db:
             a, b = b, a
             continue
-        lead = a[da] / b[db]
+        lead = Fraction(a[da]) / b[db]
         shift = da - db
         new_a = dict(a)
         for e, c in b.items():
             k = e + shift
-            s = new_a.get(k, Fraction(0)) - lead * c
+            s = new_a.get(k, 0) - lead * c
             if s:
                 new_a[k] = s
             else:
@@ -699,11 +746,11 @@ def _nontrivial_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     common_mono = sum(min(e, dg[i]) << (_W * i) for i, e in _fields(mono_f) if i in dg)
     f = _divide_by_mono(f, mono_f)
     g = _divide_by_mono(g, mono_g)
-    shared = DiffPoly._of({common_mono: Fraction(1)})
+    shared = DiffPoly._of({common_mono: 1})
     if f.is_constant() or g.is_constant():
         return _normalize_leading(shared)
-    fvars = {_JETS[i] for i in _support(f.terms)}
-    gvars = {_JETS[i] for i in _support(g.terms)}
+    fvars = {_JETS[i] for i in _support(f.nums)}
+    gvars = {_JETS[i] for i in _support(g.nums)}
     var = max(fvars | gvars)
     if var not in fvars:
         return _normalize_leading(shared * poly_gcd(_content_of(g, var), f))
@@ -788,8 +835,8 @@ def _clearing_monomial(polys: Iterable[DiffPoly]) -> Monomial:
     is a polynomial: minus the most negative exponent of every jet."""
     low: Dict[int, int] = {}  # field -> its most negative exponent
     for poly in polys:
-        if not _small(poly.terms):
-            for m in poly.terms:
+        if not _small(poly.nums):
+            for m in poly.nums:
                 for i, e in _fields(m):
                     if e < low.get(i, 0):
                         low[i] = e
@@ -809,7 +856,7 @@ class RatFun:
         # clear Laurent exponents so gcd reduction runs on true polynomials
         shift = _clearing_monomial((num, den))
         if shift:
-            shift = DiffPoly._of({shift: Fraction(1)})
+            shift = DiffPoly._of({shift: 1})
             num = num * shift
             den = den * shift
         if not (num.is_constant() or den.is_constant()):
@@ -832,10 +879,11 @@ class RatFun:
         elif den.is_one():
             self.num, self.den = num, _ONE
         elif den.is_constant():
-            self.num, self.den = num * (1 / den.constant_value()), _ONE
+            self.num, self.den = _scale(num, den.den, den.nums[_ONE_MONO]), _ONE
         else:
-            lc = den.leading()[1]
-            self.num, self.den = num * (1 / lc), den * (1 / lc)
+            # den = N/d with leading numerator n: num * d/n over N/n
+            n = den.nums[max(den.nums, key=exponents)]
+            self.num, self.den = _scale(num, den.den, n), _from_numerators(den.nums, n)
         self._hash = None
         return self
 
@@ -852,7 +900,7 @@ class RatFun:
         shift = _clearing_monomial((p,))
         if not shift:
             return RatFun._reduced(p, _ONE)
-        shift = DiffPoly._of({shift: Fraction(1)})
+        shift = DiffPoly._of({shift: 1})
         return RatFun._reduced(p * shift, shift)
 
     # -- queries -------------------------------------------------------------
@@ -1062,7 +1110,7 @@ class Grading:
 
     def of_poly(self, f: DiffPoly) -> Optional[int]:
         """0 (even), 1 (odd), or None for mixed; zero counts as both, reported 0."""
-        seen = {self.of_monomial(m) for m in f.terms}
+        seen = {self.of_monomial(m) for m in f.nums}
         if len(seen) > 1:
             return None
         return seen.pop() if seen else 0
@@ -1079,120 +1127,3 @@ def parity_of(f, grading: Grading) -> str:
     p = grading.of_ratfun(f) if isinstance(f, RatFun) else grading.of_poly(
         DiffPoly.coerce(f))
     return "mixed" if p is None else ("even" if p == 0 else "odd")
-
-
-# -- Q-linear reduction -------------------------------------------------------
-
-
-def _primitive(row: dict, pivot) -> dict:
-    """row divided by the gcd of its entries, with a positive pivot entry."""
-    g = gcd(*row.values())
-    if row[pivot] < 0:
-        g = -g
-    return row if g == 1 else {k: v // g for k, v in row.items()}
-
-
-def _eliminate(row: dict, reduced: dict) -> dict:
-    """A nonzero integer multiple of row with every pivot of reduced cleared,
-    zero entries dropped; reduced maps each pivot to a row that is 0 at the
-    other pivots, so clearing one pivot never brings in another.  All the
-    pivots present go in one pass, scaled by the lcm that makes each
-    multiplier an integer."""
-    hits = [p for p in row if p in reduced]
-    if not hits:
-        return row
-    scale = 1
-    for p in hits:
-        v = reduced[p][p]
-        scale = lcm(scale, v // gcd(v, row[p]))
-    acc = {k: scale * v for k, v in row.items()}
-    for p in hits:
-        factor = scale * row[p] // reduced[p][p]
-        for k, v in reduced[p].items():
-            acc[k] = acc.get(k, 0) - factor * v
-    return {k: v for k, v in acc.items() if v}
-
-
-def _rref(rows: Iterable[Dict[object, int]], key=None) -> List[Tuple[object, dict]]:
-    """Reduced row echelon form of sparse rows of nonzero integers, fraction-free.
-
-    Each row pivots on its largest column (ordered by key), and only nonzero
-    entries are touched.  Every kept row is primitive: coprime integers with
-    a positive pivot entry, so row / row[pivot] is the reduced row over Q.  A
-    new row has the kept pivots cleared (``_eliminate``) and is divided by
-    its content; then its pivot is cleared from each kept row the same way
-    (fraction-free elimination, after Bareiss 1968, with the content taken
-    out at each step so that the integers stay small).  Returns the
-    (pivot, row) pairs sorted by pivot, descending; the reduced form is
-    unique for the column order, so it depends only on the span, and scaling
-    an input row changes nothing.
-    """
-    reduced: Dict = {}  # pivot -> primitive row, 0 at every other pivot
-    for row in rows:
-        row = _eliminate(row, reduced)
-        if not row:
-            continue
-        p = max(row, key=key)
-        row = _primitive(row, p)
-        for q, other in list(reduced.items()):
-            if p in other:
-                reduced[q] = _primitive(_eliminate(other, {p: row}), q)
-        reduced[p] = row
-    return [(p, reduced[p]) for p in sorted(reduced, key=key, reverse=True)]
-
-
-def _over_common_den(fs: Sequence) -> Tuple[List[DiffPoly], DiffPoly]:
-    """(nums, den) with fs[i] = nums[i] / den, where den is the monic lcm of
-    the denominators of the DiffPoly or RatFun inputs.
-
-    With no nonconstant denominator, den is 1 and a Laurent DiffPoly stays a
-    vector of Laurent monomials.  Otherwise every input is a RatFun first,
-    with its Laurent exponents cleared into its denominator: the monomial
-    order is not multiplicative on Laurent monomials, so the pivots depend
-    on that choice.
-    """
-    if not any(isinstance(f, RatFun) and not f.den.is_one() for f in fs):
-        return [f.num if isinstance(f, RatFun) else DiffPoly.coerce(f)
-                for f in fs], _ONE
-    rats = [RatFun.coerce(f) for f in fs]
-    den = reduce(poly_lcm, dict.fromkeys(r.den for r in rats if not r.den.is_one()))
-    return [r.num if r.den == den else r.num * _poly_divexact(den, r.den)
-            for r in rats], den
-
-
-def constant_linear_basis(fs: Sequence):
-    """Q-linear reduction of functions viewed as vectors in the monomial basis.
-
-    Accepts DiffPoly or RatFun inputs.  Returns (basis, coords) with each
-    input equal to sum(coords[i][j] * basis[j]); the basis is the canonical
-    reduced echelon basis of the span, so it only depends on the span itself.
-    Rational inputs are reduced as their numerators over one common
-    denominator, and the basis is returned over it.
-    """
-    fs = list(fs)
-    if not fs:
-        return [], []
-    polys, den = _over_common_den(fs)
-    nums = [_numerators(p.terms) for p in polys]
-    rows = _rref((n for n, _ in nums), key=exponents)
-    # row_j / v_j (v_j its pivot entry) is 1 at its own pivot and 0 at the
-    # others, so input N/d has the coordinates N[pivot_j]/d; expanding them
-    # back must give the input exactly, so clearing the pivots from N on
-    # integers must leave nothing
-    pivots = dict(rows)
-    coords = []
-    for n, d in nums:
-        if _eliminate(n, pivots):
-            raise AssertionError("input escaped its own span")
-        coords.append([Fraction(n.get(p, 0), d) for p, _ in rows])
-    basis = [DiffPoly._of({m: Fraction(v, row[p]) for m, v in row.items()})
-             for p, row in rows]
-    if not den.is_one():
-        basis = [RatFun(b, den) for b in basis]
-    return basis, coords
-
-
-def require_independent(fs: Sequence[DiffPoly]) -> None:
-    basis, _ = constant_linear_basis(fs)
-    if len(basis) != len(list(fs)):
-        raise DependentInput("functions are linearly dependent over Q")

@@ -33,9 +33,9 @@ from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
                      ParseError, Unsupported)
 from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
-from .jets import (DiffPoly, Grading, RatFun, _from_numerators, _numerators,
-                   _over_common_den, accumulate, constant_linear_basis,
+from .jets import (DiffPoly, Grading, RatFun, _from_numerators, accumulate,
                    derivatives, exponents, monomial)
+from .linalg import _echelon_basis, _over_common_den
 from .operators import DiffOp, _operand, evo_apply_op, frechet, right_lcm
 
 Pair = Tuple[RatFun, RatFun]
@@ -197,17 +197,19 @@ def _gather(pairs: Sequence[Pair]) -> List[Pair]:
     The collected p_m = sum_i c_im p_i accumulates on integer numerators over
     the common denominator of the p side and becomes one RatFun, scaled to a
     monic numerator; the scale moves to its q_m, so the tensor is unchanged.
+    The coordinates c_im = C_i[pivot_m] / e_i stay on integers throughout.
     """
-    basis, coords = constant_linear_basis([q for _, q in pairs])
+    basis, pivots, coords = _echelon_basis([q for _, q in pairs])
     polys, den = _over_common_den([p for p, _ in pairs])
-    nums = [_numerators(p.terms) for p in polys]  # p_i = n_i / (d_i * den)
+    nums = [(p.nums, p.den) for p in polys]  # p_i = n_i / (d_i * den)
     out = []
-    for m, qb in enumerate(basis):
-        terms = [(row[m], n, d) for row, (n, d) in zip(coords, nums) if row[m]]
-        scale = lcm(*(c.denominator * d for c, _, d in terms))
+    for pivot, qb in zip(pivots, basis):
+        terms = [(c, e * d, n) for (row, e), (n, d) in zip(coords, nums)
+                 if (c := row.get(pivot))]
+        scale = lcm(*(ed for _, ed, _ in terms))
         acc: Dict[int, int] = {}
-        for c, n, d in terms:
-            factor = c.numerator * (scale // (c.denominator * d))
+        for c, ed, n in terms:
+            factor = c * (scale // ed)
             for mono, v in n.items():
                 acc[mono] = acc.get(mono, 0) + factor * v
         acc = {mono: v for mono, v in acc.items() if v}
@@ -604,7 +606,7 @@ def parity_class(l: NonlocalOp, grading: Grading) -> ParityClass:
 def _ratfun_to_expr(r: RatFun) -> str:
     if r.den.is_one():
         return format_poly(r.num)
-    if len(r.den.terms) == 1:
+    if len(r.den.nums) == 1:
         ((mono, coeff),) = r.den.terms.items()
         inverse = DiffPoly({monomial((v, -e) for v, e in exponents(mono)): 1 / coeff})
         return format_poly(r.num * inverse)

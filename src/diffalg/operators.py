@@ -29,8 +29,9 @@ from math import comb, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .jets import (_ONE, DiffPoly, Numerators, RatFun, _add_products, _add_tower,
-                   _from_numerators, _numerators, _tower, accumulate, derivatives,
-                   poly_gcd, poly_lcm, require_independent)
+                   _from_numerators, _tower, accumulate, derivatives, poly_gcd,
+                   poly_lcm)
+from .linalg import require_independent
 
 
 class DiffOp:
@@ -202,10 +203,9 @@ class DiffOp:
         ints = _integer_form(self) if f.den.is_one() else None
         if ints is not None:
             na, den_a = ints
-            nf, den_f = _numerators(f.num.terms)
             acc: Numerators = {}
-            _add_tower(acc, na, nf)
-            out = _from_numerators(acc, den_a * den_f)
+            _add_tower(acc, na, f.num.nums)
+            out = _from_numerators(acc, den_a * f.num.den)
             return out if poly_in else RatFun._reduced(out, _ONE)
         tower = derivatives(f, max(self.coeffs, default=0))
         out = RatFun(0)
@@ -275,11 +275,11 @@ def _integer_form(op: DiffOp, laurent: bool = False
     parts = {}
     den = 1
     for k, c in op.coeffs.items():
+        n, d = c.num.nums, c.num.den
         if c.den.is_one():
-            parts[k] = n, d = _numerators(c.num.terms)
-        elif laurent and len(c.den.terms) == 1:
-            (shift,) = c.den.terms
-            n, d = _numerators(c.num.terms)
+            parts[k] = n, d
+        elif laurent and len(c.den.nums) == 1:
+            (shift,) = c.den.nums
             parts[k] = {m - shift: v for m, v in n.items()}, d
         else:
             return None

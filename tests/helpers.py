@@ -8,7 +8,7 @@ from fractions import Fraction
 import random
 
 from diffalg import DiffOp, DiffPoly, NonlocalOp, RatFun, BiDiffOp, jet
-from diffalg.jets import accumulate
+from diffalg.jets import accumulate, exponents, monomial
 
 
 def rand_poly(rng: random.Random, max_order: int = 4, max_degree: int = 3,
@@ -75,10 +75,89 @@ def rand_wnl(rng: random.Random, max_deg: int = 2, pairs: int = 1) -> NonlocalOp
     return NonlocalOp(local, tuple(tail))
 
 
+# -- references for DiffPoly arithmetic ------------------------------------------
+#
+# Each operation once more on Fraction coefficients keyed by the decoded view
+# of each monomial, a term at a time: the arithmetic that DiffPoly's integer
+# numerators over one denominator and its packed monomials replaced.
+
+
+def ref_mono(exps):
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), reverse=True))
+
+
+def view(p):
+    """p's terms keyed by the decoded view of each monomial."""
+    return {exponents(m): c for m, c in p.terms.items()}
+
+
+def packed(terms):
+    """The DiffPoly with these terms, keyed by decoded views."""
+    return DiffPoly({monomial(m): c for m, c in terms.items()})
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = view(a)
+    for m, c in view(b).items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in view(a).items():
+        for m2, c2 in view(b).items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = ref_mono(exps)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_derivative(a):
+    out = {}
+    for m, c in view(a).items():
+        for v, e in m:
+            exps = dict(m)
+            exps[v] -= 1
+            up = (v[0] + 1, v[1])
+            exps[up] = exps.get(up, 0) + 1
+            key = ref_mono(exps)
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return ref_clean(out)
+
+
+def ref_partial(a, v):
+    out = {}
+    for m, c in view(a).items():
+        exps = dict(m)
+        e = exps.get(v, 0)
+        if e:
+            exps[v] = e - 1
+            key = ref_mono(exps)
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return ref_clean(out)
+
+
+def ref_univariate(a, v):
+    """{exponent of v: the view of its coefficient}."""
+    out = {}
+    for m, c in view(a).items():
+        exps = dict(m)
+        e = exps.pop(v, 0)
+        out.setdefault(e, {})[ref_mono(exps)] = c
+    return out
+
+
 # -- references for the canonical forms ------------------------------------------
 #
-# The Fraction and RatFun loops that the integer kernels of jets._rref,
-# jets.constant_linear_basis and nonlocal_ops._gather replaced, the
+# The Fraction and RatFun loops that the integer kernels of linalg._rref,
+# linalg.constant_linear_basis and nonlocal_ops._gather replaced, the
 # left-to-right power chain that nl_power's repeated squaring replaced, the
 # per-pair Lie bracket that calculus.brackets' shared towers replaced, and the
 # nested twisted Lie derivative and hereditary sides, canonical at every step,

@@ -1,6 +1,8 @@
 """The command-line front end: commands, exit codes, corpus regression."""
 
 import json
+import os
+import shlex
 import time
 
 import pytest
@@ -284,3 +286,25 @@ class TestCorpus:
         a, b = ENTRIES["burgers"].load_pair()
         assert b == DiffOp.d()
         assert a == DiffOp.d() * (DiffOp.d() + jet("u"))
+
+
+class TestReadmeExamples:
+    """Every example of the README's "Command line" section prints exactly
+    the output recorded in cli_golden.json, with the recorded exit code."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def readme_examples(self):
+        with open(os.path.join(self.ROOT, "README.md")) as f:
+            text = f.read()
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        return [shlex.split(line)[1:] for line in block.strip().splitlines()]
+
+    def test_outputs_match_the_golden_file(self, capsys, monkeypatch):
+        with open(os.path.join(self.ROOT, "tests", "cli_golden.json")) as f:
+            golden = json.load(f)
+        assert [case["argv"] for case in golden] == self.readme_examples()
+        monkeypatch.chdir(self.ROOT)  # the examples name corpus/ files
+        for case in golden:
+            code, out, _ = run(capsys, *case["argv"])
+            assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

@@ -3,7 +3,9 @@
 The CLI runs one interpreter per verdict, so what ``import diffalg`` pulls in
 is paid on every command.  The records are NamedTuples and plain classes:
 ``dataclasses`` would also import ``inspect``, ``ast``, ``dis`` and
-``tokenize``, and exec-generate methods for each decorated class.
+``tokenize``, and exec-generate methods for each decorated class.  The CLI
+imports ``traceback`` (with ``linecache`` and ``tokenize``) only for an
+internal error, exit 4.
 """
 
 import os
@@ -18,6 +20,8 @@ import diffalg
 assert "dataclasses" not in sys.modules, "import diffalg"
 import diffalg.cli
 assert "dataclasses" not in sys.modules, "import diffalg.cli"
+for name in ("traceback", "tokenize", "linecache"):
+    assert name not in sys.modules, name
 """
 
 

@@ -13,10 +13,14 @@ from diffalg import (DiffPoly, Grading, RatFun, constant_linear_basis,
 from diffalg.errors import DependentInput
 from diffalg.grammar import format_poly
 import diffalg.jets as jets
+import diffalg.linalg as linalg
 from diffalg.jets import (EXPONENT_LIMIT, _numerators, _poly_divexact, accumulate,
-                          exponents, monomial, poly_lcm, require_independent)
+                          exponents, monomial, poly_lcm)
+from diffalg.linalg import require_independent
 
-from helpers import planted_inputs, rand_poly, ref_linear_basis, ref_sparse_rref
+from helpers import (packed, planted_inputs, rand_poly, ref_add, ref_derivative,
+                     ref_linear_basis, ref_mono, ref_mul, ref_partial,
+                     ref_sparse_rref, ref_univariate, view)
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 
@@ -48,68 +52,6 @@ def polys(draw):
 LAMBDA = Fraction(13, 11)
 COEFFS = (Fraction(1), Fraction(-1), Fraction(3), Fraction(1, 2), Fraction(-5, 6),
           Fraction(7, 9), LAMBDA, LAMBDA ** 8, -LAMBDA ** 5 / 4, Fraction(10 ** 12, 7))
-
-
-def ref_mono(exps):
-    return tuple(sorted(((v, e) for v, e in exps.items() if e), reverse=True))
-
-
-def view(p):
-    """p's terms keyed by the decoded view of each monomial."""
-    return {exponents(m): c for m, c in p.terms.items()}
-
-
-def packed(terms):
-    """The DiffPoly with these terms, keyed by decoded views."""
-    return DiffPoly({monomial(m): c for m, c in terms.items()})
-
-
-def ref_clean(terms):
-    return {m: c for m, c in terms.items() if c}
-
-
-def ref_add(a, b, sign=1):
-    out = view(a)
-    for m, c in view(b).items():
-        out[m] = out.get(m, Fraction(0)) + sign * c
-    return ref_clean(out)
-
-
-def ref_mul(a, b):
-    out = {}
-    for m1, c1 in view(a).items():
-        for m2, c2 in view(b).items():
-            exps = dict(m1)
-            for v, e in m2:
-                exps[v] = exps.get(v, 0) + e
-            m = ref_mono(exps)
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-    return ref_clean(out)
-
-
-def ref_derivative(a):
-    out = {}
-    for m, c in view(a).items():
-        for v, e in m:
-            exps = dict(m)
-            exps[v] -= 1
-            up = (v[0] + 1, v[1])
-            exps[up] = exps.get(up, 0) + 1
-            key = ref_mono(exps)
-            out[key] = out.get(key, Fraction(0)) + c * e
-    return ref_clean(out)
-
-
-def ref_partial(a, v):
-    out = {}
-    for m, c in view(a).items():
-        exps = dict(m)
-        e = exps.get(v, 0)
-        if e:
-            exps[v] = e - 1
-            key = ref_mono(exps)
-            out[key] = out.get(key, Fraction(0)) + c * e
-    return ref_clean(out)
 
 
 def ref_top(a, name):
@@ -221,6 +163,44 @@ class TestIntegerKernels:
             assert left == right and hash(left) == hash(right)
             rebuilt = DiffPoly(dict(reversed(list(left.terms.items()))))
             assert rebuilt == left and hash(rebuilt) == hash(left)
+
+
+class TestCanonicalForm:
+    """A DiffPoly is its numerators over one positive denominator with no
+    common factor, so equal polynomials have equal fields and hashes."""
+
+    @staticmethod
+    def check(p, want):
+        assert p.den > 0 and 0 not in p.nums.values()
+        assert gcd(p.den, *p.nums.values()) == 1
+        rebuilt = DiffPoly(p.terms)
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+        assert view(p) == want
+
+    def test_every_operation_returns_the_canonical_form(self):
+        rng = random.Random(0xCA40)
+        for _ in range(300):
+            a = rand_poly(rng, names=("u", "F")) * rng.choice(COEFFS)
+            b = rand_poly(rng, names=("u", "F")) * rng.choice(COEFFS)
+            c = rng.choice(COEFFS + (Fraction(0), Fraction(-4, 9)))
+            name, order = rng.choice("uF"), rng.randint(0, 4)
+            self.check(a + b, ref_add(a, b))
+            self.check(a - b, ref_add(a, b, -1))
+            self.check(a * b, ref_mul(a, b))
+            self.check(a * c, {m: x * c for m, x in view(a).items() if c})
+            self.check(a.total_derivative(), ref_derivative(a))
+            self.check(a.partial(name, order), ref_partial(a, (order, name)))
+            parts = a.as_univariate((order, name))
+            want = ref_univariate(a, (order, name))
+            assert sorted(parts) == sorted(want)
+            for e, part in parts.items():
+                self.check(part, want[e])
+            # a negative denominator, and a sum that cancelled to zero
+            acc = dict(a.nums)
+            acc[monomial([((5, "u"), 1)])] = 0
+            k = rng.choice((-1, -2, -6, -35))
+            self.check(jets._from_numerators(acc, k),
+                       {exponents(m): Fraction(n, k) for m, n in acc.items() if n})
 
 
 class TestPackedMonomials:
@@ -584,10 +564,9 @@ class TestLinearBasis:
             require_independent([u, 2 * u])
 
     def test_span_check_stays(self, monkeypatch):
-        import diffalg.jets as jets
         # a kernel that loses u: its one (pivot, integer row) is the constant 1
         one = next(iter(DiffPoly.const(1).terms))
-        monkeypatch.setattr(jets, "_rref",
+        monkeypatch.setattr(linalg, "_rref",
                             lambda rows, key=None: [(one, {one: 1})])
         with pytest.raises(AssertionError, match="escaped its own span"):
             constant_linear_basis([u])
@@ -655,7 +634,7 @@ class TestEchelonReference:
                     row = {-rng.randint(0, 6): rng.choice(COEFFS)
                            for _ in range(rng.randint(1, 4))}
                 rows.append(row)
-            got = jets._rref((_numerators(r)[0] for r in rows), key=key)
+            got = linalg._rref((_numerators(r)[0] for r in rows), key=key)
             for p, row in got:
                 assert row[p] > 0 and gcd(*row.values()) == 1
             assert repr([{k: Fraction(v, row[p]) for k, v in row.items()}
@@ -736,6 +715,43 @@ class TestGcdOracle:
             else:
                 with pytest.raises(ArithmeticError):
                     _poly_divexact(f, b)
+
+    def test_divexact_on_contents_and_signs_matches_sympy_div(self):
+        """Divisors whose numerators share a factor, with either sign of
+        leading coefficient, and near misses whose quotient over Q would be
+        an integer polynomial only up to a scale."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0xD1F2)
+        scales = (Fraction(1), Fraction(-1), Fraction(6), Fraction(-10, 3),
+                  Fraction(35, 4), Fraction(-2, 21), Fraction(10 ** 9, 7))
+        for trial in range(60):
+            a, b = self.draw(rng), self.draw(rng) * rng.choice(scales)
+            f = a * b * rng.choice(scales)
+            if trial % 3 == 0:
+                f = f + self.draw(rng, terms=1)
+            elif trial % 3 == 1 and not b.is_constant():
+                # divisible only by b's multiples that scale one term apart
+                m, c = b.leading()
+                f = a * (b + DiffPoly._of({m: 1}) * (c / 2))
+            gens = sorted(self.to_sympy(sympy, f * b).free_symbols, key=str) \
+                or [sympy.Symbol("u_0")]
+            q, r = sympy.div(sympy.Poly(self.to_sympy(sympy, f), *gens),
+                             sympy.Poly(self.to_sympy(sympy, b), *gens))
+            if r.is_zero:
+                ours = _poly_divexact(f, b)
+                assert sympy.expand(self.to_sympy(sympy, ours) - q.as_expr()) == 0
+                assert ours * b == f
+            else:
+                with pytest.raises(ArithmeticError):
+                    _poly_divexact(f, b)
+
+    def test_divexact_refuses_a_quotient_off_the_integers(self):
+        # 2u + 3 has no integer multiple equal to u + 1, so the integer
+        # division stops at its first leading coefficient
+        with pytest.raises(ArithmeticError):
+            _poly_divexact(u + 1, 2 * u + 3)
+        assert _poly_divexact(4 * u * u + 12 * u + 9, Fraction(-2, 3) * (2 * u + 3)) \
+            == Fraction(-3, 2) * (2 * u + 3)
 
     def test_ratfun_normal_form_matches_sympy_cancel(self):
         sympy = pytest.importorskip("sympy")
