@@ -6,28 +6,26 @@ procedures for hereditariness and integrability and a Lenard-Magri engine
 that generates and certifies commuting symmetry chains.
 """
 
-from .jets import DiffPoly, Grading, RatFun, diff_order, jet, parity_of, poly_gcd
+from .jets import DiffPoly, Grading, RatFun, diff_order, jet, poly_gcd
 from .linalg import constant_linear_basis
 from .calculus import (basis_mod_total_derivatives, evo_apply, integrate,
                        is_total_derivative, lie_bracket, potential,
                        variational_derivative)
-from .operators import (DiffOp, FractionPair, frechet, left_divide, left_gcd,
-                        left_lcm, minimal_right_fraction, op_with_kernel,
-                        right_divide, right_gcd, right_lcm)
+from .operators import (DiffOp, FractionPair, frechet, left_divide,
+                        minimal_right_fraction, right_divide, right_gcd,
+                        right_lcm)
 from .bidiff import (BiDiffOp, bi_apply, compose_left, compose_right,
                      frechet_of_op, is_skewsymmetric, left_divide_bidiff,
-                     slot_first, slot_second, transpose)
+                     slot_first, transpose)
 from .nonlocal_ops import (NonlocalOp, ParityClass, from_fraction_pair,
                            is_recursion_for, lie_derivative, nl_apply, nl_mul,
                            nl_power, operator_from_json, operator_to_json,
-                           parity_class, series_expand, series_product,
-                           to_fraction)
-from .integrability import (Refutation, Verdict, Witness,
-                            hereditary_coefficient_bound, is_hereditary,
+                           parity_class, to_fraction)
+from .integrability import (Refutation, Verdict, Witness, is_hereditary,
                             is_integrable_diffop, is_integrable_pair,
                             is_integrable_wnl, lie_defect)
 from .hierarchy import (CommutationReport, DensityRecord, Hierarchy,
-                        OrderGrowthReport, conserved_densities, seeds)
+                        conserved_densities, seeds)
 from .grammar import format_poly, format_ratfun, parse_function
 from . import errors
 

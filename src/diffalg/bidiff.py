@@ -45,9 +45,6 @@ class BiDiffOp:
         """Largest second-slot power: the operator degree of M_F for generic F."""
         return max((l for _, l in self.entries), default=None)
 
-    def d2(self) -> Optional[int]:
-        return max((k for k, _ in self.entries), default=None)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiDiffOp):
             return NotImplemented
@@ -97,11 +94,6 @@ def bi_apply(m: BiDiffOp, f, g):
 def slot_first(m: BiDiffOp, f) -> DiffOp:
     """M_F = sum M_kl F^(k) D^l: each column operator C_l applied to F."""
     return DiffOp({l: col.apply(f) for l, col in _rows(transpose(m)).items()})
-
-
-def slot_second(m: BiDiffOp, g) -> DiffOp:
-    """M^G = sum M_kl G^(l) D^k: the first slot of the transpose."""
-    return slot_first(transpose(m), g)
 
 
 def compose_left(b: DiffOp, m: BiDiffOp) -> BiDiffOp:

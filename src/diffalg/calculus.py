@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Sequence, Tuple
 
-from .errors import NotExact, NotSupported, NotVariational, VerificationFailed
+from .errors import NotExact, NotVariational, Unsupported, VerificationFailed
 from .jets import (DiffPoly, RatFun, _add_products, _add_tower, _derivative,
                    _from_numerators, _numerators, _partial, _tower, exponents)
 from .linalg import _rref
@@ -171,7 +171,7 @@ def _integrate_reduce(f: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
         partial_h = DiffPoly.zero()
         for e, coeff in c1.as_univariate(below).items():
             if e == -1:
-                raise NotSupported(
+                raise Unsupported(
                     "antiderivative of a -1 Laurent exponent is not polynomial")
             mono = DiffPoly.jet(below[1], below[0], e + 1)
             partial_h = partial_h + coeff * mono * Fraction(1, e + 1)
@@ -207,7 +207,7 @@ def potential(q: DiffPoly, name: str = "u") -> DiffPoly:
     """
     q = DiffPoly.coerce(q)
     if q.has_negative_exponent():
-        raise NotSupported("potential requires a non-Laurent polynomial")
+        raise Unsupported("potential requires a non-Laurent polynomial")
     if helmholtz_residual(q, name):
         raise NotVariational("Frechet derivative is not self-adjoint")
     # every term of q over its degree + 1, on q's numerators over the lcm
@@ -243,7 +243,7 @@ def basis_mod_total_derivatives(fs: Sequence[DiffPoly]):
     fs = [DiffPoly.coerce(f) for f in fs]
     for f in fs:
         if f.has_negative_exponent():
-            raise NotSupported("basis_mod_total_derivatives needs polynomial inputs")
+            raise Unsupported("basis_mod_total_derivatives needs polynomial inputs")
     indets = sorted({name for f in fs for name in f.indets()})
     # one row per coordinate of the vectors; input i is the column -i, so the
     # largest-column pivots pick earlier inputs first

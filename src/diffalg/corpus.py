@@ -122,15 +122,3 @@ def load_operator(spec: str) -> Tuple[NonlocalOp, Grading]:
         f"no such operator file or builtin: {spec!r}; builtins: "
         + ", ".join(builtin_names()))
 
-
-def write_corpus_files(directory: str) -> List[str]:
-    """Materialize the builtin corpus as bare-schema JSON files."""
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for name, entry in sorted(ENTRIES.items()):
-        path = os.path.join(directory, f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump(entry.operator_json, fh, indent=2)
-            fh.write("\n")
-        written.append(path)
-    return written

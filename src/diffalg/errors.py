@@ -13,10 +13,6 @@ class NotExact(DiffAlgError):
         self.residual = residual
 
 
-class NotSupported(DiffAlgError):
-    """Input is outside the exactly-representable class (e.g. Laurent residue)."""
-
-
 class NotVariational(DiffAlgError):
     """The function is not a variational derivative (Frechet derivative not self-adjoint)."""
 
@@ -38,12 +34,8 @@ class DepthOverflow(DiffAlgError):
     """A product would leave the depth-2 non-local algebra."""
 
 
-class DependentInput(DiffAlgError):
-    """Functions required to be linearly independent over Q are not."""
-
-
 class Unsupported(DiffAlgError):
-    """The decision procedure cannot represent this input exactly."""
+    """The input is outside what the engine represents exactly (e.g. a Laurent residue)."""
 
 
 class ParseError(DiffAlgError):

@@ -2,9 +2,9 @@
 
 A hierarchy iterates symmetries S_{n+1} = L(S_n) from a seed taken out of the
 non-local tail of L (or runs a pair (A, d) on potentials directly, as for
-Burgers).  Each extension step is exact; the commutativity of the chain and
-the arithmetic progression of differential orders are certified by explicit
-recomputation, never assumed from the structure results that predict them.
+Burgers).  Each extension step is exact; the commutativity of the chain is
+certified by computing every pairwise bracket, never assumed from the
+structure results that predict it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class Hierarchy:
 
     def __init__(self, operator: NonlocalOp, seeds: List[DiffPoly],
                  chain: List[DiffPoly], potentials: List[Optional[DiffPoly]],
-                 orders: List[Optional[int]], grading: Optional[Grading] = None,
+                 orders: List[Optional[int]],
                  pair: Optional[Tuple[DiffOp, DiffOp]] = None,
                  notes: Optional[List[str]] = None):
         self.operator = operator
@@ -47,7 +47,6 @@ class Hierarchy:
         self.chain = chain
         self.potentials = potentials
         self.orders = orders
-        self.grading = grading
         self.pair = pair
         self.notes = [] if notes is None else notes
 
@@ -62,7 +61,7 @@ class Hierarchy:
             seed = found[0]
         h = Hierarchy(operator=l, seeds=found, chain=[seed],
                       potentials=[None], orders=[diff_order(seed)],
-                      grading=grading, notes=[START_OFFSET_NOTE])
+                      notes=[START_OFFSET_NOTE])
         if grading is not None:
             pc = parity_class(l, grading)
             if not (pc.member or pc.member_switched):
@@ -71,18 +70,16 @@ class Hierarchy:
         return h
 
     @staticmethod
-    def from_pair(a: DiffOp, b: DiffOp, start: DiffPoly,
-                  grading: Optional[Grading] = None) -> "Hierarchy":
+    def from_pair(a: DiffOp, b: DiffOp, start: DiffPoly) -> "Hierarchy":
         """Pair form: iterate potentials H with B(H_next) = A(H); needs B = d."""
         if b != DiffOp.d():
             raise DiffAlgError("the pair engine only solves B = d exactly")
         from .nonlocal_ops import from_fraction_pair
         l = from_fraction_pair(a, b)
         s0 = b.apply(start)
-        h = Hierarchy(operator=l, seeds=seeds(l), chain=[DiffPoly.coerce(s0)],
-                      potentials=[DiffPoly.coerce(start)],
-                      orders=[diff_order(s0)], grading=grading, pair=(a, b))
-        return h
+        return Hierarchy(operator=l, seeds=seeds(l), chain=[DiffPoly.coerce(s0)],
+                         potentials=[DiffPoly.coerce(start)],
+                         orders=[diff_order(s0)], pair=(a, b))
 
     # -- growth -------------------------------------------------------------
 
@@ -139,36 +136,6 @@ class Hierarchy:
         return CommutationReport(pairs_checked=len(results), all_zero=not bad,
                                  violations=bad)
 
-    def order_growth(self) -> "OrderGrowthReport":
-        """Certify orders[k+1] = orders[k] + deg L beyond the coefficient bound."""
-        m = 0
-        for coeff in self.operator.local.coeffs.values():
-            o = diff_order(coeff)
-            if o is not None:
-                m = max(m, o)
-        for p, q in self.operator.depth1:
-            for part in (p, q):
-                o = diff_order(part)
-                if o is not None:
-                    m = max(m, o)
-        deg = self.operator.degree()
-        certified = []
-        failures = []
-        for k in range(len(self.orders) - 1):
-            if self.orders[k] is None or self.orders[k] <= m:
-                continue
-            expected = self.orders[k] + (deg or 0)
-            if self.orders[k + 1] == expected:
-                certified.append(k)
-            else:
-                failures.append((k, self.orders[k + 1], expected))
-        threshold_crossed = any(o is not None and o > m for o in self.orders)
-        return OrderGrowthReport(coefficient_order_bound=m,
-                                 degree=deg,
-                                 certified_steps=certified,
-                                 failures=failures,
-                                 threshold_crossed=threshold_crossed)
-
     def scheme_consistency(self) -> bool:
         """B(F_{n+1}) = A(F_n) for the recovered potentials, checked exactly."""
         if self.pair is not None:
@@ -210,14 +177,6 @@ class CommutationReport(NamedTuple):
     pairs_checked: int
     all_zero: bool
     violations: List[Tuple[int, int, DiffPoly]]
-
-
-class OrderGrowthReport(NamedTuple):
-    coefficient_order_bound: int
-    degree: Optional[int]
-    certified_steps: List[int]
-    failures: List[Tuple[int, Optional[int], int]]
-    threshold_crossed: bool
 
 
 # -- powers and conserved densities ------------------------------------------------

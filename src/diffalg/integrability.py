@@ -130,8 +130,6 @@ def is_hereditary(op: Union[NonlocalOp, FractionPair]) -> Verdict:
     large rational operator is the slow step.
     """
     if isinstance(op, FractionPair):
-        if op.side != "right":
-            raise Unsupported("hereditariness works on right fractions")
         pair = minimal_right_fraction(op.num, op.den)
         l, fraction = from_fraction_pair(pair.num, pair.den), (pair.num, pair.den)
     else:
@@ -174,15 +172,3 @@ def is_integrable_wnl(l: NonlocalOp) -> Verdict:
         return Verdict(True, inner.certificate)
     return Verdict(True, None)
 
-
-def hereditary_coefficient_bound(a: DiffOp) -> bool:
-    """Necessary condition: every coefficient has differential order <= deg A + 1."""
-    if a.is_zero():
-        return True
-    from .jets import diff_order
-    bound = a.degree() + 1
-    for coeff in a.coeffs.values():
-        order = diff_order(coeff)
-        if order is not None and order > bound:
-            return False
-    return True

@@ -348,7 +348,9 @@ class DiffPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.den, frozenset(self.nums.items())))
+            # a constant equals its Fraction, so it hashes as one
+            self._hash = (hash(self.constant_term()) if self.is_constant()
+                          else hash((self.den, frozenset(self.nums.items()))))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -1020,7 +1022,9 @@ class RatFun:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            # over 1 it equals its numerator, so it hashes as that
+            self._hash = (hash(self.num) if self.den.is_one()
+                          else hash((self.num, self.den)))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -1121,9 +1125,3 @@ class Grading:
             return None
         return (pn - pd) % 2
 
-
-def parity_of(f, grading: Grading) -> str:
-    """Classify a function as 'even', 'odd' or 'mixed' under the given grading."""
-    p = grading.of_ratfun(f) if isinstance(f, RatFun) else grading.of_poly(
-        DiffPoly.coerce(f))
-    return "mixed" if p is None else ("even" if p == 0 else "odd")

@@ -14,7 +14,6 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import DependentInput
 from .jets import _ONE, DiffPoly, RatFun, _poly_divexact, exponents, poly_lcm
 
 
@@ -128,8 +127,3 @@ def _echelon_basis(fs: Sequence) -> Tuple[list, list, List[Tuple[Dict, int]]]:
         basis = [RatFun(b, den) for b in basis]
     return basis, [p for p, _ in rows], nums
 
-
-def require_independent(fs: Sequence[DiffPoly]) -> None:
-    fs = list(fs)
-    if len(_echelon_basis(fs)[0]) != len(fs):
-        raise DependentInput("functions are linearly dependent over Q")

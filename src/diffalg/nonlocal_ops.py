@@ -19,22 +19,22 @@ sum a_k d^k = (sum_{k>=1} a_k d^(k-1)) d + a_0.  On the left, d Q + r with
 Q = sum q_k d^k has coefficient q_(k-1) + q_k' at d^k, so from the top down
 q_(n-1) = a_n, q_(k-1) = a_k - q_k' and r = a_0 - q_0'.
 
-series_expand exists only as an independent test oracle; no decision path
-depends on a truncation depth.
+No decision path depends on a truncation depth; the truncated
+pseudodifferential series that cross-check these products live with the
+tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
-from .errors import (DepthOverflow, NotExact, NotInImage, NotSupported,
-                     ParseError, Unsupported)
+from .errors import DepthOverflow, NotExact, NotInImage, ParseError, Unsupported
 from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
 from .jets import (DiffPoly, Grading, RatFun, _from_numerators, accumulate,
-                   derivatives, exponents, monomial)
+                   exponents, monomial)
 from .linalg import _echelon_basis, _over_common_den
 from .operators import DiffOp, _operand, evo_apply_op, frechet, right_lcm
 
@@ -361,8 +361,8 @@ def nl_apply(l: NonlocalOp, f):
     for i, (p, q) in enumerate(l.depth1):
         product = q * rf
         if not product.is_polynomial():
-            raise NotSupported("q_i * f has a nonconstant denominator; "
-                               "exact integration is polynomial-only")
+            raise Unsupported("q_i * f has a nonconstant denominator; "
+                              "exact integration is polynomial-only")
         try:
             antiderivative = integrate(product.as_diffpoly())
         except NotExact as exc:
@@ -465,93 +465,6 @@ def from_fraction_pair(a: DiffOp, b: DiffOp) -> NonlocalOp:
                       "this fraction to weakly non-local form")
 
 
-# -- series oracle ------------------------------------------------------------------------
-
-
-def _binom(k: int, n: int) -> int:
-    if k >= 0:
-        return comb(k, n)
-    # binom(k, n) for negative k: (-1)^n * comb(n - k - 1, n)
-    return (-1) ** n * comb(n - k - 1, n)
-
-
-def _series_d_inverse(series: Dict[int, RatFun], depth: int) -> Dict[int, RatFun]:
-    """d^-1 composed with a truncated Laurent operator, truncated at d^-depth."""
-    return series_product({-1: RatFun(1)}, series, depth)
-
-
-def _series_scale(f: RatFun, series: Dict[int, RatFun]) -> Dict[int, RatFun]:
-    return {k: f * c for k, c in series.items() if not (f * c).is_zero()}
-
-
-def series_expand(l: NonlocalOp, depth: int) -> Dict[int, RatFun]:
-    """Truncated pseudodifferential expansion of L down to d^-depth.
-
-    Test oracle only: d^-1 a = sum (-1)^n a^(n) d^(-n-1), applied right to left
-    through each non-local chain.
-    """
-    out: Dict[int, RatFun] = dict(l.local.coeffs)
-
-    def add(series: Dict[int, RatFun]):
-        for k, c in series.items():
-            accumulate(out, k, c)
-
-    for p, q in l.depth1:
-        add(_series_scale(p, _series_d_inverse({0: q}, depth)))
-    for a, b, c in l.depth2:
-        inner = _series_d_inverse({0: c}, depth + 1)
-        middle = _series_scale(b, inner)
-        add(_series_scale(a, _series_d_inverse(middle, depth)))
-    return {k: c for k, c in out.items() if k >= -depth and not c.is_zero()}
-
-
-def series_inverse(b: DiffOp, depth: int) -> Dict[int, RatFun]:
-    """Truncated pseudodifferential inverse of a differential operator.
-
-    Oracle helper: peels the top of the residual 1 - B*S term by term, so
-    B * series_inverse(B) == 1 holds down to the truncation depth.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("inverting the zero operator")
-    n = b.degree()
-    lc = b.leading_coefficient()
-    inverse: Dict[int, RatFun] = {}
-    residual: Dict[int, RatFun] = {0: RatFun(1)}
-    guard = 0
-    while residual:
-        top = max(residual)
-        if top - n < -depth:
-            break
-        guard += 1
-        if guard > 10 * (depth + n + 2):
-            raise AssertionError("series inversion failed to make progress")
-        coeff = residual[top] / lc
-        accumulate(inverse, top - n, coeff)
-        # residual -= B * coeff d^(top-n), truncated well below the requested depth
-        product = series_product(dict(b.coeffs), {top - n: coeff}, depth + n + 1)
-        for k, c in product.items():
-            accumulate(residual, k, -c)
-    return {k: c for k, c in inverse.items() if k >= -depth}
-
-
-def series_product(s1: Dict[int, RatFun], s2: Dict[int, RatFun],
-                   depth: int) -> Dict[int, RatFun]:
-    """Product of truncated expansions, truncated at d^-depth; oracle helper.
-
-    d^i b = sum_n binom(i, n) b^(n) d^(i-n) stops at n = i for i >= 0 and
-    otherwise at the truncation i - n + j = -depth.
-    """
-    out: Dict[int, RatFun] = {}
-    for j, b in s2.items():
-        tops = {i: min(i, i + j + depth) if i >= 0 else i + j + depth
-                for i in s1}
-        tower = derivatives(b, max(tops.values(), default=0))
-        for i, a in s1.items():
-            for n in range(tops[i] + 1):
-                accumulate(out, i - n + j, a * tower[n] * _binom(i, n))
-    return out
-
-
 # -- parity --------------------------------------------------------------------------------
 
 
@@ -610,12 +523,12 @@ def _ratfun_to_expr(r: RatFun) -> str:
         ((mono, coeff),) = r.den.terms.items()
         inverse = DiffPoly({monomial((v, -e) for v, e in exponents(mono)): 1 / coeff})
         return format_poly(r.num * inverse)
-    raise NotSupported("coefficient denominators must be monomials to serialize")
+    raise Unsupported("coefficient denominators must be monomials to serialize")
 
 
 def operator_to_json(l: NonlocalOp, grading: Optional[Grading] = None) -> dict:
     if l.depth2:
-        raise NotSupported("depth-2 terms are internal only and never serialized")
+        raise Unsupported("depth-2 terms are internal only and never serialized")
     data = {
         "local": [[_ratfun_to_expr(c), k] for k, c in sorted(l.local.coeffs.items())],
         "nonlocal": [[_ratfun_to_expr(p), _ratfun_to_expr(q)]

@@ -2,9 +2,9 @@
 
 Operators are finite sums a_k D^k with rational-function coefficients, where
 D is the total derivative and multiplication obeys D*a = a*D + a'.  The ring
-is left and right Euclidean; both divisions, both gcds and both lcms are
-implemented, along with minimal fractions and the prescribed-kernel
-construction.
+is left and right Euclidean.  Both divisions are implemented, with the right
+gcd that makes a right fraction A B^-1 minimal and the right lcm that puts
+several tails over one denominator.
 
 This class is where the Leibniz rule D^k a = sum_n comb(k, n) a^(n) D^(k-n)
 lives: products, adjoints and applications expand it, and the bidifferential
@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .jets import (_ONE, DiffPoly, Numerators, RatFun, _add_products, _add_tower,
                    _from_numerators, _tower, accumulate, derivatives, poly_gcd,
                    poly_lcm)
-from .linalg import require_independent
 
 
 class DiffOp:
@@ -96,6 +95,9 @@ class DiffOp:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        if max(self.coeffs, default=0) == 0:
+            # of degree 0 it equals its coefficient, so it hashes as that
+            return hash(self.coefficient(0))
         return hash(frozenset(self.coeffs.items()))
 
     def __bool__(self) -> bool:
@@ -371,26 +373,6 @@ def right_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
     return a.monic()
 
 
-def left_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Monic greatest common left divisor, via adjoints of the right gcd."""
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    return right_gcd(a.adjoint(), b.adjoint()).adjoint().monic()
-
-
-def left_lcm(a: DiffOp, b: DiffOp) -> Tuple[DiffOp, DiffOp, DiffOp]:
-    """(L, C, D) with L = C*A = D*B of minimal degree.
-
-    The adjoint turns A*C' = B*D' = L' from right_lcm(A*, B*) into
-    C'*A = D'*B = L'*; scaling on the left by 1/lc makes L monic again.
-    """
-    lcm, c, d = (x.adjoint() for x in right_lcm(a.adjoint(), b.adjoint()))
-    unit = lcm.leading_coefficient().inverse()
-    return lcm.scale(unit), c.scale(unit), d.scale(unit)
-
-
 def right_lcm(a: DiffOp, b: DiffOp) -> Tuple[DiffOp, DiffOp, DiffOp]:
     """(L, C, D) with L = A*C = B*D of minimal degree.
 
@@ -418,65 +400,24 @@ def right_lcm(a: DiffOp, b: DiffOp) -> Tuple[DiffOp, DiffOp, DiffOp]:
 
 
 class FractionPair:
-    """A rational operator presented as a fraction of differential operators:
-    L = num * den^-1 for side "right", den^-1 * num for "left"."""
+    """A rational operator presented as the right fraction L = num * den^-1."""
 
-    def __init__(self, num: DiffOp, den: DiffOp, side: str = "right"):
-        if side not in ("right", "left"):
-            raise ValueError("side must be 'right' or 'left'")
+    def __init__(self, num: DiffOp, den: DiffOp):
         if den.is_zero():
             raise ValueError("fraction denominator is zero")
-        self.num, self.den, self.side = num, den, side
+        self.num, self.den = num, den
 
 
 def minimal_right_fraction(a: DiffOp, b: DiffOp) -> FractionPair:
     """Divide out the right gcd so the pair is right-coprime."""
     g = right_gcd(a, b)
     if g.degree() == 0:
-        return FractionPair(a, b, "right")
+        return FractionPair(a, b)
     qa, ra = right_divide(a, g)
     qb, rb = right_divide(b, g)
     if not (ra.is_zero() and rb.is_zero()):
         raise AssertionError("right gcd failed to divide its inputs")
-    return FractionPair(qa, qb, "right")
-
-
-def minimal_left_fraction(a: DiffOp, b: DiffOp) -> FractionPair:
-    """Left presentation B^-1 A of the right fraction a b^-1, made minimal.
-
-    The left lcm C a = D b gives a b^-1 = C^-1 D; the left gcd of (C, D) is
-    then divided out.  For a right-coprime input pair the left denominator
-    has the same degree as b.
-    """
-    _, c, d = left_lcm(a, b)
-    g = left_gcd(c, d)
-    if g.degree() == 0:
-        return FractionPair(d, c, "left")
-    qc, rc = left_divide(c, g)
-    qd, rd = left_divide(d, g)
-    if not (rc.is_zero() and rd.is_zero()):
-        raise AssertionError("left gcd failed to divide its inputs")
-    return FractionPair(qd, qc, "left")
-
-
-def op_with_kernel(fs: List[DiffPoly]) -> DiffOp:
-    """The degree-n operator annihilating n given independent functions.
-
-    Built by the iterated first-order construction P = f*D - f'; each stage
-    applies the current operator to the next function and wraps once more.
-    """
-    fs = [DiffPoly.coerce(f) for f in fs]
-    if not fs:
-        return DiffOp.identity()
-    require_independent(fs)
-    op = DiffOp.identity()
-    for f in fs:
-        g = op.apply(f)
-        g = RatFun.coerce(g)
-        if g.is_zero():
-            raise AssertionError("independent function annihilated too early")
-        op = (DiffOp({1: g}) - DiffOp.of_function(g.total_derivative())) * op
-    return op
+    return FractionPair(qa, qb)
 
 
 # -- Frechet derivatives -----------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Shared random generators for the property suites.
+"""Shared random generators, reference loops and oracles for the property suites.
 
 Sizes follow the acceptance contract: jets up to order 4, degrees up to 3,
 small term counts, exact rational coefficients.
 """
 
 from fractions import Fraction
+from math import comb
 import random
+from typing import Dict
 
-from diffalg import DiffOp, DiffPoly, NonlocalOp, RatFun, BiDiffOp, jet
-from diffalg.jets import accumulate, exponents, monomial
+from diffalg import DiffOp, DiffPoly, NonlocalOp, RatFun, BiDiffOp, jet, right_gcd
+from diffalg.jets import accumulate, derivatives, exponents, monomial
 
 
 def rand_poly(rng: random.Random, max_order: int = 4, max_degree: int = 3,
@@ -310,3 +312,97 @@ def ref_hereditary_residual(l):
     lhs = ref_twisted_lie(l, slot_first(frechet_of_op(a), f), a.apply(f))
     inner = ref_twisted_lie(l, slot_first(frechet_of_op(b), f), b.apply(f))
     return lhs - nl_mul(l, inner)
+
+
+def left_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
+    """Monic greatest common left divisor of nonzero operators, as the adjoint
+    of the right gcd of the adjoints: the degree oracle for right_lcm."""
+    return right_gcd(a.adjoint(), b.adjoint()).adjoint().monic()
+
+
+# -- series oracle ------------------------------------------------------------------------
+
+
+def _binom(k: int, n: int) -> int:
+    if k >= 0:
+        return comb(k, n)
+    # binom(k, n) for negative k: (-1)^n * comb(n - k - 1, n)
+    return (-1) ** n * comb(n - k - 1, n)
+
+
+def _series_d_inverse(series: Dict[int, RatFun], depth: int) -> Dict[int, RatFun]:
+    """d^-1 composed with a truncated Laurent operator, truncated at d^-depth."""
+    return series_product({-1: RatFun(1)}, series, depth)
+
+
+def _series_scale(f: RatFun, series: Dict[int, RatFun]) -> Dict[int, RatFun]:
+    return {k: f * c for k, c in series.items() if not (f * c).is_zero()}
+
+
+def series_expand(l: NonlocalOp, depth: int) -> Dict[int, RatFun]:
+    """Truncated pseudodifferential expansion of L down to d^-depth.
+
+    An oracle independent of the canonical forms: d^-1 a =
+    sum (-1)^n a^(n) d^(-n-1), applied right to left through each non-local
+    chain.
+    """
+    out: Dict[int, RatFun] = dict(l.local.coeffs)
+
+    def add(series: Dict[int, RatFun]):
+        for k, c in series.items():
+            accumulate(out, k, c)
+
+    for p, q in l.depth1:
+        add(_series_scale(p, _series_d_inverse({0: q}, depth)))
+    for a, b, c in l.depth2:
+        inner = _series_d_inverse({0: c}, depth + 1)
+        middle = _series_scale(b, inner)
+        add(_series_scale(a, _series_d_inverse(middle, depth)))
+    return {k: c for k, c in out.items() if k >= -depth and not c.is_zero()}
+
+
+def series_inverse(b: DiffOp, depth: int) -> Dict[int, RatFun]:
+    """Truncated pseudodifferential inverse of a differential operator.
+
+    Oracle helper: peels the top of the residual 1 - B*S term by term, so
+    B * series_inverse(B) == 1 holds down to the truncation depth.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("inverting the zero operator")
+    n = b.degree()
+    lc = b.leading_coefficient()
+    inverse: Dict[int, RatFun] = {}
+    residual: Dict[int, RatFun] = {0: RatFun(1)}
+    guard = 0
+    while residual:
+        top = max(residual)
+        if top - n < -depth:
+            break
+        guard += 1
+        if guard > 10 * (depth + n + 2):
+            raise AssertionError("series inversion failed to make progress")
+        coeff = residual[top] / lc
+        accumulate(inverse, top - n, coeff)
+        # residual -= B * coeff d^(top-n), truncated well below the requested depth
+        product = series_product(dict(b.coeffs), {top - n: coeff}, depth + n + 1)
+        for k, c in product.items():
+            accumulate(residual, k, -c)
+    return {k: c for k, c in inverse.items() if k >= -depth}
+
+
+def series_product(s1: Dict[int, RatFun], s2: Dict[int, RatFun],
+                   depth: int) -> Dict[int, RatFun]:
+    """Product of truncated expansions, truncated at d^-depth; oracle helper.
+
+    d^i b = sum_n binom(i, n) b^(n) d^(i-n) stops at n = i for i >= 0 and
+    otherwise at the truncation i - n + j = -depth.
+    """
+    out: Dict[int, RatFun] = {}
+    for j, b in s2.items():
+        tops = {i: min(i, i + j + depth) if i >= 0 else i + j + depth
+                for i in s1}
+        tower = derivatives(b, max(tops.values(), default=0))
+        for i, a in s1.items():
+            for n in range(tops[i] + 1):
+                accumulate(out, i - n + j, a * tower[n] * _binom(i, n))
+    return out

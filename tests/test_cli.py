@@ -3,13 +3,15 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
 
 from diffalg import is_hereditary, is_integrable_wnl, is_recursion_for, parse_function
 from diffalg.cli import main
-from diffalg.corpus import ENTRIES, builtin_names, load_operator, write_corpus_files
+from diffalg.corpus import ENTRIES, builtin_names, load_operator
 from diffalg.nonlocal_ops import operator_to_json
 
 
@@ -247,10 +249,10 @@ class TestTextFormat:
 
 class TestCorpus:
     def test_files_match_builtins(self, tmp_path, capsys):
-        written = write_corpus_files(str(tmp_path))
-        assert len(written) == len(builtin_names())
         for name in builtin_names():
-            from_file, _ = load_operator(str(tmp_path / f"{name}.json"))
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(ENTRIES[name].operator_json))
+            from_file, _ = load_operator(str(path))
             from_builtin, _ = ENTRIES[name].load()
             assert from_file == from_builtin
 
@@ -300,11 +302,26 @@ class TestReadmeExamples:
         block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
         return [shlex.split(line)[1:] for line in block.strip().splitlines()]
 
-    def test_outputs_match_the_golden_file(self, capsys, monkeypatch):
+    def golden(self):
         with open(os.path.join(self.ROOT, "tests", "cli_golden.json")) as f:
-            golden = json.load(f)
+            return json.load(f)
+
+    def test_outputs_match_the_golden_file(self, capsys, monkeypatch):
+        golden = self.golden()
         assert [case["argv"] for case in golden] == self.readme_examples()
         monkeypatch.chdir(self.ROOT)  # the examples name corpus/ files
         for case in golden:
             code, out, _ = run(capsys, *case["argv"])
             assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+    def test_module_entry_point_matches_the_golden_file(self):
+        # the same cases through `python -m diffalg.cli`, in a fresh process
+        src = os.path.join(self.ROOT, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for case in self.golden():
+            proc = subprocess.run([sys.executable, "-m", "diffalg.cli", *case["argv"]],
+                                  cwd=self.ROOT, env=env, stdin=subprocess.DEVNULL,
+                                  capture_output=True, text=True, timeout=300)
+            assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"]), \
+                case["argv"]

@@ -10,14 +10,15 @@ from diffalg import (BiDiffOp, DiffOp, DiffPoly, Grading, NonlocalOp, RatFun,
                      frechet, from_fraction_pair, is_hereditary, is_recursion_for,
                      jet, lie_derivative, nl_mul, nl_power, nonlocal_ops,
                      operator_from_json, operator_to_json, parity_class,
-                     parse_function, series_expand, series_product, to_fraction)
+                     parse_function, to_fraction)
 from diffalg.calculus import is_total_derivative
 from diffalg.errors import DepthOverflow, NotInImage, Unsupported
 from diffalg.nonlocal_ops import _div_left_by_d, _gather, _reduce_tensor, twisted_lie
 from diffalg.operators import left_divide
-from helpers import (planted_inputs, rand_op, rand_poly, rand_wnl, ref_gather,
-                     ref_hereditary_residual, ref_power, ref_reduce_tensor,
-                     ref_twisted_lie)
+from helpers import (_series_d_inverse, planted_inputs, rand_op, rand_poly,
+                     rand_wnl, ref_gather, ref_hereditary_residual, ref_power,
+                     ref_reduce_tensor, ref_twisted_lie, series_expand,
+                     series_inverse, series_product)
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -411,7 +412,6 @@ class TestFractions:
 
     def test_fraction_reexpansion_round_trip(self):
         # series(L) == series(A) * series(B^-1) to depth 6 on the corpus
-        from diffalg.nonlocal_ops import series_inverse
         l216b = NonlocalOp(DiffOp({1: RatFun(1), 0: RatFun(u)}),
                            ((RatFun(u1), RatFun(1)),))
         for l in (kdv_operator(), counterexample(), l216b,
@@ -491,13 +491,11 @@ class TestSeriesOracle:
 
 
 def _dinv_series(q, depth):
-    from diffalg.nonlocal_ops import _series_d_inverse
     return _series_d_inverse({0: RatFun(q)}, depth)
 
 
 def _dinv_series_raw(mid, depth):
     # d^-1 composed with multiplication by mid, as a bare series
-    from diffalg.nonlocal_ops import _series_d_inverse
     return _series_d_inverse({0: RatFun(mid)}, depth)
 
 
