@@ -3,13 +3,9 @@
 Evolutionary vector fields, the Lie bracket on functions, the variational
 derivative, constructive integration (the inverse of the total derivative on
 its image), the homotopy potential, and Q-linear reduction modulo total
-derivatives.  A polynomial with no explicit x is a total derivative exactly
-when all its variational derivatives vanish and its constant term is zero,
-so that reduction is one reduced echelon form of the vectors
-(variational derivatives, constant term).  These are the primitives every
-decision procedure downstream bottoms out in, so each one is exact and
-total-derivative identities are enforced by construction, never by
-approximation.
+derivatives.  These are the primitives every decision procedure downstream
+bottoms out in, so each one is exact and total-derivative identities are
+enforced by construction, never by approximation.
 
 No Leibniz expansion is written out here.  An evolutionary field is
 X_f(g) = D_g(f), the Frechet derivative of g applied to f: one
@@ -18,17 +14,24 @@ derivative tower of f on integer numerators (``jets._add_tower``).  The Lie
 brackets of a list of polynomials (``brackets``, and ``lie_bracket`` as its
 two-member case) stream one tower per member, and every bracket that member
 is in takes its half from that one stream.
+
+The reduction layer takes each exact step once.  Integration is one integer
+pass, bucketed by highest jet and rescaled only for an e+1 that does not
+divide (``_integrate_reduce``).  Reduction modulo d and the potential check
+their certificate first; the echelon form and Helmholtz test run on failure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Sequence, Tuple
 
 from .errors import NotExact, NotVariational, Unsupported, VerificationFailed
-from .jets import (DiffPoly, RatFun, _add_products, _add_tower, _derivative,
-                   _from_numerators, _numerators, _partial, _tower, exponents)
+from .jets import (EXPONENT_LIMIT, _FIELD, _JETS, _W, DiffPoly, RatFun,
+                   _add_products, _add_tower, _derivative, _digit, _field,
+                   _fields, _from_numerators, _numerators, _partial, _tower,
+                   accumulate, exponents, monomial)
 from .linalg import _rref
 from .operators import frechet, helmholtz_residual
 
@@ -122,69 +125,81 @@ def variational_derivative(f: DiffPoly, name: str = "u") -> DiffPoly:
         d_out = _derivative(out)
         out = _partial(nf, name, n)
         for m, c in d_out.items():
-            c = out.get(m, 0) - c
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
+            accumulate(out, m, -c)
     return _from_numerators(out, f.den)
 
 
 # -- constructive integration ---------------------------------------------------
 
 
+def _leader(m: int) -> Tuple[int, str]:
+    """The highest jet of a monomial; (-1, "") for the monomial 1."""
+    return max((_JETS[i] for i, _ in _fields(m)), default=(-1, ""))
+
+
 def _integrate_reduce(f: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
     """Peel total-derivative layers off f; returns (h, residual) with f = d(h) + residual.
 
-    The residual is nonzero only when f is not a total derivative; by
-    construction it is a polynomial in order-0 jets alone, the first layer
-    that fails the affine-linearity test, or the first rest that recurs: when
-    two indeterminates share the top order, peeling one can bring the other
-    back, and on a non-exact f the peels can cycle.
+    A peel takes the largest jet var = u^(n) and, when every term with var is
+    linear in it, integrates that layer c1 * var in u^(n-1).  The residual,
+    nonzero only when f is not a total derivative, is the rest at the first
+    stop: order-0 jets alone, var at another power, a second jet of var's
+    order in c1, or a recurring rest.  The rest is integer numerators over one
+    denominator, which grows only when an e+1 does not divide a coefficient,
+    bucketed by highest jet: a peel reads the top bucket and files only what
+    d(partial h) adds.  With one indeterminate the top order falls at every
+    peel, so only several keep the history that catches their cycling.
     """
-    h = DiffPoly.zero()
-    rest = f
-    # every earlier rest, and their monomial sets: hashing those packed ints is
-    # far cheaper than hashing Fractions, and only a repeated set needs the
-    # full comparison
-    history, shapes = [], set()
-    while not rest.is_zero():
-        shape = frozenset(rest.nums)
-        if shape in shapes and rest in history:
-            return h, rest
-        shapes.add(shape)
-        history.append(rest)
-        if len(history) > 10_000:
+    single = len(f.indets()) < 2
+    den, h, rest, seen, steps = f.den, {}, {}, set(), 0
+    for m, n in f.nums.items():
+        rest.setdefault(_leader(m), {})[m] = n
+    while rest:
+        if not single:
+            now = _from_numerators({m: n for t in rest.values() for m, n in t.items()}, den)
+            if now in seen:
+                break
+            seen.add(now)
+        steps += 1
+        if steps > 10_000:
             raise AssertionError("integration reduction failed to terminate")
-        top = rest.top_order()
-        if top == 0 or top is None:
-            return h, rest
-        var = max(v for m in rest.nums for v, _ in exponents(m) if v[0] == top)
-        layers = rest.as_univariate(var)
-        if any(e not in (0, 1) for e in layers):
-            return h, rest
-        c1 = layers[1]
-        c1_top = c1.top_order()
-        if c1_top is not None and c1_top >= top:
-            return h, rest
-        below = (var[0] - 1, var[1])
-        partial_h = DiffPoly.zero()
-        for e, coeff in c1.as_univariate(below).items():
-            if e == -1:
+        var = max(rest)
+        top, i = rest[var], _FIELD.get(var)
+        if var[0] <= 0 or any(_digit(m, i) != 1 for m in top) or not single and any(
+                _JETS[j][0] == var[0] for m in top for j, _ in _fields(m) if j != i):
+            break
+        b = _field(below := (var[0] - 1, var[1]))
+        lift, peel, scale = (1 << _W * b) - (1 << _W * i), [], 1
+        for m, n in top.items():
+            e = _digit(m, b) + 1
+            if not e:
                 raise Unsupported(
                     "antiderivative of a -1 Laurent exponent is not polynomial")
-            mono = DiffPoly.jet(below[1], below[0], e + 1)
-            partial_h = partial_h + coeff * mono * Fraction(1, e + 1)
-        h = h + partial_h
-        rest = rest - partial_h.total_derivative()
-    return h, DiffPoly.zero()
+            if e >= EXPONENT_LIMIT:
+                monomial(((below, e),))  # raises its OverflowError
+            if n * scale % e:
+                scale *= abs(e) // gcd(n * scale, e)
+            peel.append((m + lift, n, e))
+        del rest[var]
+        if scale > 1:
+            den *= scale
+            for t in (h, *rest.values()):
+                t.update({m: n * scale for m, n in t.items()})
+        partial_h = {m: n * scale // e for m, n, e in peel}
+        for m, n in partial_h.items():
+            accumulate(h, m, n)
+        for m, n in _derivative(partial_h).items():
+            if n and m not in top:  # the top bucket is c1 * var: it cancels
+                accumulate(rest.setdefault(_leader(m), {}), m, -n)
+        rest = {key: t for key, t in rest.items() if t}
+    residual = {m: n for t in rest.values() for m, n in t.items()}
+    return _from_numerators(h, den), _from_numerators(residual, den)
 
 
 def integrate(f: DiffPoly) -> DiffPoly:
     """Return h with d(h) = f and zero constant term; raise NotExact otherwise."""
-    f = DiffPoly.coerce(f)
-    h, residual = _integrate_reduce(f)
-    if not residual.is_zero():
+    h, residual = _integrate_reduce(DiffPoly.coerce(f))
+    if residual:
         from .grammar import format_poly
         raise NotExact(
             f"not a total derivative; residual {format_poly(residual)}",
@@ -193,9 +208,7 @@ def integrate(f: DiffPoly) -> DiffPoly:
 
 
 def is_total_derivative(f: DiffPoly) -> bool:
-    f = DiffPoly.coerce(f)
-    _, residual = _integrate_reduce(f)
-    return residual.is_zero()
+    return not _integrate_reduce(DiffPoly.coerce(f))[1]
 
 
 def potential(q: DiffPoly, name: str = "u") -> DiffPoly:
@@ -203,23 +216,25 @@ def potential(q: DiffPoly, name: str = "u") -> DiffPoly:
 
     For a polynomial variational derivative q the density
     rho = sum over monomials m of q of u*m / (deg m + 1) satisfies
-    delta(rho)/delta(u) = q; the result is re-checked before returning.
+    delta(rho)/delta(u) = q.  That identity certifies rho; only when it fails
+    does the Helmholtz test run, to refuse a q that is not variational.
     """
     q = DiffPoly.coerce(q)
     if q.has_negative_exponent():
         raise Unsupported("potential requires a non-Laurent polynomial")
+    failure = VerificationFailed("homotopy potential failed its defining identity")
+    try:  # every term of q over its degree + 1, over the lcm of those weights
+        weights = {m: sum(e for _, e in exponents(m)) + 1 for m in q.nums}
+        scale = lcm(*weights.values())
+        rho = DiffPoly.jet(name, 0) * _from_numerators(
+            {m: n * (scale // weights[m]) for m, n in q.nums.items()}, q.den * scale)
+        if variational_derivative(rho, name) == q:
+            return rho
+    except OverflowError as err:
+        failure = err
     if helmholtz_residual(q, name):
         raise NotVariational("Frechet derivative is not self-adjoint")
-    # every term of q over its degree + 1, on q's numerators over the lcm
-    # of those weights
-    weights = {m: sum(e for _, e in exponents(m)) + 1 for m in q.nums}
-    scale = lcm(*weights.values())
-    rho = DiffPoly.jet(name, 0) * _from_numerators(
-        {m: n * (scale // weights[m]) for m, n in q.nums.items()}, q.den * scale)
-    rho = rho - DiffPoly.const(rho.constant_term())
-    if variational_derivative(rho, name) != q:
-        raise VerificationFailed("homotopy potential failed its defining identity")
-    return rho
+    raise failure
 
 
 # -- reduction modulo total derivatives -------------------------------------------
@@ -238,12 +253,17 @@ def basis_mod_total_derivatives(fs: Sequence[DiffPoly]):
     is zero, so independence modulo d is plain linear independence of the
     vectors (delta_name f_i for every indeterminate, constant term of f_i):
     one reduced echelon form over the columns -i gives the basis (its pivot
-    columns) and the coordinates (its columns).
+    columns) and the coordinates (its columns).  An exact input has zero
+    coordinates and its integral for exact part, so when all are exact no
+    echelon form is built.
     """
     fs = [DiffPoly.coerce(f) for f in fs]
     for f in fs:
         if f.has_negative_exponent():
             raise Unsupported("basis_mod_total_derivatives needs polynomial inputs")
+    integrals = [_integrate_reduce(f) for f in fs]
+    if not any(residual for _, residual in integrals):
+        return [], [[] for _ in fs], [h for h, _ in integrals]
     indets = sorted({name for f in fs for name in f.indets()})
     # one row per coordinate of the vectors; input i is the column -i, so the
     # largest-column pivots pick earlier inputs first
@@ -260,13 +280,12 @@ def basis_mod_total_derivatives(fs: Sequence[DiffPoly]):
     coords = [[Fraction(row.get(-i, 0), row[p]) for p, row in reduced]
               for i in range(len(fs))]
     exact_parts = []
-    for f, c in zip(fs, coords):
-        for cj, b in zip(c, basis):
-            if cj:
-                f = f - cj * b
-        h, residual = _integrate_reduce(f)
-        if not residual.is_zero():
-            raise AssertionError("a combination with no variational derivative "
-                                 "and no constant term must integrate")
+    for f, c, (h, residual) in zip(fs, coords, integrals):
+        if residual:
+            h, residual = _integrate_reduce(
+                f - sum((cj * b for cj, b in zip(c, basis) if cj), DiffPoly.zero()))
+            if residual:
+                raise AssertionError("a combination with no variational "
+                                     "derivative and no constant term must integrate")
         exact_parts.append(h)
     return basis, coords, exact_parts

@@ -10,6 +10,7 @@ import random
 from typing import Dict
 
 from diffalg import DiffOp, DiffPoly, NonlocalOp, RatFun, BiDiffOp, jet, right_gcd
+from diffalg.errors import Unsupported
 from diffalg.jets import accumulate, derivatives, exponents, monomial
 
 
@@ -406,3 +407,56 @@ def series_product(s1: Dict[int, RatFun], s2: Dict[int, RatFun],
             for n in range(tops[i] + 1):
                 accumulate(out, i - n + j, a * tower[n] * _binom(i, n))
     return out
+
+
+# -- integration oracle ----------------------------------------------------------------
+#
+# The loop that calculus._integrate_reduce's bucketed integer pass replaced:
+# every peel re-reads the whole rest as a canonical DiffPoly.
+
+
+def ref_integrate_reduce(f: DiffPoly):
+    """Peel total-derivative layers off f; returns (h, residual) with f = d(h) + residual.
+
+    The residual is nonzero only when f is not a total derivative; by
+    construction it is a polynomial in order-0 jets alone, the first layer
+    that fails the affine-linearity test, or the first rest that recurs: when
+    two indeterminates share the top order, peeling one can bring the other
+    back, and on a non-exact f the peels can cycle.
+    """
+    h = DiffPoly.zero()
+    rest = f
+    # every earlier rest, and their monomial sets: hashing those packed ints is
+    # far cheaper than hashing Fractions, and only a repeated set needs the
+    # full comparison
+    history, shapes = [], set()
+    while not rest.is_zero():
+        shape = frozenset(rest.nums)
+        if shape in shapes and rest in history:
+            return h, rest
+        shapes.add(shape)
+        history.append(rest)
+        if len(history) > 10_000:
+            raise AssertionError("integration reduction failed to terminate")
+        top = rest.top_order()
+        if top == 0 or top is None:
+            return h, rest
+        var = max(v for m in rest.nums for v, _ in exponents(m) if v[0] == top)
+        layers = rest.as_univariate(var)
+        if any(e not in (0, 1) for e in layers):
+            return h, rest
+        c1 = layers[1]
+        c1_top = c1.top_order()
+        if c1_top is not None and c1_top >= top:
+            return h, rest
+        below = (var[0] - 1, var[1])
+        partial_h = DiffPoly.zero()
+        for e, coeff in c1.as_univariate(below).items():
+            if e == -1:
+                raise Unsupported(
+                    "antiderivative of a -1 Laurent exponent is not polynomial")
+            mono = DiffPoly.jet(below[1], below[0], e + 1)
+            partial_h = partial_h + coeff * mono * Fraction(1, e + 1)
+        h = h + partial_h
+        rest = rest - partial_h.total_derivative()
+    return h, DiffPoly.zero()

@@ -8,10 +8,11 @@ from diffalg import (DiffPoly, RatFun, basis_mod_total_derivatives, evo_apply,
                      integrate, is_total_derivative, jet, lie_bracket,
                      parse_function, potential, variational_derivative)
 from diffalg.calculus import _integrate_reduce, brackets
-from diffalg.errors import NotExact, NotVariational, Unsupported
-from diffalg.jets import exponents
+from diffalg.errors import NotExact, NotVariational, Unsupported, VerificationFailed
+from diffalg.jets import EXPONENT_LIMIT, exponents
+from diffalg.operators import helmholtz_residual
 
-from helpers import rand_poly, ref_lie_bracket
+from helpers import rand_poly, ref_integrate_reduce, ref_lie_bracket
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 F, G, H = jet("F"), jet("G"), jet("H")
@@ -250,6 +251,110 @@ class TestIntegrate:
         assert err.value.residual == residual
 
 
+class TestIntegrateReduceOracle:
+    """The bucketed integer pass against the loop it replaced
+    (``helpers.ref_integrate_reduce``): the same (h, residual), or the same
+    exception with the same message."""
+
+    @staticmethod
+    def outcome(fn, f):
+        try:
+            h, residual = fn(f)
+        except (Unsupported, OverflowError, AssertionError) as exc:
+            return type(exc), str(exc)
+        assert h.total_derivative() + residual == f
+        return repr(h), repr(residual)
+
+    def check(self, f):
+        got = self.outcome(_integrate_reduce, f)
+        assert got == self.outcome(ref_integrate_reduce, f)
+        return got
+
+    @staticmethod
+    def draw(rng):
+        """A seeded input: exact, exact plus a non-exact part, non-exact,
+        constant or Laurent, over one to three indeterminates."""
+        names = rng.choice((("u",), ("u",), ("u", "F"), ("F", "u", "G")))
+        kind = rng.random()
+        if kind < 0.08:
+            return DiffPoly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        g = (rand_poly(rng, max_order=5, terms=4, names=names)
+             * Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 7, 12))))
+        if rng.random() < 0.2:
+            g = g * DiffPoly.jet(rng.choice(names), rng.randint(0, 4), -rng.randint(1, 3))
+        if kind < 0.55:
+            f = g.total_derivative()
+            if kind > 0.4:
+                f = f + rand_poly(rng, max_order=4, names=names)
+            return f
+        return g
+
+    def test_matches_the_old_loop(self, rng):
+        seen = {"exact": 0, "residual": 0, "multi": 0, "refused": 0}
+        for _ in range(400):
+            f = self.draw(rng)
+            got = self.check(f)
+            if isinstance(got[0], type):
+                seen["refused"] += 1
+            else:
+                seen["exact" if got[1] == repr(DiffPoly.zero()) else "residual"] += 1
+            seen["multi"] += len(f.indets()) > 1
+        assert seen["exact"] > 100 and seen["residual"] > 100
+        assert seen["multi"] > 100 and seen["refused"] > 0
+
+    @pytest.mark.parametrize("names", [("u", "F"), ("F", "u")])
+    def test_cycling_family(self, rng, names):
+        """The period-2 family of TestIntegrate, scaled, with exact parts and
+        constants added."""
+        a, b = names
+        base = parse_function(
+            f"-2*{b}'''*{a}(4) - 2*{a}'''*{b}(4) - {a}'*{b}''*{a}''' + {a}*{b}''' "
+            f"+ {a}'*{b}''", ("u", "F"))
+        for _ in range(20):
+            extra = rand_poly(rng, max_order=2, names=("u", "F")).total_derivative()
+            f = (base * Fraction(rng.randint(1, 9), rng.randint(1, 9)) + extra
+                 + Fraction(rng.randint(-3, 3)))
+            assert self.check(f)[1] != repr(DiffPoly.zero())
+
+    @pytest.mark.parametrize("layer", [
+        "u'*u'' + u'^3*u''",
+        "u'^3*u'' + u'*u'' + 5*u'^5*u''",
+        "u*u'^3*u'' + 1/4*u'^5 - 7*u'^-2*u'' + u'*u''",
+        "3*u'^2*u''*u''' + 3*u'*u''^3 + u'^3*u''",
+    ])
+    def test_rescaling_over_one_layer(self, rng, layer):
+        """An exact f whose top layer has terms divided by e+1 = 2, 4, 6 or
+        -1, so the running denominator grows by each factor in turn."""
+        layer = parse_function(layer)
+        for _ in range(10):
+            exact = rand_poly(rng, max_order=1).total_derivative()
+            f = layer * Fraction(rng.choice((1, 3, 5, 7)), rng.randint(1, 9)) + exact
+            assert self.check(f)[1] == repr(DiffPoly.zero())
+            self.check(f + rand_poly(rng, max_order=2))
+
+    def test_refusals_and_stop_order(self):
+        assert self.check(parse_function("u^-1*u'"))[0] is Unsupported
+        # the top jet at exponent 2 stops the peel before the -1 below it is
+        # reached, so f comes back whole rather than refused
+        f = parse_function("u''^2*u'^-1 + u''*u'^-1")
+        assert self.check(f) == (repr(DiffPoly.zero()), repr(f))
+        # a -1 below a peelable top jet is refused
+        assert self.check(parse_function("u''*u'^-1 + u'"))[0] is Unsupported
+
+    def test_exponents_near_the_limit(self):
+        top = EXPONENT_LIMIT - 1
+        u1_top = DiffPoly.jet("u", 1, top)
+        # the integral would need u'^EXPONENT_LIMIT
+        assert self.check(u1_top * u2)[0] is OverflowError
+        # one below, it still integrates
+        assert self.check(DiffPoly.jet("u", 1, top - 1) * u2)[1] == repr(DiffPoly.zero())
+        # the derivative of the peel raises u' past the limit
+        assert self.check(u1_top * u * u3)[0] is OverflowError
+        # the lowest exponents integrate too
+        low = DiffPoly.jet("u", 1, -EXPONENT_LIMIT)
+        assert self.check(low * u2)[1] == repr(DiffPoly.zero())
+
+
 class TestPotential:
     def test_examples(self):
         assert potential(DiffPoly.const(1)) == u
@@ -273,7 +378,53 @@ class TestPotential:
             q = variational_derivative(rho)
             if q.is_zero():
                 continue
-            assert variational_derivative(potential(q)) == q
+            density = potential(q)
+            assert variational_derivative(density) == q
+            assert density.constant_term() == 0
+
+    @staticmethod
+    def count_helmholtz(monkeypatch):
+        import diffalg.calculus as calculus
+        calls = []
+
+        def counted(q, name="u"):
+            calls.append(q)
+            return helmholtz_residual(q, name)
+
+        monkeypatch.setattr(calculus, "helmholtz_residual", counted)
+        return calls
+
+    def test_certified_potential_skips_the_helmholtz_test(self, rng, monkeypatch):
+        calls = self.count_helmholtz(monkeypatch)
+        checked = 0
+        for _ in range(60):
+            q = variational_derivative(rand_poly(rng, max_order=3, terms=4))
+            if not q.is_zero():
+                assert variational_derivative(potential(q)) == q
+                checked += 1
+        assert checked > 30 and calls == []
+
+    def test_refusals_run_the_helmholtz_test(self, rng, monkeypatch):
+        calls = self.count_helmholtz(monkeypatch)
+        refused = [u1, u * u2]
+        while len(refused) < 30:
+            q = rand_poly(rng, max_order=3, terms=3)
+            if helmholtz_residual(q):
+                refused.append(q)
+        # at the exponent limit the homotopy overflows, and q is still
+        # refused as not variational
+        refused.append(DiffPoly.jet("u", 0, EXPONENT_LIMIT - 1) * u1)
+        for q in refused:
+            with pytest.raises(NotVariational,
+                               match="^Frechet derivative is not self-adjoint$"):
+                potential(q)
+        assert calls == refused
+        # self-adjoint in u, but the homotopy weights count the F jets too
+        with pytest.raises(VerificationFailed, match="defining identity"):
+            potential(-u * jet("F", 1))
+        # variational, and its density needs u^EXPONENT_LIMIT
+        with pytest.raises(OverflowError):
+            potential(DiffPoly.jet("u", 0, EXPONENT_LIMIT - 1))
 
 
 class TestBasisModTotalDerivatives:
@@ -312,6 +463,54 @@ class TestBasisModTotalDerivatives:
                     rebuilt = rebuilt + x * b
                 assert rebuilt == f
 
+    def test_exact_first(self, rng, monkeypatch):
+        """An all-exact list returns before the echelon form; mixed and
+        non-exact lists take the echelon path.  Either way there is one
+        coordinate row and one exact part per input, an exact input has zero
+        coordinates and its own integral, and the reconstruction holds."""
+        import diffalg.calculus as calculus
+        echelons = []
+
+        def counted(rows):
+            echelons.append(rows)
+            return rref(rows)
+
+        rref = calculus._rref
+        monkeypatch.setattr(calculus, "_rref", counted)
+
+        def non_exact(names):
+            while True:
+                f = rand_poly(rng, max_order=3, terms=3, names=names, nonzero=True)
+                if not is_total_derivative(f):
+                    return f
+
+        for trial in range(90):
+            names = ("u", "F") if trial % 2 else ("u",)
+            kind = ("exact", "mixed", "non-exact")[trial % 3]
+            n = rng.randint(1, 5)
+            exact_in = [rand_poly(rng, max_order=3, names=names).total_derivative()
+                        for _ in range(n)]
+            fs = ([non_exact(names) for _ in range(n)] if kind == "non-exact" else
+                  exact_in if kind == "exact" else
+                  [non_exact(names)] + exact_in + [non_exact(names) * 3 + exact_in[0]])
+            if kind == "mixed":
+                rng.shuffle(fs)
+            before = len(echelons)
+            basis, coords, exact = basis_mod_total_derivatives(fs)
+            assert len(coords) == len(exact) == len(fs)
+            if kind == "exact":
+                assert basis == [] and coords == [[]] * n and len(echelons) == before
+            else:
+                assert basis and len(echelons) == before + 1
+            for f, c, h in zip(fs, coords, exact):
+                assert len(c) == len(basis)
+                rebuilt = h.total_derivative()
+                for x, b in zip(c, basis):
+                    rebuilt = rebuilt + x * b
+                assert rebuilt == f
+                if is_total_derivative(f):
+                    assert not any(c) and h == integrate(f)
+
     def test_integration_check_stays(self, monkeypatch):
         import diffalg.calculus as calculus
         monkeypatch.setattr(calculus, "_integrate_reduce",
@@ -323,6 +522,7 @@ class TestBasisModTotalDerivatives:
         """The basis is the inputs at sympy's pivot columns of the matrix whose
         column i is (delta_name f_i for each indeterminate, constant of f_i)."""
         sympy = pytest.importorskip("sympy")
+        mixed = 0  # lists with exact and non-exact inputs
         for trial in range(60):
             names = ("u", "F") if trial % 3 == 0 else ("u",)
             n = rng.randint(1, 6)
@@ -342,6 +542,9 @@ class TestBasisModTotalDerivatives:
                 else:
                     fs.append(rand_poly(rng, terms=4, names=names))
             basis, coords, exact_parts = basis_mod_total_derivatives(fs)
+            assert len(coords) == len(exact_parts) == len(fs)
+            exact_inputs = sum(map(is_total_derivative, fs))
+            mixed += 0 < exact_inputs < len(fs)
             indets = sorted({n for f in fs for n in f.indets()})
             deltas = [{(n, m): c for n in indets
                        for m, c in variational_derivative(f, n).terms.items()}
@@ -358,3 +561,4 @@ class TestBasisModTotalDerivatives:
                 for x, b in zip(c, basis):
                     rebuilt = rebuilt + x * b
                 assert rebuilt == f
+        assert mixed > 20
