@@ -19,9 +19,10 @@ from typing import Dict, Optional, Tuple
 
 from .jets import DiffPoly, RatFun, accumulate
 from .operators import DiffOp, frechet
+from .tower import Tower
 
 
-class BiDiffOp:
+class BiDiffOp(Tower):
     """Sparse grid of RatFun entries; the zero operator has no entries."""
 
     __slots__ = ("entries",)
@@ -63,11 +64,6 @@ class BiDiffOp:
 
     def __neg__(self) -> "BiDiffOp":
         return BiDiffOp({kl: -c for kl, c in self.entries.items()})
-
-    def __sub__(self, other: "BiDiffOp") -> "BiDiffOp":
-        if not isinstance(other, BiDiffOp):
-            return NotImplemented
-        return self + (-other)
 
     def __repr__(self) -> str:
         from .grammar import format_ratfun

@@ -215,16 +215,19 @@ def potential(q: DiffPoly, name: str = "u") -> DiffPoly:
     """Homotopy inverse of the variational derivative.
 
     For a polynomial variational derivative q the density
-    rho = sum over monomials m of q of u*m / (deg m + 1) satisfies
-    delta(rho)/delta(u) = q.  That identity certifies rho; only when it fails
-    does the Helmholtz test run, to refuse a q that is not variational.
+    rho = sum over monomials m of q of u*m / (deg_u m + 1) satisfies
+    delta(rho)/delta(u) = q, where deg_u counts the jets of u alone: the
+    homotopy scales u, and other indeterminates such as F stay fixed.  That
+    identity certifies rho; only when it fails does the Helmholtz test run, to
+    refuse a q that is not variational.
     """
     q = DiffPoly.coerce(q)
     if q.has_negative_exponent():
         raise Unsupported("potential requires a non-Laurent polynomial")
     failure = VerificationFailed("homotopy potential failed its defining identity")
-    try:  # every term of q over its degree + 1, over the lcm of those weights
-        weights = {m: sum(e for _, e in exponents(m)) + 1 for m in q.nums}
+    try:  # every term of q over its degree in u + 1, over the lcm of those weights
+        weights = {m: sum(e for (_, n), e in exponents(m) if n == name) + 1
+                   for m in q.nums}
         scale = lcm(*weights.values())
         rho = DiffPoly.jet(name, 0) * _from_numerators(
             {m: n * (scale // weights[m]) for m, n in q.nums.items()}, q.den * scale)

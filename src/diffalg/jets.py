@@ -5,7 +5,10 @@ differential indeterminate; ``u`` is the main one, while capital letters such as
 ``F`` and ``G`` serve as formal placeholders in "for all F" identities.  DiffPoly
 is a Laurent polynomial over Q in finitely many jet variables, stored sparsely in
 a canonical form, so equality is an exact dictionary comparison.  RatFun is a
-gcd-reduced quotient of two DiffPoly with a monic denominator.
+gcd-reduced quotient of two DiffPoly with a monic denominator.  The two are
+the lower floors of the operand tower (``tower``): DiffPoly lifts the
+rationals, RatFun lifts DiffPoly, and an operand from above returns
+NotImplemented, so that the higher class answers.
 
 Monomials are packed integers.  Each jet variable owns a 16-bit field, given
 to it the first time the process meets it, and a monomial is the sum of
@@ -52,6 +55,8 @@ from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import or_
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+from .tower import Tower, power
 
 # A jet variable is (order, name).  A monomial is an int: one signed 16-bit
 # exponent digit per jet, in the field the jet was given on first sight (see
@@ -187,7 +192,7 @@ class _Shifts(dict):
 _SHIFT = _Shifts()
 
 
-class DiffPoly:
+class DiffPoly(Tower):
     """A differential (Laurent) polynomial over Q: integer numerators ``nums``
     ({monomial: nonzero int}) over one denominator ``den`` (an int > 0), with
     gcd(den, *nums) = 1.  ``terms`` is the {monomial: Fraction} view.
@@ -234,19 +239,13 @@ class DiffPoly:
             return _ONE
         return DiffPoly._of({_ONE_MONO: c.numerator}, c.denominator) if c else DiffPoly()
 
+    _below, _up = (int, Fraction), const
+
     @staticmethod
     def jet(name: str, order: int, exponent: int = 1) -> "DiffPoly":
         if order < 0:
             raise ValueError("jet order must be >= 0")
         return DiffPoly._of({monomial((((order, name), exponent),)): 1})
-
-    @staticmethod
-    def coerce(value) -> "DiffPoly":
-        if isinstance(value, DiffPoly):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return DiffPoly.const(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to DiffPoly")
 
     # -- basic queries -----------------------------------------------------
 
@@ -292,22 +291,15 @@ class DiffPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "DiffPoly":
-        if not isinstance(other, (DiffPoly, int, Fraction)):
-            return NotImplemented
-        return _merge(self, DiffPoly.coerce(other), 1)
-
-    __radd__ = __add__
+        other = DiffPoly._lift(other)
+        return NotImplemented if other is None else _merge(self, other, 1)
 
     def __neg__(self) -> "DiffPoly":
         return DiffPoly._of({m: -n for m, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "DiffPoly":
-        if not isinstance(other, (DiffPoly, int, Fraction)):
-            return NotImplemented
-        return _merge(self, DiffPoly.coerce(other), -1)
-
-    def __rsub__(self, other) -> "DiffPoly":
-        return _merge(DiffPoly.coerce(other), self, -1)
+        other = DiffPoly._lift(other)
+        return NotImplemented if other is None else _merge(self, other, -1)
 
     def __mul__(self, other) -> "DiffPoly":
         if isinstance(other, (int, Fraction)):
@@ -325,24 +317,16 @@ class DiffPoly:
         _add_products(acc, a, b)
         return _from_numerators(acc, self.den * other.den)
 
-    __rmul__ = __mul__
+    __rmul__ = __mul__  # commutative, and __mul__ takes every operand type
 
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
             raise ValueError("negative powers produce RatFun, not DiffPoly")
-        result, base = _ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n) if n else _ONE
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = DiffPoly.const(other)
-        if not isinstance(other, DiffPoly):
+        other = DiffPoly._lift(other)
+        if other is None:
             return NotImplemented
         return self.den == other.den and self.nums == other.nums
 
@@ -845,7 +829,7 @@ def _clearing_monomial(polys: Iterable[DiffPoly]) -> Monomial:
     return sum(-e << (_W * i) for i, e in low.items())
 
 
-class RatFun:
+class RatFun(Tower):
     """Quotient of differential polynomials, gcd-reduced with monic denominator."""
 
     __slots__ = ("num", "den", "_hash")
@@ -867,12 +851,6 @@ class RatFun:
                 num = _poly_divexact(num, g)
                 den = _poly_divexact(den, g)
         self._normalize(num, den)
-
-    @staticmethod
-    def coerce(value) -> "RatFun":
-        if isinstance(value, RatFun):
-            return value
-        return RatFun(DiffPoly.coerce(value))
 
     def _normalize(self, num: DiffPoly, den: DiffPoly) -> "RatFun":
         """Store coprime num/den as 0/1, over 1, or over a monic denominator."""
@@ -904,6 +882,8 @@ class RatFun:
             return RatFun._reduced(p, _ONE)
         shift = DiffPoly._of({shift: 1})
         return RatFun._reduced(p * shift, shift)
+
+    _below, _up = DiffPoly, _of_laurent
 
     # -- queries -------------------------------------------------------------
 
@@ -938,9 +918,9 @@ class RatFun:
         against that cofactor, so products of denominators never feed the
         multivariate gcd directly.
         """
-        if not isinstance(other, (RatFun, DiffPoly, int, Fraction)):
+        other = RatFun._lift(other)
+        if other is None:
             return NotImplemented
-        other = RatFun.coerce(other)
         if self.den.is_one() and other.den.is_one():
             return RatFun._reduced(self.num + other.num, _ONE)
         if self.num.is_zero():
@@ -960,25 +940,15 @@ class RatFun:
         return RatFun._reduced(_poly_divexact(t, g1),
                                _poly_divexact(self.den, g1) * e2)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RatFun":
         out = RatFun.__new__(RatFun)
         out.num, out.den, out._hash = -self.num, self.den, None
         return out
 
-    def __sub__(self, other) -> "RatFun":
-        if not isinstance(other, (RatFun, DiffPoly, int, Fraction)):
-            return NotImplemented
-        return self + (-RatFun.coerce(other))
-
-    def __rsub__(self, other) -> "RatFun":
-        return RatFun.coerce(other) + (-self)
-
     def __mul__(self, other) -> "RatFun":
-        if not isinstance(other, (RatFun, DiffPoly, int, Fraction)):
+        other = RatFun._lift(other)
+        if other is None:
             return NotImplemented
-        other = RatFun.coerce(other)
         if self.den.is_one() and other.den.is_one():
             return RatFun._reduced(self.num * other.num, _ONE)
         if self.num.is_zero() or other.num.is_zero():
@@ -992,13 +962,13 @@ class RatFun:
         d1 = self.den if g2.is_one() else _poly_divexact(self.den, g2)
         return RatFun._reduced(n1 * n2, d1 * d2)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> "RatFun":
-        return self * RatFun.coerce(other).inverse()
+        other = RatFun._lift(other)
+        return NotImplemented if other is None else self * other.inverse()
 
     def __rtruediv__(self, other) -> "RatFun":
-        return RatFun.coerce(other) * self.inverse()
+        other = RatFun._lift(other)
+        return NotImplemented if other is None else other * self.inverse()
 
     def inverse(self) -> "RatFun":
         if self.is_zero():
@@ -1008,15 +978,11 @@ class RatFun:
     def __pow__(self, n: int) -> "RatFun":
         if n < 0:
             return self.inverse() ** (-n)
-        out = RatFun(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n) if n else RatFun(1)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, DiffPoly)):
-            other = RatFun.coerce(other)
-        if not isinstance(other, RatFun):
+        other = RatFun._lift(other)
+        if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 

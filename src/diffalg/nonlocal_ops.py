@@ -19,6 +19,10 @@ sum a_k d^k = (sum_{k>=1} a_k d^(k-1)) d + a_0.  On the left, d Q + r with
 Q = sum q_k d^k has coefficient q_(k-1) + q_k' at d^k, so from the top down
 q_(n-1) = a_n, q_(k-1) = a_k - q_k' and r = a_0 - q_0'.
 
+NonlocalOp is the top of the operand tower (``tower``): a function or a local
+operator lifts to it.  It has no ``**``: ``nl_power`` runs the shared
+repeated squaring with a product that refuses a depth-2 result.
+
 No decision path depends on a truncation depth; the truncated
 pseudodifferential series that cross-check these products live with the
 tests.
@@ -36,7 +40,8 @@ from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
 from .jets import (DiffPoly, Grading, RatFun, _from_numerators, accumulate,
                    exponents, monomial)
 from .linalg import _echelon_basis, _over_common_den
-from .operators import DiffOp, _operand, evo_apply_op, frechet, right_lcm
+from .operators import DiffOp, evo_apply_op, frechet, right_lcm
+from .tower import Tower, power
 
 Pair = Tuple[RatFun, RatFun]
 Triple = Tuple[RatFun, RatFun, RatFun]
@@ -62,7 +67,7 @@ def _div_left_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
     return DiffOp(q), qk
 
 
-class NonlocalOp:
+class NonlocalOp(Tower):
     """Canonical E + sum p d^-1 q + sum a d^-1 b d^-1 c with depth <= 2."""
 
     __slots__ = ("local", "depth1", "depth2")
@@ -96,16 +101,9 @@ class NonlocalOp:
 
     @staticmethod
     def from_local(op) -> "NonlocalOp":
-        return NonlocalOp(DiffOp.coerce(op), (), (), _canonical=True)
+        return NonlocalOp(op, (), (), _canonical=True)
 
-    @staticmethod
-    def _operand(value) -> Optional["NonlocalOp"]:
-        """value as an operator, or None for a type that a DiffOp cannot take
-        either, so that the arithmetic returns NotImplemented."""
-        if isinstance(value, NonlocalOp):
-            return value
-        op = _operand(value)
-        return None if op is None else NonlocalOp.from_local(op)
+    _below, _up = DiffOp, from_local
 
     # -- queries --------------------------------------------------------------
 
@@ -124,7 +122,7 @@ class NonlocalOp:
         return None
 
     def __eq__(self, other) -> bool:
-        other = NonlocalOp._operand(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         return (self - other).is_zero()
@@ -142,14 +140,12 @@ class NonlocalOp:
     # -- linear structure ---------------------------------------------------------
 
     def __add__(self, other) -> "NonlocalOp":
-        other = NonlocalOp._operand(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         return NonlocalOp(self.local + other.local,
                           self.depth1 + other.depth1,
                           self.depth2 + other.depth2)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "NonlocalOp":
         return NonlocalOp(-self.local,
@@ -157,29 +153,11 @@ class NonlocalOp:
                           tuple((-a, b, c) for a, b, c in self.depth2),
                           _canonical=True)
 
-    def __sub__(self, other) -> "NonlocalOp":
-        other = NonlocalOp._operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "NonlocalOp":
-        other = NonlocalOp._operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "NonlocalOp":
-        other = NonlocalOp._operand(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         return nl_mul(self, other)
-
-    def __rmul__(self, other) -> "NonlocalOp":
-        other = NonlocalOp._operand(other)
-        if other is None:
-            return NotImplemented
-        return nl_mul(other, self)
 
     def apply(self, f):
         return nl_apply(self, f)
@@ -339,14 +317,7 @@ def nl_power(l: NonlocalOp, k: int) -> NonlocalOp:
                 "not a total derivative")
         return out
 
-    out, square = None, l  # square is L^(2^j) at bit j of k
-    while True:
-        if k & 1:
-            out = square if out is None else product(out, square)
-        k >>= 1
-        if not k:
-            return out
-        square = product(square, square)
+    return power(l, k, product)
 
 
 # -- action on functions ------------------------------------------------------------

@@ -4,7 +4,9 @@ Operators are finite sums a_k D^k with rational-function coefficients, where
 D is the total derivative and multiplication obeys D*a = a*D + a'.  The ring
 is left and right Euclidean.  Both divisions are implemented, with the right
 gcd that makes a right fraction A B^-1 minimal and the right lcm that puts
-several tails over one denominator.
+several tails over one denominator.  In the operand tower (``tower``) a
+function lifts to the operator of degree 0, and a function times an operator
+scales its coefficients.
 
 This class is where the Leibniz rule D^k a = sum_n comb(k, n) a^(n) D^(k-n)
 lives: products, adjoints and applications expand it, and the bidifferential
@@ -24,16 +26,16 @@ nonconstant denominator, takes the same expansion over RatFun.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, lcm
 from typing import Dict, Optional, Tuple
 
 from .jets import (_ONE, DiffPoly, Numerators, RatFun, _add_products, _add_tower,
                    _from_numerators, _tower, accumulate, derivatives, poly_gcd,
                    poly_lcm)
+from .tower import Tower, power
 
 
-class DiffOp:
+class DiffOp(Tower):
     """A differential operator sum a_k D^k; the zero operator has no terms."""
 
     __slots__ = ("coeffs",)
@@ -64,13 +66,9 @@ class DiffOp:
 
     @staticmethod
     def of_function(f) -> "DiffOp":
-        return DiffOp({0: RatFun.coerce(f)})
+        return DiffOp({0: f})
 
-    @staticmethod
-    def coerce(value) -> "DiffOp":
-        if isinstance(value, DiffOp):
-            return value
-        return DiffOp.of_function(value)
+    _below, _up = RatFun, of_function
 
     # -- queries ------------------------------------------------------------------
 
@@ -89,7 +87,7 @@ class DiffOp:
         return self.coeffs.get(k, RatFun(0))
 
     def __eq__(self, other) -> bool:
-        other = _operand(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -120,7 +118,7 @@ class DiffOp:
     # -- additive structure ----------------------------------------------------------
 
     def __add__(self, other) -> "DiffOp":
-        other = _operand(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         coeffs = dict(self.coeffs)
@@ -128,28 +126,14 @@ class DiffOp:
             accumulate(coeffs, k, c)
         return DiffOp(coeffs)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "DiffOp":
         return DiffOp({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other) -> "DiffOp":
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "DiffOp":
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     # -- multiplicative structure ----------------------------------------------------
 
     def __mul__(self, other) -> "DiffOp":
         """Operator composition; D^k * a expands by the Leibniz rule."""
-        other = _operand(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         top = max(self.coeffs, default=0)
@@ -182,19 +166,15 @@ class DiffOp:
 
     def __rmul__(self, other) -> "DiffOp":
         # function * operator just scales the coefficients
-        f = RatFun.coerce(other)
+        f = RatFun._lift(other)
+        if f is None:
+            return NotImplemented
         return DiffOp({k: f * c for k, c in self.coeffs.items()})
-
-    def scale(self, factor) -> "DiffOp":
-        return self.__rmul__(factor)
 
     def __pow__(self, n: int) -> "DiffOp":
         if n < 0:
             raise ValueError("negative operator powers are not differential operators")
-        out = DiffOp.identity()
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n) if n else DiffOp.identity()
 
     # -- action and adjoint -------------------------------------------------------------
 
@@ -244,17 +224,7 @@ class DiffOp:
     def monic(self) -> "DiffOp":
         if self.is_zero():
             return self
-        return self.scale(self.leading_coefficient().inverse())
-
-
-def _operand(value) -> Optional[DiffOp]:
-    """value as an operator, or None for a type that cannot be coerced (such as
-    a NonlocalOp, whose reflected operation then answers)."""
-    if isinstance(value, DiffOp):
-        return value
-    if isinstance(value, (int, Fraction, DiffPoly, RatFun)):
-        return DiffOp.of_function(value)
-    return None
+        return self.leading_coefficient().inverse() * self
 
 
 # -- the integer Leibniz kernel --------------------------------------------------------
@@ -359,7 +329,7 @@ def _left_clear_factor(op: DiffOp) -> RatFun:
 def _primitive_left(op: DiffOp) -> DiffOp:
     if op.is_zero():
         return op
-    return op.scale(_left_clear_factor(op))
+    return _left_clear_factor(op) * op
 
 
 def right_gcd(a: DiffOp, b: DiffOp) -> DiffOp:

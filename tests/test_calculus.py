@@ -8,7 +8,7 @@ from diffalg import (DiffPoly, RatFun, basis_mod_total_derivatives, evo_apply,
                      integrate, is_total_derivative, jet, lie_bracket,
                      parse_function, potential, variational_derivative)
 from diffalg.calculus import _integrate_reduce, brackets
-from diffalg.errors import NotExact, NotVariational, Unsupported, VerificationFailed
+from diffalg.errors import NotExact, NotVariational, Unsupported
 from diffalg.jets import EXPONENT_LIMIT, exponents
 from diffalg.operators import helmholtz_residual
 
@@ -373,14 +373,16 @@ class TestPotential:
             potential(u * u2)
 
     def test_round_trip_on_random_densities(self, rng):
-        for _ in range(40):
-            rho = rand_poly(rng, max_order=2)
-            q = variational_derivative(rho)
-            if q.is_zero():
-                continue
-            density = potential(q)
-            assert variational_derivative(density) == q
-            assert density.constant_term() == 0
+        # over u and F the homotopy weighs each term by its degree in u alone
+        for names in (("u",), ("u", "F")):
+            for _ in range(40):
+                rho = rand_poly(rng, max_order=2, names=names)
+                q = variational_derivative(rho)
+                if q.is_zero():
+                    continue
+                density = potential(q)
+                assert variational_derivative(density) == q
+                assert density.constant_term() == 0
 
     @staticmethod
     def count_helmholtz(monkeypatch):
@@ -419,9 +421,8 @@ class TestPotential:
                                match="^Frechet derivative is not self-adjoint$"):
                 potential(q)
         assert calls == refused
-        # self-adjoint in u, but the homotopy weights count the F jets too
-        with pytest.raises(VerificationFailed, match="defining identity"):
-            potential(-u * jet("F", 1))
+        # the homotopy in u leaves F fixed
+        assert potential(-u * jet("F", 1)) == -u * u * jet("F", 1) * Fraction(1, 2)
         # variational, and its density needs u^EXPONENT_LIMIT
         with pytest.raises(OverflowError):
             potential(DiffPoly.jet("u", 0, EXPONENT_LIMIT - 1))
