@@ -8,12 +8,13 @@ bottoms out in, so each one is exact and total-derivative identities are
 enforced by construction, never by approximation.
 
 No Leibniz expansion is written out here.  An evolutionary field is
-X_f(g) = D_g(f), the Frechet derivative of g applied to f: one
-``DiffOp.apply`` for rational functions, and for polynomials one streamed
-derivative tower of f on integer numerators (``jets._add_tower``).  The Lie
-brackets of a list of polynomials (``brackets``, and ``lie_bracket`` as its
-two-member case) stream one tower per member, and every bracket that member
-is in takes its half from that one stream.
+X_f(g) = D_g(f), the Frechet derivative of g applied to f: for Laurent
+polynomials (``jets._laurent``) one streamed derivative tower of f on
+integer numerators (``jets._add_tower``), and for any other denominator one
+``DiffOp.apply`` over RatFun.  The Lie brackets of a list of polynomials
+(``brackets``, and ``lie_bracket`` as its two-member case) stream one tower
+per member, and every bracket that member is in takes its half from that
+one stream.
 
 The reduction layer takes each exact step once.  Integration is one integer
 pass, bucketed by highest jet and rescaled only for an e+1 that does not
@@ -30,8 +31,8 @@ from typing import Dict, Sequence, Tuple
 from .errors import NotExact, NotVariational, Unsupported, VerificationFailed
 from .jets import (EXPONENT_LIMIT, _FIELD, _JETS, _W, DiffPoly, RatFun,
                    _add_products, _add_tower, _derivative, _digit, _field,
-                   _fields, _from_numerators, _numerators, _partial, _tower,
-                   accumulate, exponents, monomial)
+                   _fields, _from_numerators, _laurent, _numerators, _partial,
+                   _tower, accumulate, exponents, monomial)
 from .linalg import _rref
 from .operators import frechet, helmholtz_residual
 
@@ -44,24 +45,27 @@ def evo_apply(f, g, name: str = "u"):
     such as F and G pass through untouched, which is what makes them usable
     as "for all F" placeholders.
 
-    For polynomials f = N_f/den_f and g = N_g/den_g the sum is
+    For Laurent polynomials f = N_f/den_f and g = N_g/den_g the sum is
     (sum_n dN_g/du^(n) * d^n N_f) / (den_f * den_g): d^n f keeps f's own
     denominator, so it is one ``jets._add_tower`` on integer numerators.
+    The result is a RatFun for a non-polynomial RatFun g, or for a RatFun f
+    and a g with jets of name.
     """
-    if isinstance(g, RatFun) and g.is_polynomial():
-        g = g.num
-    elif not isinstance(g, RatFun):
+    if not isinstance(g, RatFun):
         g = DiffPoly.coerce(g)
-    rational = isinstance(g, RatFun)
+    rational = isinstance(g, RatFun) and not g.is_polynomial()
     top = g.top_order(name)
     if top is None:
         return RatFun(0) if rational else DiffPoly.zero()
-    if rational or isinstance(f, RatFun):
+    if not isinstance(f, RatFun):
+        f = DiffPoly.coerce(f)
+    nf, ng = _laurent(f), _laurent(g)
+    if nf is None or ng is None:
         return frechet(g, name).apply(RatFun.coerce(f))
-    f = DiffPoly.coerce(f)
     acc: Dict[int, int] = {}
-    _add_tower(acc, _partials(g.nums, name, top), f.nums)
-    return _from_numerators(acc, f.den * g.den)
+    _add_tower(acc, _partials(ng.nums, name, top), nf.nums)
+    out = _from_numerators(acc, nf.den * ng.den)
+    return RatFun._of_laurent(out) if rational or isinstance(f, RatFun) else out
 
 
 def _partials(ng: dict, name: str, top: int) -> dict:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .calculus import brackets, evo_apply, integrate, is_total_derivative, potential
-from .errors import DiffAlgError, NotInImage, NotVariational
+from .errors import DiffAlgError, NotInImage, NotVariational, Unsupported
+from .grammar import format_poly, format_ratfun
 from .jets import DiffPoly, Grading, RatFun, diff_order
 from .operators import DiffOp
 from .nonlocal_ops import (NonlocalOp, nl_apply, nl_power, parity_class,
@@ -60,7 +61,7 @@ class Hierarchy:
                     "operator does not determine a unique seed; pass one")
             seed = found[0]
         h = Hierarchy(operator=l, seeds=found, chain=[seed],
-                      potentials=[None], orders=[diff_order(seed)],
+                      potentials=[], orders=[diff_order(seed)],
                       notes=[START_OFFSET_NOTE])
         if grading is not None:
             pc = parity_class(l, grading)
@@ -88,8 +89,7 @@ class Hierarchy:
         for _ in range(steps):
             if self.pair is not None:
                 a, _ = self.pair
-                image = a.apply(self.potentials[-1])
-                image = image.as_diffpoly() if isinstance(image, RatFun) else image
+                image = _member(a.apply(self.potentials[-1]), len(self.chain))
                 try:
                     h_next = integrate(image)
                 except DiffAlgError as exc:
@@ -106,15 +106,20 @@ class Hierarchy:
                         "Lenard-Magri hypothesis violated at step "
                         f"{len(self.chain)}: {exc}", index=exc.index,
                         product=exc.product) from exc
-                if isinstance(s_next, RatFun):
-                    s_next = s_next.as_diffpoly()
-                self.potentials.append(self._potential_for(s_next))
+                s_next = _member(s_next, len(self.chain))
             self.chain.append(s_next)
             self.orders.append(diff_order(s_next))
         return self
 
+    def chain_potentials(self) -> List[Optional[DiffPoly]]:
+        """F_n with B(F_n) = S_n, None where none is known.  The pair path
+        stores its potentials; the operator path stores none, and with one
+        tail q, where B = (1/q) d, F_n is the integral of q S_n for n >= 1."""
+        if self.pair is not None:
+            return self.potentials
+        return [None] + [self._potential_for(s) for s in self.chain[1:]]
+
     def _potential_for(self, s: DiffPoly) -> Optional[DiffPoly]:
-        """F with B(F) = S, for the single-q case where B = (1/q) d."""
         if len(self.operator.depth1) != 1:
             return None
         _, q = self.operator.depth1[0]
@@ -137,30 +142,25 @@ class Hierarchy:
                                  violations=bad)
 
     def scheme_consistency(self) -> bool:
-        """B(F_{n+1}) = A(F_n) for the recovered potentials, checked exactly."""
+        """B(F_{n+1}) = A(F_n) for the ``chain_potentials``, checked exactly."""
         if self.pair is not None:
             a, b = self.pair
         else:
             a, b = to_fraction(self.operator)
+        potentials = self.chain_potentials()
         for n in range(len(self.chain) - 1):
-            f_next = self.potentials[n + 1]
+            f_next = potentials[n + 1]
             if f_next is None:
                 return False
-            lhs = b.apply(f_next)
-            lhs = lhs.as_diffpoly() if isinstance(lhs, RatFun) else lhs
-            if lhs != self.chain[n + 1]:
+            if b.apply(f_next) != self.chain[n + 1]:
                 return False
-            if self.potentials[n] is not None:
-                rhs = a.apply(self.potentials[n])
-                rhs = rhs.as_diffpoly() if isinstance(rhs, RatFun) else rhs
-                if rhs != self.chain[n + 1]:
-                    return False
+            if potentials[n] is not None and a.apply(potentials[n]) != self.chain[n + 1]:
+                return False
         return True
 
     # -- serialization ---------------------------------------------------------
 
     def report(self, verified: Optional["CommutationReport"] = None) -> dict:
-        from .grammar import format_poly
         data = {
             "chain": [format_poly(s) for s in self.chain],
             "orders": self.orders,
@@ -171,6 +171,14 @@ class Hierarchy:
         if self.notes:
             data["notes"] = list(self.notes)
         return data
+
+
+def _member(s, step: int) -> DiffPoly:
+    """The chain member S_step as a DiffPoly; Unsupported when it is not one."""
+    if isinstance(s, RatFun) and not s.is_polynomial():
+        raise Unsupported(f"step {step}: the chain member S_{step} = "
+                          f"{format_ratfun(s)} is not a differential polynomial")
+    return s.num if isinstance(s, RatFun) else s
 
 
 class CommutationReport(NamedTuple):
@@ -221,7 +229,6 @@ def conserved_densities(l: NonlocalOp, k: int,
 
 
 def density_report(records: Sequence[DensityRecord]) -> dict:
-    from .grammar import format_poly
     return {
         "densities": [{
             "power": r.power,

@@ -36,11 +36,11 @@ scales the ints, and ``_from_numerators`` is the one normaliser (zero sums
 out, the common factor of den and the numerators divided out).  Since
 D(N/den) = D(N)/den, a derivative keeps its polynomial's den.  ``_tower``
 streams d^k N and is the only integer derivative tower; ``_add_tower`` adds
-sum_k c_k d^k N on it, which is an operator application (``DiffOp.apply``)
-and an evolutionary field (``calculus``, with c_k = dg/du^(k)), and
-``calculus.brackets`` shares one stream among all the Lie brackets of a
-list.  The Leibniz rule itself lives in ``operators.DiffOp`` alone;
-``derivatives`` is the RatFun tower its rational-coefficient arms use.  The
+sum_k c_k d^k N on it for ``DiffOp.apply`` and the evolutionary fields of
+``calculus``, whose ``brackets`` share one stream.  A RatFun over one
+monomial is a Laurent polynomial: ``_laurent`` is the one rule that admits
+it to every integer arm of the Leibniz rule (in ``operators.DiffOp``), and
+``derivatives`` the RatFun tower of the arms for any other denominator.  The
 Q-linear kernels (echelon forms, linear bases) live in ``linalg``.
 
 Everything here is immutable after construction and all operations are pure;
@@ -1034,6 +1034,16 @@ class RatFun(Tower):
         orders = [o for o in (self.num.top_order(name), self.den.top_order(name))
                   if o is not None]
         return max(orders) if orders else None
+
+
+def _laurent(f) -> Optional[DiffPoly]:
+    """f as a Laurent polynomial, the inverse of ``RatFun._of_laurent``: a
+    DiffPoly as it is, a RatFun over one monomial (its monic denominator has
+    one term, 1 included) as its numerator shifted down by that monomial, and
+    None for any other denominator."""
+    if isinstance(f, DiffPoly):
+        return f
+    return _divide_by_mono(f.num, *f.den.nums) if len(f.den.nums) == 1 else None
 
 
 # -- the RatFun tower -----------------------------------------------------------

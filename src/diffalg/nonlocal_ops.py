@@ -37,8 +37,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import DepthOverflow, NotExact, NotInImage, ParseError, Unsupported
 from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
-from .jets import (DiffPoly, Grading, RatFun, _from_numerators, accumulate,
-                   exponents, monomial)
+from .jets import (DiffPoly, Grading, RatFun, _from_numerators, _laurent,
+                   accumulate, exponents)
 from .linalg import _echelon_basis, _over_common_den
 from .operators import DiffOp, evo_apply_op, frechet, right_lcm
 from .tower import Tower, power
@@ -488,13 +488,10 @@ def parity_class(l: NonlocalOp, grading: Grading) -> ParityClass:
 
 
 def _ratfun_to_expr(r: RatFun) -> str:
-    if r.den.is_one():
-        return format_poly(r.num)
-    if len(r.den.nums) == 1:
-        ((mono, coeff),) = r.den.terms.items()
-        inverse = DiffPoly({monomial((v, -e) for v, e in exponents(mono)): 1 / coeff})
-        return format_poly(r.num * inverse)
-    raise Unsupported("coefficient denominators must be monomials to serialize")
+    p = _laurent(r)
+    if p is None:
+        raise Unsupported("coefficient denominators must be monomials to serialize")
+    return format_poly(p)
 
 
 def operator_to_json(l: NonlocalOp, grading: Optional[Grading] = None) -> dict:

@@ -11,17 +11,16 @@ scales its coefficients.
 This class is where the Leibniz rule D^k a = sum_n comb(k, n) a^(n) D^(k-n)
 lives: products, adjoints and applications expand it, and the bidifferential
 operations and evolutionary fields of rational functions are built from
-them.  When every coefficient involved is a polynomial (denominator 1), the
-expansion runs on integer numerators: each operator's coefficients are put
-over the lcm of all their denominators, the towers d^n N stream through
+them.  One rule sends the expansion to integers: every coefficient and
+operand involved is a Laurent polynomial (``jets._laurent``), that is a
+polynomial or a quotient by one monomial, such as the 1/q of B = (1/q) d.
+The jet monomials' localisation is closed under d, so the expansion then
+runs on integer numerators: each operator's coefficients are put over the
+lcm of all their denominators, the towers d^n N stream through
 ``jets._tower``, the terms comb(k, n) N_a d^n N_b add up in one
-{monomial: int} sum per output power, and each output Fraction is built
-once.  A product also takes a coefficient over one monomial, such as the
-1/q of B = (1/q) d: it is a Laurent polynomial, whose numerator's monomials
-shift by the denominator's, and an output coefficient with negative
-exponents becomes a quotient by a monomial again.  An operator with a
-non-monomial denominator anywhere, and an application or adjoint with any
-nonconstant denominator, takes the same expansion over RatFun.
+{monomial: int} sum per output power, and an output with negative exponents
+becomes a quotient by a monomial again.  Any other denominator takes the
+same expansion over RatFun.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from __future__ import annotations
 from math import comb, lcm
 from typing import Dict, Optional, Tuple
 
-from .jets import (_ONE, DiffPoly, Numerators, RatFun, _add_products, _add_tower,
-                   _from_numerators, _tower, accumulate, derivatives, poly_gcd,
-                   poly_lcm)
+from .jets import (DiffPoly, Numerators, RatFun, _add_products, _add_tower,
+                   _from_numerators, _laurent, _tower, accumulate, derivatives,
+                   poly_gcd, poly_lcm)
 from .tower import Tower, power
 
 
@@ -137,20 +136,17 @@ class DiffOp(Tower):
         if other is None:
             return NotImplemented
         top = max(self.coeffs, default=0)
-        ints_a, ints_b = _integer_form(self, True), _integer_form(other, True)
+        ints_a, ints_b = _integer_form(self), _integer_form(other)
         if ints_a is not None and ints_b is not None:
             (na, den_a), (nb, den_b) = ints_a, ints_b
             acc: Dict[int, Numerators] = {}
-            try:
-                for l, n_b in nb.items():
-                    for n, level in _tower(n_b, top):
-                        for k, n_a in na.items():
-                            if k >= n:
-                                _add_products(acc.setdefault(k - n + l, {}), n_a,
-                                              level, comb(k, n))
-                return _of_numerators(acc, den_a * den_b)
-            except OverflowError:
-                pass  # an exponent left the packed range: the RatFun arm decides
+            for l, n_b in nb.items():
+                for n, level in _tower(n_b, top):
+                    for k, n_a in na.items():
+                        if k >= n:
+                            _add_products(acc.setdefault(k - n + l, {}), n_a,
+                                          level, comb(k, n))
+            return _of_numerators(acc, den_a * den_b)
         # descending powers: the gcds that the sums meet, and so the cost,
         # must not depend on the order in which the factors were built
         towers = [(l, derivatives(other.coeffs[l], top))
@@ -179,25 +175,23 @@ class DiffOp(Tower):
     # -- action and adjoint -------------------------------------------------------------
 
     def apply(self, f):
-        """A(f) = sum a_k d^k(f); returns DiffPoly when the result is polynomial."""
+        """A(f) = sum a_k d^k(f); a DiffPoly when f is not a RatFun and the
+        result is polynomial, else a RatFun."""
         poly_in = not isinstance(f, RatFun)
         f = RatFun.coerce(f)
-        ints = _integer_form(self) if f.den.is_one() else None
-        if ints is not None:
+        ints, nf = _integer_form(self), _laurent(f)
+        if ints is not None and nf is not None:
             na, den_a = ints
             acc: Numerators = {}
-            _add_tower(acc, na, f.num.nums)
-            out = _from_numerators(acc, den_a * f.num.den)
-            return out if poly_in else RatFun._reduced(out, _ONE)
-        tower = derivatives(f, max(self.coeffs, default=0))
-        out = RatFun(0)
-        for k, derivative in enumerate(tower):
-            a = self.coeffs.get(k)
-            if a is not None:
-                out = out + a * derivative
-        if poly_in and out.is_polynomial():
-            return out.as_diffpoly()
-        return out
+            _add_tower(acc, na, nf.nums)
+            out = RatFun._of_laurent(_from_numerators(acc, den_a * nf.den))
+        else:
+            out = RatFun(0)
+            for k, derivative in enumerate(derivatives(f, max(self.coeffs, default=0))):
+                a = self.coeffs.get(k)
+                if a is not None:
+                    out = out + a * derivative
+        return out.num if poly_in and out.is_polynomial() else out
 
     def __call__(self, f):
         return self.apply(f)
@@ -232,32 +226,19 @@ class DiffOp(Tower):
 _UNIT: Numerators = {0: 1}  # the constant 1 as numerators
 
 
-def _integer_form(op: DiffOp, laurent: bool = False
-                  ) -> Optional[Tuple[Dict[int, Numerators], int]]:
-    """({power: numerators}, den): op's coefficients as integers over den, the
-    lcm of all their denominators; None when some coefficient has a
-    nonconstant denominator.
-
-    With ``laurent``, a coefficient over one monomial (a monic one-term
-    denominator) is taken as the Laurent polynomial it is: its numerator's
-    monomials are shifted by the denominator's, so they may carry negative
-    exponents.  Only products take this; an application or an adjoint
-    returns polynomials from its integer arm.
-    """
+def _integer_form(op: DiffOp) -> Optional[Tuple[Dict[int, Numerators], int]]:
+    """({power: numerators}, den): op's coefficients as Laurent polynomials
+    (``jets._laurent``) with integer numerators over den, the lcm of all their
+    denominators; None when some coefficient is not a Laurent polynomial."""
     parts = {}
     den = 1
     for k, c in op.coeffs.items():
-        n, d = c.num.nums, c.num.den
-        if c.den.is_one():
-            parts[k] = n, d
-        elif laurent and len(c.den.nums) == 1:
-            (shift,) = c.den.nums
-            parts[k] = {m - shift: v for m, v in n.items()}, d
-        else:
+        p = parts[k] = _laurent(c)
+        if p is None:
             return None
-        den = lcm(den, d)
-    return {k: n if d == den else {m: c * (den // d) for m, c in n.items()}
-            for k, (n, d) in parts.items()}, den
+        den = lcm(den, p.den)
+    return {k: p.nums if p.den == den else {m: c * (den // p.den) for m, c in p.nums.items()}
+            for k, p in parts.items()}, den
 
 
 def _of_numerators(acc: Dict[int, Numerators], den: int) -> DiffOp:

@@ -208,6 +208,17 @@ class TestHierarchyCommand:
                            "--seed", "u'", "--steps", "1")
         assert code == 3 and "hypothesis_violation" in err
 
+    def test_rational_member_exit_2(self, capsys, tmp_path):
+        # L = u^-1 d + 1 + u' d^-1 sends S0 = u' to a quotient by u
+        path = tmp_path / "rational.json"
+        path.write_text(json.dumps({"local": [["u^-1", 1], ["1", 0]],
+                                    "nonlocal": [["u'", "1"]]}))
+        code, out, err = run(capsys, "hierarchy", "--op", str(path), "--steps", "2")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": (
+            "step 1: the chain member S_1 = (u'' + u^2*u' + u*u')/u is not a "
+            "differential polynomial")}
+
 
 class TestPowerAndDensities:
     def test_power_two(self, capsys):

@@ -8,7 +8,7 @@ from diffalg import (DiffOp, DiffPoly, Grading, Hierarchy, NonlocalOp, RatFun,
                      conserved_densities, jet, lie_bracket, nl_power,
                      parse_function, seeds, to_fraction)
 from diffalg.calculus import is_total_derivative, evo_apply
-from diffalg.errors import DiffAlgError, NotInImage
+from diffalg.errors import DiffAlgError, NotInImage, Unsupported
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -82,6 +82,14 @@ class TestPairForm:
             assert h.potentials[n] == hn
         assert h.chain[2] == u2 + 2 * u * u1
         assert h.scheme_consistency()
+
+    def test_rational_member_is_refused(self):
+        # A = (1/u) d + 1 sends the potential u to u'/u + u
+        h = Hierarchy.from_pair(DiffOp({1: RatFun(1, u), 0: RatFun(1)}), D, u)
+        with pytest.raises(Unsupported) as err:
+            h.extend(1)
+        assert str(err.value) == ("step 1: the chain member S_1 = (u' + u^2)/u "
+                                  "is not a differential polynomial")
 
     def test_pair_needs_d(self):
         with pytest.raises(DiffAlgError):
@@ -161,8 +169,9 @@ class TestSchemeConsistency:
     def test_kdv_potentials(self, kdv_chain):
         assert kdv_chain.scheme_consistency()
         a, b = to_fraction(kdv_chain.operator)
+        potentials = kdv_chain.chain_potentials()
         for n in range(1, len(kdv_chain.chain)):
-            f = kdv_chain.potentials[n]
+            f = potentials[n]
             assert DiffPoly.coerce(b.apply(f)) == kdv_chain.chain[n]
 
     def test_images_stay_exact(self, kdv_chain):

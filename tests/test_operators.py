@@ -9,7 +9,8 @@ import pytest
 from diffalg import (DiffOp, DiffPoly, RatFun, frechet, jet, left_divide,
                      minimal_right_fraction, operators, right_divide, right_gcd,
                      right_lcm)
-from diffalg.jets import EXPONENT_LIMIT, derivatives
+from diffalg.calculus import evo_apply
+from diffalg.jets import EXPONENT_LIMIT, derivatives, exponents, monomial
 from diffalg.operators import FractionPair, _integer_form, helmholtz_residual
 
 from helpers import left_gcd, rand_op, rand_poly
@@ -128,6 +129,39 @@ def ref_apply(a, f):
     return out
 
 
+def ref_evo_apply(f, g):
+    """X_f(g) = sum_n dg/du^(n) d^n(f) over RatFun: a RatFun when g is a
+    non-polynomial RatFun, or f is a RatFun and g depends on u; else the
+    Laurent DiffPoly it equals."""
+    rational_g = isinstance(g, RatFun) and not g.is_polynomial()
+    g = RatFun.coerce(g)
+    top = g.top_order("u")
+    if top is None:
+        return RatFun(0) if rational_g else DiffPoly.zero()
+    out = ref_apply(DiffOp({n: g.partial("u", n) for n in range(top + 1)}), RatFun.coerce(f))
+    if rational_g or isinstance(f, RatFun):
+        return out
+    (mono,) = out.den.nums
+    return out.num * DiffPoly({monomial((v, -e) for v, e in exponents(mono)): 1})
+
+
+def same(got, want):
+    assert type(got) is type(want) and repr(got) == repr(want)
+    assert got == want
+
+
+def watch_ratfun_arm(monkeypatch) -> list:
+    """The functions whose RatFun towers DiffOp's arms build from now on."""
+    seen = []
+
+    def towers(f, n):
+        seen.append(f)
+        return derivatives(f, n)
+
+    monkeypatch.setattr(operators, "derivatives", towers)
+    return seen
+
+
 SMALL_DENS = (u + 1, u2 + u)
 
 
@@ -186,8 +220,8 @@ class TestIntegerKernel:
                 b = kernel_op(rng, (None, "monomial", small)[i % 3])
                 f = kernel_coefficient(rng, "monomial" if i % 5 == 0 else None)
                 f = f.as_diffpoly() if f.is_polynomial() and i % 2 else f
-            paths[_integer_form(a, True) is not None
-                  and _integer_form(b, True) is not None] += 1
+            paths[_integer_form(a) is not None
+                  and _integer_form(b) is not None] += 1
             for got, want in ((a * b, ref_mul(a, b)), (b * a, ref_mul(b, a)),
                               (a.adjoint(), ref_adjoint(a)),
                               (a.apply(f), ref_apply(a, f))):
@@ -228,40 +262,58 @@ class TestIntegerKernel:
         with pytest.raises(OverflowError):
             D.apply(b)
 
-    def test_laurent_coefficients(self):
-        # a coefficient over one monomial takes the integer arm of products
+    def test_laurent_coefficients(self, monkeypatch):
+        # a coefficient or an operand over one monomial takes the integer arm
+        # of products, applications, adjoints and evolutionary fields
+        ratfun_arm = watch_ratfun_arm(monkeypatch)
         F, v = jet("F"), jet("v", 1)
         for c in (RatFun(1, u), RatFun(u1, u3), RatFun(F, u), RatFun(v * u + 2, u * u1)):
             ops = (DiffOp.of_function(c), DiffOp({1: c}), DiffOp({2: c, 0: RatFun(u)}),
                    DiffOp({3: RatFun(u1), 1: c * c, 0: c}), D * D + F)
             for a in ops:
                 for b in ops:
-                    assert _integer_form(a, True) is not None
-                    got, want = a * b, ref_mul(a, b)
-                    assert type(got) is type(want) and repr(got) == repr(want)
-                    assert got == want
+                    assert _integer_form(a) is not None
+                    same(a * b, ref_mul(a, b))
         # 1/u times u d keeps no negative exponent: a polynomial coefficient
         assert DiffOp.of_function(RatFun(1, u)) * DiffOp({1: RatFun(u)}) == \
             DiffOp({1: RatFun(1)})
+        rng = random.Random(0x1A7)
+        for _ in range(30):
+            a = kernel_op(rng, "monomial")
+            assert _integer_form(a) is not None
+            same(a.adjoint(), ref_adjoint(a))
+            p = rand_poly(rng, max_order=2, max_degree=2, terms=3, names=("u", "v", "F"),
+                          nonzero=True)
+            jet_args = rng.choice("uv"), rng.randint(0, 2)
+            e = rng.randint(1, 2)
+            # a DiffPoly, a Laurent DiffPoly and a RatFun over a monomial
+            operands = (p, p * DiffPoly.jet(*jet_args, -e), RatFun(p, DiffPoly.jet(*jet_args, e)))
+            for f in operands:
+                same(a.apply(f), ref_apply(a, f))
+                for g in operands:
+                    same(evo_apply(f, g), ref_evo_apply(f, g))
+        assert not ratfun_arm
+        # a denominator that is not a monomial takes the RatFun arm of each
+        c = RatFun(u1, u + 1)
+        a = DiffOp({1: c, 0: RatFun(u)})
+        for run, want in ((lambda: a * a, ref_mul(a, a)), (a.adjoint, ref_adjoint(a)),
+                          (lambda: a.apply(u2), ref_apply(a, u2)),
+                          (lambda: evo_apply(u2, c), ref_evo_apply(u2, c))):
+            ratfun_arm.clear()
+            same(run(), want)
+            assert ratfun_arm
 
     def test_laurent_exponent_past_the_limit(self, monkeypatch):
         # F/u^top times itself needs u^(-2 top), outside the packed range: the
-        # integer arm hands the product to the RatFun arm, which decides it
-        # as it did before monomial denominators took the integer arm
+        # integer arm raises the message the RatFun reference raises
         top = EXPONENT_LIMIT - 1
         a = DiffOp({1: RatFun(jet("F"), DiffPoly.jet("u", 0, top))})
-        ratfun_arm = []
-
-        def towers(f, n):
-            ratfun_arm.append(f)
-            return derivatives(f, n)
-
-        monkeypatch.setattr(operators, "derivatives", towers)
+        ratfun_arm = watch_ratfun_arm(monkeypatch)
         with pytest.raises(OverflowError) as want:
             ref_mul(a, a)
         with pytest.raises(OverflowError) as got:
             a * a
-        assert ratfun_arm and str(got.value) == str(want.value)
+        assert str(got.value) == str(want.value)
         # just inside the limit the integer arm holds it
         b = DiffOp({1: RatFun(jet("F"), DiffPoly.jet("u", 0, top // 2))})
         ratfun_arm.clear()
