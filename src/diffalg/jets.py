@@ -366,9 +366,6 @@ class DiffPoly(Tower):
             out.setdefault(e, {})[m - (e << s)] = n
         return {e: _from_numerators(t, self.den) for e, t in out.items()}
 
-    def coefficient_of(self, var: JetKey, exp: int) -> "DiffPoly":
-        return self.as_univariate(var).get(exp, DiffPoly())
-
 
 _ONE = DiffPoly._of({_ONE_MONO: 1})  # shared: DiffPoly is immutable
 
@@ -601,33 +598,57 @@ def _poly_divexact(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     return _from_numerators(quotient, f.den * content)
 
 
-def _deg_in(f: DiffPoly, var: JetKey) -> int:
-    i = _FIELD[var]
-    return max((_digit(m, i) for m in f.nums), default=-1)
+def _intdiv(a: int, b: int) -> int:
+    """a/b for ints; raises ArithmeticError if b does not divide a."""
+    if a % b:
+        raise ArithmeticError("divisor does not divide the dividend")
+    return a // b
 
 
-def _pseudo_rem(f: DiffPoly, g: DiffPoly, var: JetKey) -> DiffPoly:
-    """Standard pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g."""
-    df, dg = _deg_in(f, var), _deg_in(g, var)
-    lc_g = g.coefficient_of(var, dg)
-    r = f
-    n = df - dg + 1
-    while not r.is_zero():
-        dr = _deg_in(r, var)
-        if dr < dg:
-            break
-        lc_r = r.coefficient_of(var, dr)
-        x_shift = DiffPoly.jet(var[1], var[0], dr - dg) if dr > dg else _ONE
-        r = r * lc_g - g * lc_r * x_shift
+def _pseudo_rem(f: dict, g: dict) -> dict:
+    """lc(g)^(deg f - deg g + 1) * f mod g, for deg f >= deg g."""
+    dg = max(g)
+    lc, n, r = g[dg], max(f) - dg + 1, f
+    while r and (dr := max(r)) >= dg:
+        lr, shift = r[dr], dr - dg
+        r = {e: c * lc for e, c in r.items()}
+        for e, c in g.items():
+            r[e + shift] = r.get(e + shift, 0) - lr * c
+        r = {e: c for e, c in r.items() if c}
         n -= 1
-    if n > 0 and not r.is_zero():
-        r = r * lc_g ** n
+    if n and r:
+        scale = lc ** n
+        r = {e: c * scale for e, c in r.items()}
     return r
 
 
-def _content_and_pp(f: DiffPoly, var: JetKey) -> Tuple[DiffPoly, DiffPoly]:
-    content = _content_of(f, var)
-    return content, _poly_divexact(f, content)
+def _subresultant_last(f: dict, g: dict, divexact) -> dict:
+    """Last nonzero element of the subresultant PRS of f and g, univariate
+    {exponent: coefficient} dicts over the ring that divexact divides in
+    (DiffPoly with _poly_divexact in the gcd, int with _intdiv in the screen).
+
+    Brown's algorithm: every division is exact in that ring, which keeps
+    growth polynomial where a naive remainder sequence explodes.  The result
+    has the degree of gcd(f, g); its primitive part is the gcd of the
+    primitive parts of f and g.
+    """
+    n, m = max(f), max(g)
+    if n < m:
+        f, g, n, m = g, f, m, n
+    d = n - m
+    h = _pseudo_rem(f, g)
+    if d % 2 == 0:
+        h = {e: -c for e, c in h.items()}
+    lc = g[m]
+    c = -(lc ** d)
+    while h:
+        k = max(h)
+        f, g, m, d = g, h, k, m - k
+        b = (-lc) * (c ** d)
+        h = {e: divexact(v, b) for e, v in _pseudo_rem(f, g).items()}
+        lc = g[m]
+        c = divexact((-lc) ** d, c ** (d - 1)) if d > 1 else -lc
+    return g
 
 
 def _normalize_leading(f: DiffPoly) -> DiffPoly:
@@ -657,65 +678,53 @@ def _divide_by_mono(f: DiffPoly, mono: Monomial) -> DiffPoly:
     return DiffPoly._of(_guard(nums, f.nums, (mono,)), f.den)
 
 
-def _eval_univariate(f: DiffPoly, var: JetKey,
-                     point: Dict[JetKey, int]) -> Dict[int, Fraction]:
-    """Image of f's numerators under substituting integers for every variable
-    except var; f's constant denominator changes no gcd degree."""
-    out: Dict[int, Fraction] = {}
+def _eval_univariate(f: DiffPoly, i_var: int, point: Dict[int, int]) -> Dict[int, int]:
+    """Image of f's numerators in Z[jet i_var] under point, which maps every
+    other field to an integer; f's constant denominator changes no gcd degree."""
+    out: Dict[int, int] = {}
     for m, value in f.nums.items():
-        e_var = 0
         for i, e in _fields(m):
-            v = _JETS[i]
-            if v == var:
-                e_var = e
-            else:
-                value = value * (point[v] ** e if e > 0 else Fraction(point[v]) ** e)
-        out[e_var] = out.get(e_var, 0) + value
+            value *= point.get(i, 1) ** e
+        e = _digit(m, i_var)
+        out[e] = out.get(e, 0) + value
     return {e: v for e, v in out.items() if v}
-
-
-def _univariate_gcd_degree(fu: Dict[int, Fraction], gu: Dict[int, Fraction]) -> int:
-    def normalize(p):
-        return {e: c for e, c in p.items() if c}
-
-    a, b = normalize(fu), normalize(gu)
-    while b:
-        da, db = max(a), max(b)
-        if da < db:
-            a, b = b, a
-            continue
-        lead = Fraction(a[da]) / b[db]
-        shift = da - db
-        new_a = dict(a)
-        for e, c in b.items():
-            k = e + shift
-            s = new_a.get(k, 0) - lead * c
-            if s:
-                new_a[k] = s
-            else:
-                new_a.pop(k, None)
-        a = new_a
-        if not a:
-            a, b = b, {}
-            break
-        if max(a) >= da:
-            raise AssertionError("univariate division failed to reduce degree")
-        a, b = b, a
-    return max(a) if a else -1
 
 
 _SCREEN_POINTS = (2, 3, 5, 7, -2, 11, -3, 13)
 
 
-def poly_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
-    """GCD over Q[jets], normalized with leading coefficient 1 (hence unique).
+def _coprime_image(f: DiffPoly, g: DiffPoly, i_var: int, df: int, dg: int) -> bool:
+    """Whether an integer image proves f and g (of degrees df, dg in the jet
+    of field i_var) coprime in that jet.
 
-    Monomial content splits off first; a univariate specialization screen
-    (sound: the specialized gcd bounds the true gcd degree whenever the
-    leading coefficient survives the evaluation point) detects the common
-    coprime case cheaply; only genuinely sharing pairs reach the primitive
-    pseudo-remainder sequence.
+    At a point that keeps both leading coefficients, the degree of the
+    images' gcd bounds that of f and g, so degree 0 proves them coprime.
+    The first usable of four points decides; False proves nothing.
     """
+    others = sorted((_support(f.nums) | _support(g.nums)) - {i_var}, key=_JETS.__getitem__)
+    for seed in range(4):
+        point = {i: _SCREEN_POINTS[(seed + k) % len(_SCREEN_POINTS)]
+                 for k, i in enumerate(others)}
+        fu, gu = _eval_univariate(f, i_var, point), _eval_univariate(g, i_var, point)
+        if fu and gu and max(fu) == df and max(gu) == dg:
+            return max(_subresultant_last(fu, gu, _intdiv)) == 0
+    return False
+
+
+def poly_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
+    """GCD over Q[jets] of two polynomials, with leading coefficient 1 (hence
+    unique).  A negative exponent raises ValueError: over Laurent polynomials
+    every monomial is a unit, so no such gcd is defined.
+
+    Monomial content splits off first.  The rest is one remainder sequence,
+    the subresultant PRS in the greatest jet: on integer images first, which
+    proves the common coprime case cheaply, and on the primitive parts only
+    when the images share a factor.
+    """
+    for name, p in (("f", f), ("g", g)):
+        if p.has_negative_exponent():
+            raise ValueError(f"poly_gcd: {name} has a negative exponent; "
+                             "clear Laurent exponents first, as RatFun does")
     if f.is_zero():
         return _normalize_leading(g)
     if g.is_zero():
@@ -735,73 +744,26 @@ def _nontrivial_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     shared = DiffPoly._of({common_mono: 1})
     if f.is_constant() or g.is_constant():
         return _normalize_leading(shared)
-    fvars = {_JETS[i] for i in _support(f.nums)}
-    gvars = {_JETS[i] for i in _support(g.nums)}
-    var = max(fvars | gvars)
-    if var not in fvars:
-        return _normalize_leading(shared * poly_gcd(_content_of(g, var), f))
-    if var not in gvars:
-        return _normalize_leading(shared * poly_gcd(_content_of(f, var), g))
-    # specialization screen
-    other_vars = (fvars | gvars) - {var}
-    for seed in range(4):
-        point = {v: _SCREEN_POINTS[(seed + i) % len(_SCREEN_POINTS)]
-                 for i, v in enumerate(sorted(other_vars))}
-        fu = _eval_univariate(f, var, point)
-        gu = _eval_univariate(g, var, point)
-        if not fu or not gu:
-            continue
-        if max(fu) != _deg_in(f, var) or max(gu) != _deg_in(g, var):
-            continue  # a leading coefficient vanished; point is unusable
-        if _univariate_gcd_degree(fu, gu) == 0:
-            return _normalize_leading(
-                shared * poly_gcd(_content_of(f, var), _content_of(g, var)))
-        break
-    cont_f, pp_f = _content_and_pp(f, var)
-    cont_g, pp_g = _content_and_pp(g, var)
-    c = poly_gcd(cont_f, cont_g)
-    last = _subresultant_last(pp_f, pp_g, var)
-    if _deg_in(last, var) == 0:
-        # primitive parts are coprime in the main variable
-        return _normalize_leading(shared * c)
-    return _normalize_leading(shared * c * _content_and_pp(last, var)[1])
+    i_var = max(_support(f.nums) | _support(g.nums), key=_JETS.__getitem__)
+    fu, gu = f.as_univariate(_JETS[i_var]), g.as_univariate(_JETS[i_var])
+    cont_f, cont_g = _content_of(fu.values()), _content_of(gu.values())
+    shared = shared * poly_gcd(cont_f, cont_g)
+    if not _coprime_image(f, g, i_var, max(fu), max(gu)):
+        last = _subresultant_last({e: _poly_divexact(c, cont_f) for e, c in fu.items()},
+                                  {e: _poly_divexact(c, cont_g) for e, c in gu.items()},
+                                  _poly_divexact)
+        if max(last) > 0:
+            content, s = _content_of(last.values()), _W * i_var
+            shared = shared * sum((_scale(_poly_divexact(c, content), 1, 1, e << s)
+                                   for e, c in last.items()), DiffPoly())
+    return _normalize_leading(shared)
 
 
-def _subresultant_last(f: DiffPoly, g: DiffPoly, var: JetKey) -> DiffPoly:
-    """Last nonzero element of the subresultant PRS of (f, g) in var.
-
-    Brown's algorithm: every division below is exact in the coefficient
-    ring, which keeps growth polynomial where a naive remainder sequence
-    explodes.
-    """
-    n, m = _deg_in(f, var), _deg_in(g, var)
-    if n < m:
-        f, g, n, m = g, f, m, n
-    d = n - m
-    h = _pseudo_rem(f, g, var)
-    if d % 2 == 0:
-        h = -h
-    lc = g.coefficient_of(var, m)
-    c = -(lc ** d)
-    while not h.is_zero():
-        k = _deg_in(h, var)
-        f, g, m, d = g, h, k, m - k
-        b = (-lc) * (c ** d)
-        h = _pseudo_rem(f, g, var)
-        h = _poly_divexact(h, b)
-        lc = g.coefficient_of(var, m)
-        if d > 1:
-            c = _poly_divexact((-lc) ** d, c ** (d - 1))
-        else:
-            c = -lc
-    return g
-
-
-def _content_of(f: DiffPoly, var: JetKey) -> DiffPoly:
-    coeffs = list(f.as_univariate(var).values())
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        content = poly_gcd(content, c)
+def _content_of(coeffs: Iterable[DiffPoly]) -> DiffPoly:
+    """The gcd of these nonzero polynomials, with leading coefficient 1."""
+    content = None
+    for c in coeffs:
+        content = c if content is None else poly_gcd(content, c)
         if content.is_constant():
             break
     return _normalize_leading(content)

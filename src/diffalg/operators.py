@@ -29,8 +29,8 @@ from math import comb, lcm
 from typing import Dict, Optional, Tuple
 
 from .jets import (DiffPoly, Numerators, RatFun, _add_products, _add_tower,
-                   _from_numerators, _laurent, _tower, accumulate, derivatives,
-                   poly_gcd, poly_lcm)
+                   _content_of, _from_numerators, _laurent, _tower, accumulate,
+                   derivatives, poly_lcm)
 from .tower import Tower, power
 
 
@@ -295,13 +295,7 @@ def _left_clear_factor(op: DiffOp) -> RatFun:
     den = DiffPoly.const(1)
     for c in op.coeffs.values():
         den = poly_lcm(den, c.den)
-    content = None
-    for c in op.coeffs.values():
-        num = (c * den).as_diffpoly()
-        content = num if content is None else poly_gcd(content, num)
-        if content.is_constant():
-            break
-    factor = RatFun(den, content)
+    factor = RatFun(den, _content_of((c * den).as_diffpoly() for c in op.coeffs.values()))
     # deterministic sign/scale: make the leading coefficient's lead term 1
     lead = (op.leading_coefficient() * factor).num.leading()[1]
     return factor * (1 / lead)

@@ -544,6 +544,21 @@ class TestGcdAndRatFun:
         assert poly_lcm(u, u1) == u * u1
         assert poly_lcm(u * u1, u1) == u * u1
 
+    def test_laurent_input_is_refused(self):
+        # every monomial is a unit among Laurent polynomials; these two pairs
+        # once came back as the "gcds" u'^-1 and u^-1
+        u_inv, u1_inv = DiffPoly.jet("u", 0, -1), DiffPoly.jet("u", 1, -1)
+        with pytest.raises(ValueError, match="f has a negative exponent"):
+            poly_gcd(u1_inv * u + u * u, u + u1)
+        with pytest.raises(ValueError, match="g has a negative exponent"):
+            poly_gcd(u + u1, u1_inv * u + u * u)
+        with pytest.raises(ValueError, match="f has a negative exponent"):
+            poly_gcd(u_inv * u1 + u, u_inv * u2)
+        with pytest.raises(ValueError, match="negative exponent"):
+            poly_lcm(u_inv * u1 + u, u2)
+        with pytest.raises(ValueError, match="negative exponent"):
+            poly_lcm(u1 + u, u_inv * u2)
+
     def test_field_axioms(self, rng):
         from helpers import rand_ratfun
         for _ in range(60):
@@ -715,6 +730,55 @@ class TestGcdOracle:
             theirs = sympy.gcd(self.to_sympy(sympy, f), self.to_sympy(sympy, g))
             ratio = sympy.cancel(self.to_sympy(sympy, ours) / theirs)
             assert ratio.is_Rational and ratio != 0
+
+    def test_gcd_with_the_main_jet_on_one_side_matches_sympy(self):
+        """The greatest jet of the pair occurs in one input only, on either
+        side: the gcd is then the other input's gcd with the content."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0xF01D)
+        top = jet("v", 25)  # above every jet that draw makes
+        for trial in range(30):
+            a, b, c = self.draw(rng), self.draw(rng), self.draw(rng, terms=2)
+            f, g = a * c * (top * self.draw(rng, terms=2) + self.draw(rng)), b * c
+            if trial % 2:
+                f, g = g, f
+            ours = poly_gcd(f, g)
+            assert ours.leading()[1] == 1
+            theirs = sympy.gcd(self.to_sympy(sympy, f), self.to_sympy(sympy, g))
+            ratio = sympy.cancel(self.to_sympy(sympy, ours) / theirs)
+            assert ratio.is_Rational and ratio != 0
+
+    def test_subresultant_last_has_the_gcd_degree_on_integers(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(0x5B7)
+
+        def draw(degree):
+            return sympy.Poly([rng.choice((1, -1, 2, -3))]
+                              + [rng.randint(-4, 4) for _ in range(degree)], x)
+
+        for _ in range(100):
+            c = draw(rng.randint(0, 3))
+            f, g = draw(rng.randint(0, 4)) * c, draw(rng.randint(0, 4)) * c
+            last = jets._subresultant_last(
+                {m: int(k) for (m,), k in f.terms()},
+                {m: int(k) for (m,), k in g.terms()}, jets._intdiv)
+            assert max(last) == sympy.degree(sympy.gcd(f, g), x)
+
+    def test_coprime_image_never_clears_a_shared_factor(self):
+        """The screen may only prove coprimality: on a*c, b*c with c of
+        positive degree in the main jet it never answers True."""
+        rng = random.Random(0xC0B)
+        for _ in range(200):
+            a, b, c = self.draw(rng), self.draw(rng), self.draw(rng, terms=2)
+            main = max((v for p in (a, b, c) for m in p.nums for v, _ in exponents(m)),
+                       default=(21, "u"))
+            if not c.as_univariate(main).keys() - {0}:
+                c = c + DiffPoly.jet(main[1], main[0])
+            f, g = a * c, b * c
+            assert not jets._coprime_image(f, g, jets._FIELD[main],
+                                           max(f.as_univariate(main)),
+                                           max(g.as_univariate(main)))
 
     def test_divexact_matches_sympy_div(self):
         sympy = pytest.importorskip("sympy")
