@@ -6,7 +6,7 @@ procedures for hereditariness and integrability and a Lenard-Magri engine
 that generates and certifies commuting symmetry chains.
 """
 
-from .jets import DiffPoly, Grading, RatFun, diff_order, jet, poly_gcd
+from .jets import DiffPoly, RatFun, diff_order, jet, poly_gcd
 from .linalg import constant_linear_basis
 from .calculus import (basis_mod_total_derivatives, evo_apply, integrate,
                        is_total_derivative, lie_bracket, potential,
@@ -17,10 +17,10 @@ from .operators import (DiffOp, FractionPair, frechet, left_divide,
 from .bidiff import (BiDiffOp, bi_apply, compose_left, compose_right,
                      frechet_of_op, is_skewsymmetric, left_divide_bidiff,
                      slot_first, transpose)
-from .nonlocal_ops import (NonlocalOp, ParityClass, from_fraction_pair,
-                           is_recursion_for, lie_derivative, nl_apply, nl_mul,
-                           nl_power, operator_from_json, operator_to_json,
-                           parity_class, to_fraction)
+from .nonlocal_ops import (Grading, NonlocalOp, ParityClass,
+                           from_fraction_pair, is_recursion_for, lie_derivative,
+                           nl_apply, nl_mul, nl_power, operator_from_json,
+                           operator_to_json, parity_class, to_fraction)
 from .integrability import (Refutation, Verdict, Witness, is_hereditary,
                             is_integrable_diffop, is_integrable_pair,
                             is_integrable_wnl, lie_defect)

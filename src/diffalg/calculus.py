@@ -29,9 +29,9 @@ from math import gcd, lcm
 from typing import Dict, Sequence, Tuple
 
 from .errors import NotExact, NotVariational, Unsupported, VerificationFailed
-from .jets import (EXPONENT_LIMIT, _FIELD, _JETS, _W, DiffPoly, RatFun,
-                   _add_products, _add_tower, _derivative, _digit, _field,
-                   _fields, _from_numerators, _laurent, _numerators, _partial,
+from .jets import (EXPONENT_LIMIT, _FIELD, _JETS, _ONE_MONO, _W, DiffPoly,
+                   RatFun, _add_products, _add_tower, _derivative, _digit,
+                   _field, _fields, _from_numerators, _laurent, _partial,
                    _tower, accumulate, exponents, monomial)
 from .linalg import _rref
 from .operators import frechet, helmholtz_residual
@@ -273,16 +273,18 @@ def basis_mod_total_derivatives(fs: Sequence[DiffPoly]):
         return [], [[] for _ in fs], [h for h, _ in integrals]
     indets = sorted({name for f in fs for name in f.indets()})
     # one row per coordinate of the vectors; input i is the column -i, so the
-    # largest-column pivots pick earlier inputs first
-    rows: Dict[object, Dict[int, Fraction]] = {}
-    for i, f in enumerate(fs):
-        for name in indets:
-            for m, c in variational_derivative(f, name).terms.items():
-                rows.setdefault((name, m), {})[-i] = c
-        if f.constant_term():
-            rows.setdefault((), {})[-i] = f.constant_term()
-    # a row is one coordinate, so scaling it to integers keeps the span
-    reduced = _rref(_numerators(row)[0] for row in rows.values())
+    # largest-column pivots pick earlier inputs first.  Every entry is put
+    # over one positive scale, which leaves the reduced echelon form as it is.
+    deltas = [[variational_derivative(f, name) for name in indets] for f in fs]
+    scale = lcm(*(f.den for f in fs), *(v.den for vs in deltas for v in vs))
+    rows: Dict[object, Dict[int, int]] = {}
+    for i, (f, vs) in enumerate(zip(fs, deltas)):
+        for name, v in zip(indets, vs):
+            for m, n in v.nums.items():
+                rows.setdefault((name, m), {})[-i] = n * (scale // v.den)
+        if _ONE_MONO in f.nums:
+            rows.setdefault((), {})[-i] = f.nums[_ONE_MONO] * (scale // f.den)
+    reduced = _rref(rows.values())
     basis = [fs[-p] for p, _ in reduced]
     coords = [[Fraction(row.get(-i, 0), row[p]) for p, row in reduced]
               for i in range(len(fs))]

@@ -13,8 +13,7 @@ import os
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .grammar import parse_function
-from .jets import Grading
-from .nonlocal_ops import NonlocalOp, operator_from_json
+from .nonlocal_ops import Grading, NonlocalOp, operator_from_json
 
 
 class CorpusEntry(NamedTuple):

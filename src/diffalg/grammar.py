@@ -19,7 +19,7 @@ The printer emits canonical forms the parser accepts, so parse(print(p)) == p.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Dict, Sequence, Tuple
 
 from .errors import ParseError
@@ -97,8 +97,10 @@ def _check_power(atom: DiffPoly, e: int) -> None:
     top = max((max(-lo, hi) for lo, hi in _exponent_span(atom).values()), default=0)
     if top * abs(e) > MAX_EXPONENT:
         raise _exponent_past_bound(top * abs(e))
-    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                for c in atom.terms.values()), default=0)
+    bits = 0  # of each coefficient in lowest terms, not over the common den
+    for n in atom.nums.values():
+        g = gcd(n, atom.den)
+        bits = max(bits, (n // g).bit_length(), (atom.den // g).bit_length())
     if bits * abs(e) > MAX_POWER_BITS:
         raise OverflowError(f"the power {e} raises a coefficient past "
                             f"{MAX_POWER_BITS} bits")
@@ -193,11 +195,10 @@ def _parse_factor(s: _Scanner) -> DiffPoly:
                 if value == 0:
                     raise ParseError("zero to a negative power", s.pos)
                 return DiffPoly.const(value ** e)
-            mono_items = list(atom.terms.items())
-            if len(mono_items) != 1 or mono_items[0][1] != 1:
+            if len(atom.nums) != 1 or 1 not in atom.nums.values() or atom.den != 1:
                 raise ParseError("negative powers only apply to jet monomials", s.pos)
-            mono, _ = mono_items[0]
-            return DiffPoly({monomial((v, x * e) for v, x in exponents(mono)): Fraction(1)})
+            (mono,) = atom.nums
+            return DiffPoly._of({monomial((v, x * e) for v, x in exponents(mono)): 1})
         return atom ** e
     return atom
 
@@ -273,8 +274,8 @@ def format_poly(p: DiffPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for mono, coeff in p.sorted_terms():
-        text = _format_monomial(mono, coeff)
+    for mono in sorted(p.nums, key=exponents, reverse=True):
+        text = _format_monomial(mono, Fraction(p.nums[mono], p.den))
         if not parts:
             parts.append(text)
         elif text.startswith("-"):

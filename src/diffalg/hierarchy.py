@@ -14,10 +14,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .calculus import brackets, evo_apply, integrate, is_total_derivative, potential
 from .errors import DiffAlgError, NotInImage, NotVariational, Unsupported
 from .grammar import format_poly, format_ratfun
-from .jets import DiffPoly, Grading, RatFun, diff_order
+from .jets import DiffPoly, RatFun, diff_order
 from .operators import DiffOp
-from .nonlocal_ops import (NonlocalOp, nl_apply, nl_power, parity_class,
-                           to_fraction)
+from .nonlocal_ops import (Grading, NonlocalOp, nl_apply, nl_power,
+                           parity_class, to_fraction)
 
 START_OFFSET_NOTE = ("chain starts at the seed S0 = A(F0) for F0 in Ker B, one "
                      "application past the kernel itself")

@@ -26,14 +26,14 @@ descending, compared as tuples, with higher jets more significant.
 At rest, a DiffPoly is integer numerators over one denominator: ``nums``
 maps each monomial to a nonzero int and ``den`` is an int > 0 with
 gcd(den, *nums) = 1, so den is the lcm of the coefficients' denominators
-and the pair is canonical.  A Fraction is built only where a caller asks
-for a coefficient: ``leading``, ``constant_term``, and the ``terms`` view
-that the printer reads.  The kernels below work on these {monomial:
-numerator} dicts: ``_add_products``, ``_partial`` and ``_derivative``
-multiply, accumulate and differentiate plain ints, a sum merges two dicts
-over the lcm of the denominators, a product by a constant or a single term
-scales the ints, and ``_from_numerators`` is the one normaliser (zero sums
-out, the common factor of den and the numerators divided out).  Since
+and the pair is canonical.  It is the only form: a Fraction is built only
+where a caller asks for one coefficient (``leading``, ``constant_term``, the
+printer).  The kernels below work on these {monomial: numerator} dicts:
+``_add_products``, ``_partial`` and ``_derivative`` multiply, accumulate and
+differentiate plain ints, a sum merges two dicts over the lcm of the
+denominators, a product by a constant or a single term scales the ints, and
+``_from_numerators`` is the one normaliser (zero sums out, the common factor
+of den and the numerators divided out).  Since
 D(N/den) = D(N)/den, a derivative keeps its polynomial's den.  ``_tower``
 streams d^k N and is the only integer derivative tower; ``_add_tower`` adds
 sum_k c_k d^k N on it for ``DiffOp.apply`` and the evolutionary fields of
@@ -195,36 +195,25 @@ _SHIFT = _Shifts()
 class DiffPoly(Tower):
     """A differential (Laurent) polynomial over Q: integer numerators ``nums``
     ({monomial: nonzero int}) over one denominator ``den`` (an int > 0), with
-    gcd(den, *nums) = 1.  ``terms`` is the {monomial: Fraction} view.
+    gcd(den, *nums) = 1.  ``DiffPoly()`` is zero; the kernels below build
+    every other value.
 
     Negative exponents are permitted (they arise when parsing coefficient
     fields such as 1/u'''); the integration routines reject them where the
     algorithm cannot handle them.
     """
 
-    __slots__ = ("nums", "den", "_terms", "_hash")
+    __slots__ = ("nums", "den", "_hash")
 
-    def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None):
-        self.nums, self.den = _numerators(
-            {m: Fraction(c) for m, c in terms.items() if c} if terms else {})
-        self._terms: Optional[Dict[Monomial, Fraction]] = None
-        self._hash: Optional[int] = None
+    def __init__(self):
+        self.nums, self.den, self._hash = {}, 1, None
 
     @staticmethod
     def _of(nums: Numerators, den: int = 1) -> "DiffPoly":
         """Wrap numerators already in canonical form, without a copy."""
         p = DiffPoly.__new__(DiffPoly)
-        p.nums, p.den, p._terms, p._hash = nums, den, None, None
+        p.nums, p.den, p._hash = nums, den, None
         return p
-
-    @property
-    def terms(self) -> Dict[Monomial, Fraction]:
-        """{monomial: nonzero Fraction}, built on first use; read it, never
-        change it."""
-        if self._terms is None:
-            den = self.den
-            self._terms = {m: Fraction(n, den) for m, n in self.nums.items()}
-        return self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -278,9 +267,6 @@ class DiffPoly(Tower):
     def has_negative_exponent(self) -> bool:
         return not _small(self.nums) and any(
             e < 0 for m in self.nums for _, e in _fields(m))
-
-    def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: exponents(kv[0]), reverse=True)
 
     def leading(self) -> Tuple[Monomial, Fraction]:
         if not self.nums:
@@ -375,19 +361,6 @@ _ONE = DiffPoly._of({_ONE_MONO: 1})  # shared: DiffPoly is immutable
 # The layout is in the module docstring.  The reason for it: every Fraction
 # operation normalises through a gcd, which was most of the cost of products
 # and derivatives of large polynomials.
-
-
-def _numerators(terms: Dict[Monomial, Fraction]) -> Tuple[Dict[Monomial, int], int]:
-    """({monomial: numerator}, den): the coefficients as integers over den, the
-    lcm of their denominators."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if den % d:
-            den = lcm(den, d)
-    if den == 1:
-        return {m: c.numerator for m, c in terms.items()}, 1
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
 def _from_numerators(acc: Numerators, den: int) -> DiffPoly:
@@ -1026,40 +999,3 @@ def accumulate(out: dict, key, value) -> None:
         out[key] = total
     else:
         out.pop(key, None)
-
-
-# -- parity grading -----------------------------------------------------------
-
-
-class Grading:
-    """Z/2 grading: each indeterminate's base gets a parity, the derivative is odd."""
-
-    def __init__(self, parities: Dict[str, str]):
-        self.parities = {}
-        for name, p in parities.items():
-            if p not in ("even", "odd"):
-                raise ValueError(f"grading[{name!r}] must be 'even' or 'odd', "
-                                 f"got {p!r}")
-            self.parities[name] = 0 if p == "even" else 1
-
-    def base_parity(self, name: str) -> int:
-        if name not in self.parities:
-            raise ValueError(f"grading does not assign a parity to {name!r}")
-        return self.parities[name]
-
-    def of_monomial(self, m: Monomial) -> int:
-        return sum(e * (self.base_parity(v[1]) + v[0]) for v, e in exponents(m)) % 2
-
-    def of_poly(self, f: DiffPoly) -> Optional[int]:
-        """0 (even), 1 (odd), or None for mixed; zero counts as both, reported 0."""
-        seen = {self.of_monomial(m) for m in f.nums}
-        if len(seen) > 1:
-            return None
-        return seen.pop() if seen else 0
-
-    def of_ratfun(self, r: RatFun) -> Optional[int]:
-        pn, pd = self.of_poly(r.num), self.of_poly(r.den)
-        if pn is None or pd is None:
-            return None
-        return (pn - pd) % 2
-

@@ -37,7 +37,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import DepthOverflow, NotExact, NotInImage, ParseError, Unsupported
 from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
-from .jets import (DiffPoly, Grading, RatFun, _from_numerators, _laurent,
+from .jets import (DiffPoly, Monomial, RatFun, _from_numerators, _laurent,
                    accumulate, exponents)
 from .linalg import _echelon_basis, _over_common_den
 from .operators import DiffOp, evo_apply_op, frechet, right_lcm
@@ -439,6 +439,39 @@ def from_fraction_pair(a: DiffOp, b: DiffOp) -> NonlocalOp:
 # -- parity --------------------------------------------------------------------------------
 
 
+class Grading:
+    """Z/2 grading: each indeterminate's base gets a parity, the derivative is odd."""
+
+    def __init__(self, parities: Dict[str, str]):
+        self.parities = {}
+        for name, p in parities.items():
+            if p not in ("even", "odd"):
+                raise ValueError(f"grading[{name!r}] must be 'even' or 'odd', "
+                                 f"got {p!r}")
+            self.parities[name] = 0 if p == "even" else 1
+
+    def base_parity(self, name: str) -> int:
+        if name not in self.parities:
+            raise ValueError(f"grading does not assign a parity to {name!r}")
+        return self.parities[name]
+
+    def of_monomial(self, m: Monomial) -> int:
+        return sum(e * (self.base_parity(v[1]) + v[0]) for v, e in exponents(m)) % 2
+
+    def of_poly(self, f: DiffPoly) -> Optional[int]:
+        """0 (even), 1 (odd), or None for mixed; zero counts as both, reported 0."""
+        seen = {self.of_monomial(m) for m in f.nums}
+        if len(seen) > 1:
+            return None
+        return seen.pop() if seen else 0
+
+    def of_ratfun(self, r: RatFun) -> Optional[int]:
+        pn, pd = self.of_poly(r.num), self.of_poly(r.den)
+        if pn is None or pd is None:
+            return None
+        return (pn - pd) % 2
+
+
 class ParityClass(NamedTuple):
     """Membership in the even-operator class with odd p's and even q's.
 
@@ -462,6 +495,7 @@ def _op_parity(e: DiffOp, grading: Grading) -> Optional[int]:
         if len(seen) > 1:
             return None
     return seen.pop() if seen else 0
+
 
 def parity_class(l: NonlocalOp, grading: Grading) -> ParityClass:
     if l.depth2:

@@ -5,7 +5,7 @@ small term counts, exact rational coefficients.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 import random
 from typing import Dict
 
@@ -89,14 +89,33 @@ def ref_mono(exps):
     return tuple(sorted(((v, e) for v, e in exps.items() if e), reverse=True))
 
 
+def over_lcm(coeffs):
+    """(numerators, den): the nonzero {key: rational} coeffs as integers over
+    den, the lcm of their denominators."""
+    coeffs = {k: Fraction(c) for k, c in coeffs.items() if c}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+
+
+def terms(p):
+    """The {monomial: Fraction} view of p's numerators over its den."""
+    return {m: Fraction(n, p.den) for m, n in p.nums.items()}
+
+
+def from_terms(coeffs):
+    """The DiffPoly with these {monomial: rational} terms, zero ones dropped:
+    its integers over the lcm of the denominators are canonical as they are."""
+    return DiffPoly._of(*over_lcm(coeffs))
+
+
 def view(p):
     """p's terms keyed by the decoded view of each monomial."""
-    return {exponents(m): c for m, c in p.terms.items()}
+    return {exponents(m): c for m, c in terms(p).items()}
 
 
-def packed(terms):
+def packed(coeffs):
     """The DiffPoly with these terms, keyed by decoded views."""
-    return DiffPoly({monomial(m): c for m, c in terms.items()})
+    return from_terms({monomial(m): c for m, c in coeffs.items()})
 
 
 def ref_clean(terms):
@@ -222,10 +241,11 @@ def ref_linear_basis(fs):
     else:
         polys = [f.as_diffpoly() if isinstance(f, RatFun) else DiffPoly.coerce(f)
                  for f in fs]
-    rows = ref_sparse_rref((p.terms for p in polys), key=exponents)
+    views = [terms(p) for p in polys]
+    rows = ref_sparse_rref(views, key=exponents)
     pivots = [max(row, key=exponents) for row in rows]
-    coords = [[p.terms.get(m, Fraction(0)) for m in pivots] for p in polys]
-    basis = [DiffPoly(row) for row in rows]
+    coords = [[t.get(m, Fraction(0)) for m in pivots] for t in views]
+    basis = [from_terms(row) for row in rows]
     if rational:
         basis = [RatFun(b, den) for b in basis]
     return basis, coords
@@ -271,16 +291,14 @@ def ref_lie_bracket(f, g, name="u"):
     """{f, g} for polynomials, one pair at a time: the tower of f up to the top
     order of g, then the tower of g up to the top order of f."""
     from diffalg.calculus import _partials
-    from diffalg.jets import _add_tower, _from_numerators, _numerators
+    from diffalg.jets import _add_tower, _from_numerators
     f, g = DiffPoly.coerce(f), DiffPoly.coerce(g)
-    nf, den_f = _numerators(f.terms)
-    ng, den_g = _numerators(g.terms)
     acc = {}
-    for a, b, top, factor in ((nf, ng, g.top_order(name), 1),
-                              (ng, nf, f.top_order(name), -1)):
+    for a, b, top, factor in ((f.nums, g.nums, g.top_order(name), 1),
+                              (g.nums, f.nums, f.top_order(name), -1)):
         if top is not None:
             _add_tower(acc, _partials(b, name, top), a, factor)
-    return _from_numerators(acc, den_f * den_g)
+    return _from_numerators(acc, f.den * g.den)
 
 
 def ref_twisted_lie(l, w, g, name="u"):

@@ -12,7 +12,7 @@ from diffalg.errors import NotExact, NotVariational, Unsupported
 from diffalg.jets import EXPONENT_LIMIT, exponents
 from diffalg.operators import helmholtz_residual
 
-from helpers import rand_poly, ref_integrate_reduce, ref_lie_bracket
+from helpers import rand_poly, ref_integrate_reduce, ref_lie_bracket, terms
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 F, G, H = jet("F"), jet("G"), jet("H")
@@ -102,7 +102,7 @@ class TestLieBracket:
 
         def to_sympy(p):
             out = ring.zero
-            for m, c in p.terms.items():
+            for m, c in terms(p).items():
                 term = ring(sympy.QQ(c.numerator, c.denominator))
                 for (order, _), e in exponents(m):
                     term *= jets[order] ** e
@@ -548,7 +548,7 @@ class TestBasisModTotalDerivatives:
             mixed += 0 < exact_inputs < len(fs)
             indets = sorted({n for f in fs for n in f.indets()})
             deltas = [{(n, m): c for n in indets
-                       for m, c in variational_derivative(f, n).terms.items()}
+                       for m, c in terms(variational_derivative(f, n)).items()}
                       for f in fs]
             for f, d in zip(fs, deltas):
                 d["const"] = f.constant_term()

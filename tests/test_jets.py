@@ -13,12 +13,12 @@ from diffalg import (DiffOp, DiffPoly, Grading, RatFun, constant_linear_basis,
 from diffalg.grammar import format_poly
 import diffalg.jets as jets
 import diffalg.linalg as linalg
-from diffalg.jets import (EXPONENT_LIMIT, _numerators, _poly_divexact, accumulate,
-                          exponents, monomial, poly_lcm)
+from diffalg.jets import (EXPONENT_LIMIT, _poly_divexact, accumulate, exponents,
+                          monomial, poly_lcm)
 
-from helpers import (packed, planted_inputs, rand_poly, ref_add, ref_derivative,
-                     ref_linear_basis, ref_mono, ref_mul, ref_partial,
-                     ref_sparse_rref, ref_univariate, view)
+from helpers import (from_terms, over_lcm, packed, planted_inputs, rand_poly,
+                     ref_add, ref_derivative, ref_linear_basis, ref_mono, ref_mul,
+                     ref_partial, ref_sparse_rref, ref_univariate, terms, view)
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 
@@ -99,8 +99,8 @@ def kernel_poly(rng, terms=None):
 
 
 def assert_canonical(p):
-    for m, c in p.terms.items():
-        assert type(c) is Fraction and c != 0
+    for m, n in p.nums.items():
+        assert type(n) is int and n != 0
         v = exponents(m)
         assert v == ref_mono(dict(v)) and len(dict(v)) == len(v)
         assert monomial(v) == m
@@ -151,7 +151,7 @@ class TestIntegerKernels:
                          a * b + b * (a * -1),
                          (a * b).total_derivative() - a.total_derivative() * b
                          - a * b.total_derivative()):
-                assert zero.terms == {} and zero == DiffPoly.zero()
+                assert zero.nums == {} and zero == DiffPoly.zero()
 
     def test_equal_inputs_hash_equal(self):
         rng = random.Random(0x4A5)
@@ -159,7 +159,7 @@ class TestIntegerKernels:
             a, b, c = (kernel_poly(rng) for _ in range(3))
             left, right = (a + b) * c, c * b + a * c
             assert left == right and hash(left) == hash(right)
-            rebuilt = DiffPoly(dict(reversed(list(left.terms.items()))))
+            rebuilt = from_terms(dict(reversed(list(terms(left).items()))))
             assert rebuilt == left and hash(rebuilt) == hash(left)
 
 
@@ -171,7 +171,7 @@ class TestCanonicalForm:
     def check(p, want):
         assert p.den > 0 and 0 not in p.nums.values()
         assert gcd(p.den, *p.nums.values()) == 1
-        rebuilt = DiffPoly(p.terms)
+        rebuilt = from_terms(terms(p))
         assert rebuilt == p and hash(rebuilt) == hash(p)
         assert view(p) == want
 
@@ -271,7 +271,7 @@ class TestPackedMonomials:
         got = lie_bracket(f, g)
         assert view(got) == ref_bracket(f, g, "u") and got
         assert_canonical(got)
-        assert max(e for m in got.terms for _, e in exponents(m)) == EXPONENT_LIMIT - 1
+        assert max(e for m in got.nums for _, e in exponents(m)) == EXPONENT_LIMIT - 1
 
     def test_power_squares_no_further_than_its_top_bit(self, monkeypatch):
         calls = []
@@ -368,7 +368,6 @@ class TestMonomialOrder:
             terms = self.draw(rng)
             p = packed(terms)
             want = sorted(terms.items(), reverse=True)
-            assert [(exponents(m), c) for m, c in p.sorted_terms()] == want
             m, c = p.leading()
             assert (exponents(m), c) == want[0]
             assert format_poly(p) == ref_format(terms)
@@ -459,8 +458,8 @@ class TestPartials:
         assert u3.partial("u", 2).is_zero()
 
     def test_laurent_rule(self):
-        inv = DiffPoly({monomial([((0, "u"), -1)]): Fraction(1)})
-        expected = DiffPoly({monomial([((0, "u"), -2)]): Fraction(-1)})
+        inv = from_terms({monomial([((0, "u"), -1)]): 1})
+        expected = from_terms({monomial([((0, "u"), -2)]): -1})
         assert inv.partial("u", 0) == expected
 
     def test_partials_commute(self, rng):
@@ -523,7 +522,7 @@ class TestGcdAndRatFun:
         assert RatFun(u * u, u) == RatFun(u)
 
     def test_laurent_clearing(self):
-        r = RatFun(DiffPoly({monomial([((0, "u"), -1)]): Fraction(1)}))
+        r = RatFun(from_terms({monomial([((0, "u"), -1)]): 1}))
         assert r == RatFun(DiffPoly.const(1), u)
 
     def test_smart_arithmetic_matches_naive(self, rng):
@@ -597,7 +596,7 @@ class TestLinearBasis:
 
     def test_span_check_stays(self, monkeypatch):
         # a kernel that loses u: its one (pivot, integer row) is the constant 1
-        one = next(iter(DiffPoly.const(1).terms))
+        one = next(iter(DiffPoly.const(1).nums))
         monkeypatch.setattr(linalg, "_rref",
                             lambda rows, key=None: [(one, {one: 1})])
         with pytest.raises(AssertionError, match="escaped its own span"):
@@ -626,11 +625,11 @@ class TestLinearBasisOracle:
             if rational:
                 for f in fs:
                     den = poly_lcm(den, f.den)
-            rows = [(RatFun.coerce(f) * den).as_diffpoly() for f in fs]
-            cols = sorted({m for p in rows for m in p.terms}, key=exponents, reverse=True)
-            matrix = sympy.Matrix([[p.terms.get(m, 0) for m in cols] for p in rows])
+            rows = [terms((RatFun.coerce(f) * den).as_diffpoly()) for f in fs]
+            cols = sorted({m for row in rows for m in row}, key=exponents, reverse=True)
+            matrix = sympy.Matrix([[row.get(m, 0) for m in cols] for row in rows])
             reduced, pivots = matrix.rref()
-            basis_rows = [(RatFun.coerce(b) * den).as_diffpoly().terms for b in basis]
+            basis_rows = [terms((RatFun.coerce(b) * den).as_diffpoly()) for b in basis]
             assert basis_rows == [{m: Fraction(str(reduced[i, j]))
                                    for j, m in enumerate(cols) if reduced[i, j] != 0}
                                   for i in range(len(pivots))]
@@ -661,12 +660,12 @@ class TestEchelonReference:
                         for k, v in r.items():
                             accumulate(row, k, c * v)
                 elif columns == "monomials":
-                    row = dict(kernel_poly(rng, terms=4).terms)
+                    row = terms(kernel_poly(rng, terms=4))
                 else:  # the columns -i of basis_mod_total_derivatives
                     row = {-rng.randint(0, 6): rng.choice(COEFFS)
                            for _ in range(rng.randint(1, 4))}
                 rows.append(row)
-            got = linalg._rref((_numerators(r)[0] for r in rows), key=key)
+            got = linalg._rref((over_lcm(r)[0] for r in rows), key=key)
             for p, row in got:
                 assert row[p] > 0 and gcd(*row.values()) == 1
             assert repr([{k: Fraction(v, row[p]) for k, v in row.items()}
@@ -712,7 +711,7 @@ class TestGcdOracle:
     @staticmethod
     def to_sympy(sympy, p):
         expr = sympy.Integer(0)
-        for m, c in p.terms.items():
+        for m, c in terms(p).items():
             term = sympy.Rational(c.numerator, c.denominator)
             for (order, name), e in exponents(m):
                 term *= sympy.Symbol(f"{name}_{order}") ** e

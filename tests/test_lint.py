@@ -1,8 +1,9 @@
-"""Leftovers in the package source, found with ``ast``.
+"""Leftovers in the package source and the tests, found with ``ast``.
 
 An import that its module never uses, and a private top-level function,
 class or method that nothing in the package refers to, are code that no
-verdict reaches.  ``__init__.py`` is skipped for imports: it re-exports.
+verdict reaches.  Imports are checked in the package and the test modules;
+the package's ``__init__.py`` is skipped: it re-exports.
 """
 
 import ast
@@ -13,12 +14,17 @@ import pytest
 import diffalg
 
 SRC = os.path.dirname(os.path.abspath(diffalg.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+# a package module by its file name, a test module as tests/<file name>
+IMPORTING = {**{m: os.path.join(SRC, m) for m in MODULES if m != "__init__.py"},
+             **{f"tests/{f}": os.path.join(TESTS, f)
+                for f in sorted(os.listdir(TESTS)) if f.endswith(".py")}}
 
 
-def _tree(name: str) -> ast.Module:
-    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-        return ast.parse(fh.read(), name)
+def _tree(path: str) -> ast.Module:
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
 
 
 def _used_names(tree: ast.Module) -> set:
@@ -39,9 +45,9 @@ def _used_names(tree: ast.Module) -> set:
     return used
 
 
-@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__.py"])
+@pytest.mark.parametrize("name", list(IMPORTING))
 def test_every_import_is_used(name):
-    tree = _tree(name)
+    tree = _tree(IMPORTING[name])
     used = _used_names(tree)
     unused = []
     for node in ast.walk(tree):
@@ -56,7 +62,7 @@ def test_every_import_is_used(name):
 
 
 def test_every_private_definition_is_referenced():
-    trees = {name: _tree(name) for name in MODULES}
+    trees = {name: _tree(os.path.join(SRC, name)) for name in MODULES}
     referenced = set()
     for tree in trees.values():
         referenced |= _used_names(tree)

@@ -13,7 +13,7 @@ from diffalg.calculus import evo_apply
 from diffalg.jets import EXPONENT_LIMIT, derivatives, exponents, monomial
 from diffalg.operators import FractionPair, _integer_form, helmholtz_residual
 
-from helpers import left_gcd, rand_op, rand_poly
+from helpers import from_terms, left_gcd, rand_op, rand_poly
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -142,7 +142,7 @@ def ref_evo_apply(f, g):
     if rational_g or isinstance(f, RatFun):
         return out
     (mono,) = out.den.nums
-    return out.num * DiffPoly({monomial((v, -e) for v, e in exponents(mono)): 1})
+    return out.num * from_terms({monomial((v, -e) for v, e in exponents(mono)): 1})
 
 
 def same(got, want):
