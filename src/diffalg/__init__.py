@@ -14,9 +14,8 @@ from .calculus import (basis_mod_total_derivatives, evo_apply, integrate,
 from .operators import (DiffOp, FractionPair, frechet, left_divide,
                         minimal_right_fraction, right_divide, right_gcd,
                         right_lcm)
-from .bidiff import (BiDiffOp, bi_apply, compose_left, compose_right,
-                     frechet_of_op, is_skewsymmetric, left_divide_bidiff,
-                     slot_first, transpose)
+from .bidiff import (compose_left, compose_right, frechet_of_op,
+                     is_skewsymmetric, left_divide_bidiff, transpose)
 from .nonlocal_ops import (Grading, NonlocalOp, ParityClass,
                            from_fraction_pair, is_recursion_for, lie_derivative,
                            nl_apply, nl_mul, nl_power, operator_from_json,

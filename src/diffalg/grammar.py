@@ -24,6 +24,7 @@ from typing import Dict, Sequence, Tuple
 
 from .errors import ParseError
 from .jets import DiffPoly, RatFun, exponents, monomial
+from .tower import power
 
 MAX_EXPONENT = 10_000  # bound on every exponent, written or computed, and on jet orders
 MAX_DEPTH = 100  # bound on parenthesis nesting; the printer emits none
@@ -111,20 +112,16 @@ def _check_power(atom: DiffPoly, e: int) -> None:
         raise OverflowError(f"a {n}-term base to the power {e} expands past "
                             f"{MAX_TERMS} terms")
 
-    def size(k: int) -> int:  # the bound on the terms of a k-th power
-        return comb(n + k - 1, k)
+    pairs = 0
 
-    # the multiplications of DiffPoly.__pow__: result * base, then base * base
-    pairs, done, base, rest = 0, 0, 1, e
-    while rest:
-        if rest & 1:
-            if done:
-                pairs = max(pairs, size(done) * size(base))
-            done += base
-        rest >>= 1
-        if rest:
-            pairs = max(pairs, size(base) ** 2)
-            base *= 2
+    def product(x: int, y: int) -> int:
+        """The multiplication of an x-th by a y-th power: record its term
+        pairs, bounded by the terms of each, and return the exponent."""
+        nonlocal pairs
+        pairs = max(pairs, comb(n + x - 1, x) * comb(n + y - 1, y))
+        return x + y
+
+    power(1, e, product)  # the multiplications of DiffPoly.__pow__
     if pairs > MAX_PAIRS:
         raise OverflowError(f"a {n}-term base to the power {e} multiplies "
                             f"{pairs} term pairs at once, past {MAX_PAIRS}")

@@ -689,7 +689,8 @@ def poly_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     unique).  A negative exponent raises ValueError: over Laurent polynomials
     every monomial is a unit, so no such gcd is defined.
 
-    Monomial content splits off first.  The rest is one remainder sequence,
+    Monomial content splits off first, then a jet that one side lacks, as
+    the other side's coefficients in it.  The rest is one remainder sequence,
     the subresultant PRS in the greatest jet: on integer images first, which
     proves the common coprime case cheaply, and on the primitive parts only
     when the images share a factor.
@@ -717,7 +718,14 @@ def _nontrivial_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     shared = DiffPoly._of({common_mono: 1})
     if f.is_constant() or g.is_constant():
         return _normalize_leading(shared)
-    i_var = max(_support(f.nums) | _support(g.nums), key=_JETS.__getitem__)
+    sf, sg = _support(f.nums), _support(g.nums)
+    if sf < sg:
+        f, g, sf, sg = g, f, sg, sf
+    if sf - sg:  # a jet that only f has: g goes first, and no PRS sees the jet
+        i_var = max(sf - sg, key=_JETS.__getitem__)
+        rest = _content_of([g, *f.as_univariate(_JETS[i_var]).values()])
+        return _normalize_leading(shared * rest)
+    i_var = max(sf, key=_JETS.__getitem__)
     fu, gu = f.as_univariate(_JETS[i_var]), g.as_univariate(_JETS[i_var])
     cont_f, cont_g = _content_of(fu.values()), _content_of(gu.values())
     shared = shared * poly_gcd(cont_f, cont_g)

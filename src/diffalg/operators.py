@@ -2,11 +2,13 @@
 
 Operators are finite sums a_k D^k with rational-function coefficients, where
 D is the total derivative and multiplication obeys D*a = a*D + a'.  The ring
-is left and right Euclidean.  Both divisions are implemented, with the right
-gcd that makes a right fraction A B^-1 minimal and the right lcm that puts
-several tails over one denominator.  In the operand tower (``tower``) a
-function lifts to the operator of degree 0, and a function times an operator
-scales its coefficients.
+is left and right Euclidean.  Both divisions are one loop, with the product
+order swapped; on top of them sit the right gcd that makes a right fraction
+A B^-1 minimal and the right lcm that puts several tails over one
+denominator.  A bidifferential operator is an operator here too, M_F over
+the formal slot F (``bidiff``), so left division is also its division.  In
+the operand tower (``tower``) a function lifts to the operator of degree 0,
+and a function times an operator scales its coefficients.
 
 This class is where the Leibniz rule D^k a = sum_n comb(k, n) a^(n) D^(k-n)
 lives: products, adjoints and applications expand it, and the bidifferential
@@ -257,31 +259,26 @@ def _of_numerators(acc: Dict[int, Numerators], den: int) -> DiffOp:
 
 def right_divide(a: DiffOp, b: DiffOp) -> Tuple[DiffOp, DiffOp]:
     """A = Q*B + R with deg R < deg B; unique."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero operator")
-    q = DiffOp.zero()
-    r = a
-    db = b.degree()
-    while not r.is_zero() and r.degree() >= db:
-        shift = r.degree() - db
-        piece = DiffOp({shift: r.leading_coefficient() / b.leading_coefficient()})
-        q = q + piece
-        r = r - piece * b
-    return q, r
+    return _divide(a, b, lambda piece: piece * b)
 
 
 def left_divide(a: DiffOp, b: DiffOp) -> Tuple[DiffOp, DiffOp]:
-    """A = B*Q + R with deg R < deg B; mirror of right_divide."""
+    """A = B*Q + R with deg R < deg B; unique."""
+    return _divide(a, b, lambda piece: b * piece)
+
+
+def _divide(a: DiffOp, b: DiffOp, times) -> Tuple[DiffOp, DiffOp]:
+    """Cancel the leading term of the remainder by times(piece) until its
+    degree drops below deg B; times multiplies by B on one side."""
     if b.is_zero():
         raise ZeroDivisionError("division by the zero operator")
     q = DiffOp.zero()
     r = a
-    db = b.degree()
+    db, lc = b.degree(), b.leading_coefficient()
     while not r.is_zero() and r.degree() >= db:
-        shift = r.degree() - db
-        piece = DiffOp({shift: r.leading_coefficient() / b.leading_coefficient()})
+        piece = DiffOp({r.degree() - db: r.leading_coefficient() / lc})
         q = q + piece
-        r = r - b * piece
+        r = r - times(piece)
     return q, r
 
 

@@ -9,7 +9,8 @@ shared ``_lift`` then moves a value up one step at a time, and returns None
 for anything outside the tower below the class: the arithmetic method then
 returns NotImplemented, so Python tries the other operand's reflected method
 or raises its standard TypeError.  At the bottom ``_below`` is a tuple of
-Python number types; BiDiffOp's is empty, as nothing lifts to it.
+Python number types.  A bidifferential operator is no class of its own: it
+is held as a DiffOp over the formal slot (``bidiff``).
 
 On this rule the operations that only lift and delegate are written once:
 the reflected sum (every class adds commutatively), the difference as a sum
@@ -29,7 +30,6 @@ class Tower:
     """A class of the tower; see the module docstring."""
 
     __slots__ = ()
-    _below: object = ()
 
     @classmethod
     def _lift(cls, value):
@@ -71,7 +71,8 @@ def power(base, n: int, product=mul):
 
     From the lowest bit of n up: result * base where the bit is set, then
     base * base while bits remain.  The first factor is taken as it is, not
-    multiplied into a one; ``grammar._check_power`` bounds this sequence.
+    multiplied into a one; ``grammar._check_power`` runs this sequence on the
+    exponents to bound its work.
     """
     result = None
     while True:

@@ -9,7 +9,8 @@ from math import comb, lcm
 import random
 from typing import Dict
 
-from diffalg import DiffOp, DiffPoly, NonlocalOp, RatFun, BiDiffOp, jet, right_gcd
+from diffalg import DiffOp, DiffPoly, NonlocalOp, RatFun, frechet, jet, right_gcd
+from diffalg.bidiff import SLOT
 from diffalg.errors import Unsupported
 from diffalg.jets import accumulate, derivatives, exponents, monomial
 
@@ -58,14 +59,44 @@ def rand_op(rng: random.Random, max_deg: int = 2, max_order: int = 2,
     return op
 
 
-def rand_bidiff(rng: random.Random, max_k: int = 2, max_l: int = 2) -> BiDiffOp:
+def rand_grid(rng: random.Random, max_k: int = 2,
+              max_l: int = 2) -> Dict[tuple, RatFun]:
+    """Random entries {(k, l): M_kl} of a bidifferential operator."""
     entries = {}
     for _ in range(rng.randint(1, 4)):
         k, l = rng.randint(0, max_k), rng.randint(0, max_l)
         c = rand_poly(rng, max_order=2, max_degree=2, terms=2)
         if not c.is_zero():
             entries[(k, l)] = RatFun(c)
-    return BiDiffOp(entries)
+    return entries
+
+
+def rand_bidiff(rng: random.Random, max_k: int = 2, max_l: int = 2) -> DiffOp:
+    return from_grid(rand_grid(rng, max_k, max_l))
+
+
+# -- bidifferential operators as grids --------------------------------------------------
+
+
+def from_grid(entries) -> DiffOp:
+    """M_F = sum M_kl F^(k) D^l from the entries {(k, l): M_kl}."""
+    coeffs: Dict[int, RatFun] = {}
+    for (k, l), c in entries.items():
+        accumulate(coeffs, l, RatFun.coerce(c) * jet(SLOT, k))
+    return DiffOp(coeffs)
+
+
+def grid(m: DiffOp) -> Dict[tuple, RatFun]:
+    """The entries {(k, l): M_kl} of M_F, M_kl the partial of the l-th
+    coefficient by F^(k)."""
+    return {(k, l): p for l, c in m.coeffs.items()
+            for k, p in frechet(c, SLOT).coeffs.items()}
+
+
+def slot_first(m: DiffOp, f) -> DiffOp:
+    """M_f: the formal slot F := f, so F^(k) := f^(k) in each F-linear
+    coefficient."""
+    return DiffOp({l: frechet(c, SLOT).apply(f) for l, c in m.coeffs.items()})
 
 
 def rand_wnl(rng: random.Random, max_deg: int = 2, pairs: int = 1) -> NonlocalOp:
@@ -325,11 +356,11 @@ def ref_hereditary_residual(l):
     """LHS - RHS of the hereditary identity, each side canonical on its own:
     LHS = ref_twisted_lie(L, (D_A)_F, A(F)), RHS = L ref_twisted_lie(L, (D_B)_F, B(F))."""
     from diffalg import nl_mul, to_fraction
-    from diffalg.bidiff import frechet_of_op, slot_first
+    from diffalg.bidiff import frechet_of_op
     f = DiffPoly.jet("F", 0)
     a, b = to_fraction(l)
-    lhs = ref_twisted_lie(l, slot_first(frechet_of_op(a), f), a.apply(f))
-    inner = ref_twisted_lie(l, slot_first(frechet_of_op(b), f), b.apply(f))
+    lhs = ref_twisted_lie(l, frechet_of_op(a), a.apply(f))
+    inner = ref_twisted_lie(l, frechet_of_op(b), b.apply(f))
     return lhs - nl_mul(l, inner)
 
 

@@ -13,19 +13,19 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import (BiDiffOp, DiffOp, DiffPoly, Grading, Hierarchy, NonlocalOp,
+from diffalg import (DiffOp, DiffPoly, Grading, Hierarchy, NonlocalOp,
                      RatFun, compose_left, conserved_densities,
                      evo_apply, frechet, frechet_of_op, integrate,
                      is_hereditary, is_integrable_diffop, is_integrable_pair,
                      is_integrable_wnl, is_recursion_for, is_skewsymmetric,
                      jet, left_divide, left_divide_bidiff, lie_bracket,
                      lie_defect, nl_power, parse_function, right_divide,
-                     slot_first, variational_derivative)
+                     variational_derivative)
 from diffalg.calculus import is_total_derivative
 from diffalg.errors import NotInImage
 from diffalg.operators import evo_apply_op
 
-from helpers import rand_bidiff, rand_op, rand_poly, rand_wnl
+from helpers import rand_bidiff, rand_op, rand_poly, rand_wnl, slot_first
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -118,9 +118,9 @@ def test_criterion_5_integrable_witness():
     verdict = is_integrable_diffop(a)
     assert verdict.result
     witness = verdict.certificate.m
-    assert witness == BiDiffOp({(0, 1): RatFun(-1), (1, 0): RatFun(1)})
+    assert witness == DiffOp({1: -jet("F"), 0: jet("F", 1)})
     assert (lie_defect(a) - compose_left(a, witness)).is_zero()
-    assert verdict.certificate.skew_checked and is_skewsymmetric(witness)
+    assert is_skewsymmetric(witness)
     _line(5, "witness M_F = -F d + F' recovered, residual exactly zero, "
              "skewsymmetry verified")
 
@@ -237,7 +237,7 @@ def test_criterion_7_property_suites():
         b = rand_op(rng, max_deg=2)
         q, r = left_divide_bidiff(m, b)
         assert compose_left(b, q) + r == m
-        assert r.is_zero() or r.d1() < b.degree()
+        assert r.is_zero() or r.degree() < b.degree()
 
     summary = ", ".join(f"{k} {v:.1f}s" for k, v in timings.items())
     _line(7, f"10 algebraic suites x {CASES} randomized cases, exact equality "

@@ -1,4 +1,6 @@
-"""Bidifferential operators: application, slots, composition, division, skewness."""
+"""Bidifferential operators held as M_F: application, slots, composition,
+division, skewness.  The entries M_kl are read and built through the
+test-only ``helpers.grid`` and ``helpers.from_grid``."""
 
 import random
 from fractions import Fraction
@@ -6,31 +8,38 @@ from math import comb
 
 import pytest
 
-from diffalg import (BiDiffOp, DiffOp, DiffPoly, RatFun, bi_apply, compose_left,
-                     compose_right, evo_apply, frechet, frechet_of_op,
-                     is_skewsymmetric, jet, left_divide_bidiff, slot_first,
-                     transpose)
+from diffalg import (DiffOp, DiffPoly, RatFun, compose_left, compose_right,
+                     evo_apply, frechet, frechet_of_op, is_skewsymmetric, jet,
+                     left_divide_bidiff, transpose)
+from diffalg.bidiff import SLOT
 from diffalg.jets import accumulate
 from diffalg.operators import evo_apply_op
 
-from helpers import rand_bidiff, rand_op, rand_poly
+from helpers import from_grid, grid, rand_bidiff, rand_grid, rand_op, rand_poly, slot_first
 
 u, u1, u2 = jet("u"), jet("u", 1), jet("u", 2)
 F, G = jet("F"), jet("G")
 D = DiffOp.d()
 
 
+def bi_apply(m, f, g):
+    """M(f, g) = M_f(g)."""
+    return RatFun.coerce(slot_first(m, f).apply(RatFun.coerce(g)))
+
+
 class TestApplication:
     def test_single_entry(self):
-        m = BiDiffOp({(0, 1): RatFun(1)})
+        m = from_grid({(0, 1): 1})
+        assert m == DiffOp({1: F})
         assert bi_apply(m, F, G) == RatFun(F * jet("G", 1))
 
     def test_zero(self):
-        assert bi_apply(BiDiffOp.zero(), F, G).is_zero()
+        assert bi_apply(DiffOp.zero(), F, G).is_zero()
 
     def test_skew_witness_form(self):
-        # M(F, G) = F'G - FG'
-        m = BiDiffOp({(1, 0): RatFun(1), (0, 1): RatFun(-1)})
+        # M(F, G) = F'G - FG', M_F = -F d + F'
+        m = from_grid({(1, 0): 1, (0, 1): -1})
+        assert m == DiffOp({1: -F, 0: jet("F", 1)})
         assert bi_apply(m, F, G) == RatFun(jet("F", 1) * G - F * jet("G", 1))
 
     def test_matches_slot_application(self, rng):
@@ -38,31 +47,31 @@ class TestApplication:
             m = rand_bidiff(rng)
             f = rand_poly(rng, max_order=2, terms=2)
             g = rand_poly(rng, max_order=2, terms=2)
-            assert bi_apply(m, f, g) == RatFun.coerce(slot_first(m, f).apply(g))
+            # M_F(g) is linear in F: F := f there is the first slot's value
+            assert bi_apply(m, f, g) == RatFun.coerce(frechet(m.apply(g), SLOT).apply(f))
             assert bi_apply(m, f, g) == RatFun.coerce(slot_first(transpose(m), g).apply(f))
 
 
 class TestSlots:
     def test_examples(self):
-        m = BiDiffOp({(1, 0): RatFun(1)})
-        assert slot_first(m, F) == DiffOp.of_function(jet("F", 1))
-        d_u = frechet_of_op(DiffOp.of_function(u))
-        assert slot_first(d_u, F) == DiffOp.of_function(F)
+        m = from_grid({(1, 0): 1})
+        assert m == DiffOp.of_function(jet("F", 1)) == slot_first(m, F)
+        assert frechet_of_op(DiffOp.of_function(u)) == DiffOp.of_function(F)
 
     def test_reconstruction_from_slots(self, rng):
-        # entries recover from M_F with a formal first slot
+        # entries recover from M_F as the partials by the formal slot's jets
         for _ in range(15):
-            m = rand_bidiff(rng)
-            op = slot_first(m, F)
-            entries = {}
+            entries = rand_grid(rng)
+            op = from_grid(entries)
+            got = {}
             for l, coeff in op.coeffs.items():
                 num, den = coeff.num, coeff.den
                 assert den.is_one()
                 for k in range(0, (num.top_order("F") or 0) + 1):
                     p = num.partial("F", k)
                     if not p.is_zero():
-                        entries[(k, l)] = RatFun(p)
-            assert BiDiffOp(entries) == m
+                        got[(k, l)] = RatFun(p)
+            assert got == entries == grid(op)
 
 
 class TestComposition:
@@ -72,10 +81,9 @@ class TestComposition:
         assert compose_right(m, DiffOp.identity()) == m
 
     def test_leibniz_example(self):
-        m00 = BiDiffOp({(0, 0): RatFun(1)})
-        assert compose_left(D, m00) == BiDiffOp(
-            {(1, 0): RatFun(1), (0, 1): RatFun(1)})
-        assert compose_right(m00, D) == BiDiffOp({(0, 1): RatFun(1)})
+        m00 = from_grid({(0, 0): 1})
+        assert compose_left(D, m00) == from_grid({(1, 0): 1, (0, 1): 1})
+        assert compose_right(m00, D) == from_grid({(0, 1): 1})
 
     def test_defining_equations(self, rng):
         for _ in range(15):
@@ -99,7 +107,7 @@ class TestLeftDivision:
             assert r.is_zero() and q == p0
 
     def test_small_degree_passthrough(self):
-        m = BiDiffOp({(2, 0): RatFun(u)})
+        m = from_grid({(2, 0): u})
         b = DiffOp({2: RatFun(1)})
         q, r = left_divide_bidiff(m, b)
         assert q.is_zero() and r == m
@@ -110,33 +118,33 @@ class TestLeftDivision:
             b = rand_op(rng, max_deg=2)
             q, r = left_divide_bidiff(m, b)
             assert compose_left(b, q) + r == m
-            assert r.is_zero() or r.d1() < b.degree()
+            assert r.is_zero() or r.degree() < b.degree()
 
 
 class TestSkewsymmetry:
     def test_examples(self):
-        witness = BiDiffOp({(1, 0): RatFun(1), (0, 1): RatFun(-1)})
+        witness = from_grid({(1, 0): 1, (0, 1): -1})
         assert is_skewsymmetric(witness)
-        assert not is_skewsymmetric(BiDiffOp({(0, 0): RatFun(1)}))
-        assert is_skewsymmetric(BiDiffOp.zero())
+        assert not is_skewsymmetric(from_grid({(0, 0): 1}))
+        assert is_skewsymmetric(DiffOp.zero())
 
     def test_entrywise_antisymmetrization(self, rng):
         for _ in range(15):
-            m = rand_bidiff(rng)
-            skew = BiDiffOp({})
-            for (k, l), c in m.entries.items():
-                skew = skew + BiDiffOp({(k, l): c}) + BiDiffOp({(l, k): -c})
+            entries = rand_grid(rng)
+            skew = DiffOp.zero()
+            for (k, l), c in entries.items():
+                skew = skew + from_grid({(k, l): c}) + from_grid({(l, k): -c})
             assert is_skewsymmetric(skew)
+            assert grid(transpose(from_grid(entries))) == \
+                {(l, k): c for (k, l), c in entries.items()}
 
 
 class TestFrechetOfOperator:
     def test_examples(self):
         assert frechet_of_op(D).is_zero()
-        assert frechet_of_op(DiffOp.of_function(u)) == BiDiffOp(
-            {(0, 0): RatFun(1)})
+        assert frechet_of_op(DiffOp.of_function(u)) == from_grid({(0, 0): 1})
         a = D * (D + u)
-        assert slot_first(frechet_of_op(a), F) == DiffOp(
-            {1: RatFun(F), 0: RatFun(jet("F", 1))})
+        assert frechet_of_op(a) == DiffOp({1: RatFun(F), 0: RatFun(jet("F", 1))})
 
     def test_defining_identity(self, rng):
         # (D_A)_F(G) = X_G(A)(F)
@@ -185,8 +193,8 @@ class TestFrechetOfOperator:
 
 
 # -- the formulas the bidifferential operations and the RatFun evolutionary
-# field were written with before they became DiffOp products and
-# applications, kept here as independent references
+# field were written with on the grid of entries, before they became DiffOp
+# products and applications, kept here as independent references
 
 
 def ref_tower(f, n):
@@ -199,7 +207,7 @@ def ref_tower(f, n):
 def ref_compose_left(b, m):
     """D^j (c F^(k)) D^l expanded term by term: the double Leibniz loop."""
     top = max(b.coeffs, default=0)
-    towers = {kl: ref_tower(c, top) for kl, c in m.entries.items()}
+    towers = {kl: ref_tower(c, top) for kl, c in grid(m).items()}
     entries = {}
     for j, bj in b.coeffs.items():
         for (k, l), tower in towers.items():
@@ -207,24 +215,26 @@ def ref_compose_left(b, m):
                 for i in range(n + 1):
                     accumulate(entries, (k + i, j - n + l),
                                bj * tower[n - i] * (comb(j, n) * comb(n, i)))
-    return BiDiffOp(entries)
+    return from_grid(entries)
 
 
 def ref_bi_apply(m, f, g):
     """sum M_kl f^(k) g^(l)."""
-    df = ref_tower(RatFun.coerce(f), max((k for k, _ in m.entries), default=0))
-    dg = ref_tower(RatFun.coerce(g), m.d1() or 0)
+    entries = grid(m)
+    df = ref_tower(RatFun.coerce(f), max((k for k, _ in entries), default=0))
+    dg = ref_tower(RatFun.coerce(g), m.degree() or 0)
     out = RatFun(0)
-    for (k, l), c in m.entries.items():
+    for (k, l), c in entries.items():
         out = out + c * df[k] * dg[l]
     return out
 
 
 def ref_slot_first(m, f):
     """sum M_kl f^(k) D^l."""
-    df = ref_tower(RatFun.coerce(f), max((k for k, _ in m.entries), default=0))
+    entries = grid(m)
+    df = ref_tower(RatFun.coerce(f), max((k for k, _ in entries), default=0))
     coeffs = {}
-    for (k, l), c in m.entries.items():
+    for (k, l), c in entries.items():
         accumulate(coeffs, l, c * df[k])
     return DiffOp(coeffs)
 
@@ -238,7 +248,7 @@ def ref_frechet_of_op(a, name="u"):
             p = c.partial(name, l)
             if not p.is_zero():
                 entries[(k, l)] = p
-    return BiDiffOp(entries)
+    return from_grid(entries)
 
 
 def ref_evo_apply(f, g, name="u"):
@@ -259,13 +269,13 @@ def ref_evo_apply(f, g, name="u"):
 
 
 def ref_function(rng):
-    """Unlike Fraction coefficients over u, v and F; some quotients by a
-    monomial (which keeps the quotient-rule towers free of large gcds), some
-    constants."""
+    """Unlike Fraction coefficients over u and v (F is the formal slot); some
+    quotients by a monomial (which keeps the quotient-rule towers free of
+    large gcds), some constants."""
     shape = rng.random()
     if shape < 0.1:
         return RatFun(Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
-    c = rand_poly(rng, max_order=2, max_degree=2, terms=3, names=("u", "v", "F"),
+    c = rand_poly(rng, max_order=2, max_degree=2, terms=3, names=("u", "v"),
                   nonzero=True) * Fraction(rng.randint(1, 5), rng.randint(1, 7))
     if shape < 0.4:
         return RatFun(c, DiffPoly.jet(rng.choice("uv"), rng.randint(0, 2),
@@ -274,8 +284,8 @@ def ref_function(rng):
 
 
 def ref_bidiff(rng):
-    return BiDiffOp({(rng.randint(0, 2), rng.randint(0, 3)): ref_function(rng)
-                     for _ in range(rng.randint(0, 4))})
+    return from_grid({(rng.randint(0, 2), rng.randint(0, 3)): ref_function(rng)
+                      for _ in range(rng.randint(0, 4))})
 
 
 def ref_op(rng):
@@ -335,10 +345,12 @@ class TestReferenceFormulas:
 
 class TestOperands:
     def test_unknown_operands_are_not_implemented(self):
-        m = BiDiffOp({(0, 1): RatFun(u)})
-        assert m.__add__(1) is NotImplemented and m.__sub__("x") is NotImplemented
-        for bad in (1, "x", D):
+        # M_F is an operator: functions lift to it, a raw grid of entries does not
+        grid_entries = {(0, 1): u}
+        m = from_grid(grid_entries)
+        assert m.__add__(grid_entries) is NotImplemented and m.__sub__("x") is NotImplemented
+        for bad in (grid_entries, "x", 1.5):
             with pytest.raises(TypeError):
-                BiDiffOp.zero() + bad
+                DiffOp.zero() + bad
             with pytest.raises(TypeError):
                 m - bad

@@ -4,21 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import (BiDiffOp, DiffOp, DiffPoly, NonlocalOp, RatFun, Refutation,
+from diffalg import (DiffOp, DiffPoly, NonlocalOp, RatFun, Refutation,
                      Verdict, Witness, compose_left, integrability, is_hereditary, is_integrable_diffop,
                      is_integrable_pair, is_integrable_wnl, is_recursion_for, jet,
                      lie_bracket, lie_defect, nl_power, operator_from_json)
-from diffalg.bidiff import frechet_of_op, slot_first
+from diffalg.bidiff import frechet_of_op
 from diffalg.errors import Unsupported
 from diffalg.integrability import _mixed_defect
 from diffalg.operators import FractionPair, evo_apply_op
 
-from helpers import rand_op
+from helpers import rand_op, slot_first
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
 BURGERS_A = D * (D + u)
-WITNESS = BiDiffOp({(0, 1): RatFun(-1), (1, 0): RatFun(1)})  # M_F = -F d + F'
+WITNESS = DiffOp({1: -jet("F"), 0: jet("F", 1)})  # M_F = -F d + F'
 
 
 def kdv_operator():
@@ -48,8 +48,9 @@ class TestLieDefect:
         assert lie_defect(BURGERS_A) == compose_left(BURGERS_A, WITNESS)
 
     def test_defects_match_their_definitions(self, rng):
-        # T_F = X_{A(F)}(A) - (D_A)_F A, expanded directly at a formal F
-        f = DiffPoly.jet("F", 0)
+        # T_F = X_{A(F)}(A) - (D_A)_F A, expanded at a function f in place
+        # of the formal F: the defects commute with F := f
+        f = DiffPoly.jet("v", 0) * jet("u", 1) + jet("v", 2)
 
         def x_part(a, b):
             return evo_apply_op(a.apply(f), b) - slot_first(frechet_of_op(a), f) * b
@@ -66,7 +67,6 @@ class TestIntegrableOperator:
         verdict = is_integrable_diffop(BURGERS_A)
         assert verdict.result
         assert verdict.certificate.m == WITNESS
-        assert verdict.certificate.skew_checked
 
     def test_d_trivial_witness(self):
         verdict = is_integrable_diffop(D)
@@ -77,6 +77,11 @@ class TestIntegrableOperator:
         verdict = is_integrable_diffop(b)
         assert not verdict.result
         assert not verdict.certificate.residual.is_zero()
+
+    def test_formal_slot_refused(self):
+        # A(F) would read the coefficient's F as the formal function
+        with pytest.raises(Unsupported, match="collide with the formal slot"):
+            is_integrable_diffop(DiffOp({1: RatFun(1), 0: RatFun(jet("F") * u)}))
 
     def test_witness_resubstitutes(self, rng):
         for candidate in (BURGERS_A, D * D, DiffOp({1: RatFun(1), 0: RatFun(u1)})):
@@ -104,6 +109,14 @@ class TestIntegrablePair:
         verdict = is_integrable_pair(a, b)
         assert not verdict.result
         assert verdict.certificate.residual is not None
+
+    def test_formal_slot_refused_before_either_test(self, monkeypatch):
+        def no_test(op):
+            raise AssertionError("an integrability test ran before the formal-slot check")
+
+        monkeypatch.setattr(integrability, "is_integrable_diffop", no_test)
+        with pytest.raises(Unsupported, match="collide with the formal slot"):
+            is_integrable_pair(BURGERS_A, DiffOp({1: RatFun(1) / RatFun(jet("F", 1))}))
 
     def test_symmetric_in_lambda_scaling(self):
         # pair integrability includes each operator alone
@@ -188,8 +201,8 @@ class TestIntegrableWnl:
         assert not refuted and Verdict(True) and Verdict(result=True).certificate is None
         assert repr(refuted) == ("Verdict(result=False, "
                                  "certificate=Refutation(reason='r', residual=1))")
-        witness = Witness(m=BiDiffOp.zero())
-        assert witness.n is None and witness.skew_checked is False
+        witness = Witness(m=DiffOp.zero())
+        assert witness.n is None and witness == (DiffOp.zero(), None)
 
     def test_potential_burgers_reduces_to_local(self):
         l = NonlocalOp.from_local(DiffOp({1: RatFun(1), 0: RatFun(u1)}))
