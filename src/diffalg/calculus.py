@@ -9,7 +9,7 @@ enforced by construction, never by approximation.
 
 No Leibniz expansion is written out here.  An evolutionary field is
 X_f(g) = D_g(f), the Frechet derivative of g applied to f: for Laurent
-polynomials (``jets._laurent``) one streamed derivative tower of f on
+polynomials (``ratfun._laurent``) one streamed derivative tower of f on
 integer numerators (``jets._add_tower``), and for any other denominator one
 ``DiffOp.apply`` over RatFun.  The Lie brackets of a list of polynomials
 (``brackets``, and ``lie_bracket`` as its two-member case) stream one tower
@@ -30,9 +30,10 @@ from typing import Dict, Sequence, Tuple
 
 from .errors import NotExact, NotVariational, Unsupported, VerificationFailed
 from .jets import (EXPONENT_LIMIT, _FIELD, _JETS, _ONE_MONO, _W, DiffPoly,
-                   RatFun, _add_products, _add_tower, _derivative, _digit,
-                   _field, _fields, _from_numerators, _laurent, _partial,
-                   _tower, accumulate, exponents, monomial)
+                   _add_products, _add_tower, _derivative, _digit, _field,
+                   _fields, _from_numerators, _partial, _tower, accumulate,
+                   exponents, monomial)
+from .ratfun import RatFun, _laurent
 from .linalg import _rref
 from .operators import frechet, helmholtz_residual
 

@@ -31,7 +31,7 @@ class CorpusEntry(NamedTuple):
 
     def load_pair(self):
         from .operators import DiffOp
-        from .jets import RatFun
+        from .ratfun import RatFun
         if self.pair is None:
             return None
         ops = []

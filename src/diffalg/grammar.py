@@ -23,7 +23,8 @@ from math import comb, gcd
 from typing import Dict, Sequence, Tuple
 
 from .errors import ParseError
-from .jets import DiffPoly, RatFun, exponents, monomial
+from .jets import DiffPoly, exponents, monomial
+from .ratfun import RatFun
 from .tower import power
 
 MAX_EXPONENT = 10_000  # bound on every exponent, written or computed, and on jet orders

@@ -14,7 +14,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .calculus import brackets, evo_apply, integrate, is_total_derivative, potential
 from .errors import DiffAlgError, NotInImage, NotVariational, Unsupported
 from .grammar import format_poly, format_ratfun
-from .jets import DiffPoly, RatFun, diff_order
+from .jets import DiffPoly
+from .ratfun import RatFun, diff_order
 from .operators import DiffOp
 from .nonlocal_ops import (Grading, NonlocalOp, nl_apply, nl_power,
                            parity_class, to_fraction)

@@ -15,7 +15,8 @@ from typing import Iterable, NamedTuple, Optional, Union
 from .bidiff import (SLOT, compose_left, compose_right, frechet_of_op,
                      is_skewsymmetric, left_divide_bidiff)
 from .errors import Unsupported, VerificationFailed
-from .jets import DiffPoly, RatFun
+from .jets import DiffPoly
+from .ratfun import RatFun
 from .operators import (DiffOp, FractionPair, evo_apply_op, frechet,
                         helmholtz_residual, minimal_right_fraction)
 from .nonlocal_ops import (NonlocalOp, _negated, _of_words, _product, _twisted_parts,

@@ -14,7 +14,8 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .jets import _ONE, DiffPoly, RatFun, _poly_divexact, exponents, poly_lcm
+from .jets import _ONE, DiffPoly, exponents
+from .ratfun import RatFun, _poly_divexact, poly_lcm
 
 
 def _primitive(row: dict, pivot) -> dict:

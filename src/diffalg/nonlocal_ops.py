@@ -37,10 +37,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
 from .errors import DepthOverflow, NotExact, NotInImage, ParseError, Unsupported
 from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
-from .jets import (DiffPoly, Monomial, RatFun, _from_numerators, _laurent,
-                   accumulate, exponents)
+from .jets import DiffPoly, Monomial, _from_numerators, accumulate, exponents
 from .linalg import _echelon_basis, _over_common_den
 from .operators import DiffOp, evo_apply_op, frechet, right_lcm
+from .ratfun import RatFun, _laurent
 from .tower import Tower, power
 
 Pair = Tuple[RatFun, RatFun]

@@ -14,7 +14,7 @@ This class is where the Leibniz rule D^k a = sum_n comb(k, n) a^(n) D^(k-n)
 lives: products, adjoints and applications expand it, and the bidifferential
 operations and evolutionary fields of rational functions are built from
 them.  One rule sends the expansion to integers: every coefficient and
-operand involved is a Laurent polynomial (``jets._laurent``), that is a
+operand involved is a Laurent polynomial (``ratfun._laurent``), that is a
 polynomial or a quotient by one monomial, such as the 1/q of B = (1/q) d.
 The jet monomials' localisation is closed under d, so the expansion then
 runs on integer numerators: each operator's coefficients are put over the
@@ -30,9 +30,9 @@ from __future__ import annotations
 from math import comb, lcm
 from typing import Dict, Optional, Tuple
 
-from .jets import (DiffPoly, Numerators, RatFun, _add_products, _add_tower,
-                   _content_of, _from_numerators, _laurent, _tower, accumulate,
-                   derivatives, poly_lcm)
+from .jets import (DiffPoly, Numerators, _add_products, _add_tower,
+                   _from_numerators, _tower, accumulate)
+from .ratfun import RatFun, _content_of, _laurent, derivatives, poly_lcm
 from .tower import Tower, power
 
 
@@ -230,7 +230,7 @@ _UNIT: Numerators = {0: 1}  # the constant 1 as numerators
 
 def _integer_form(op: DiffOp) -> Optional[Tuple[Dict[int, Numerators], int]]:
     """({power: numerators}, den): op's coefficients as Laurent polynomials
-    (``jets._laurent``) with integer numerators over den, the lcm of all their
+    (``ratfun._laurent``) with integer numerators over den, the lcm of all their
     denominators; None when some coefficient is not a Laurent polynomial."""
     parts = {}
     den = 1

@@ -12,7 +12,8 @@ from typing import Dict
 from diffalg import DiffOp, DiffPoly, NonlocalOp, RatFun, frechet, jet, right_gcd
 from diffalg.bidiff import SLOT
 from diffalg.errors import Unsupported
-from diffalg.jets import accumulate, derivatives, exponents, monomial
+from diffalg.jets import accumulate, exponents, monomial
+from diffalg.ratfun import derivatives
 
 
 def rand_poly(rng: random.Random, max_order: int = 4, max_degree: int = 3,
@@ -258,7 +259,7 @@ def ref_sparse_rref(rows, key=None):
 
 def ref_linear_basis(fs):
     """constant_linear_basis on Fraction rows, over one RatFun denominator."""
-    from diffalg.jets import exponents, poly_lcm
+    from diffalg.ratfun import poly_lcm
     fs = list(fs)
     if not fs:
         return [], []

@@ -13,8 +13,9 @@ from diffalg import (DiffOp, DiffPoly, Grading, RatFun, constant_linear_basis,
 from diffalg.grammar import format_poly
 import diffalg.jets as jets
 import diffalg.linalg as linalg
-from diffalg.jets import (EXPONENT_LIMIT, _poly_divexact, accumulate, exponents,
-                          monomial, poly_lcm)
+import diffalg.ratfun as ratfun
+from diffalg.jets import EXPONENT_LIMIT, accumulate, exponents, monomial
+from diffalg.ratfun import _poly_divexact, poly_lcm
 
 from helpers import (from_terms, over_lcm, packed, planted_inputs, rand_poly,
                      ref_add, ref_derivative, ref_linear_basis, ref_mono, ref_mul,
@@ -497,7 +498,6 @@ class TestGcdAndRatFun:
         assert poly_gcd(u * u1, u2 * u2).is_one()
 
     def test_gcd_divides(self, rng):
-        from diffalg.jets import _poly_divexact
         for _ in range(25):
             f = rand_poly(rng, max_order=2, terms=2, nonzero=True)
             g = rand_poly(rng, max_order=2, terms=2, nonzero=True)
@@ -506,7 +506,6 @@ class TestGcdAndRatFun:
             assert h * _poly_divexact(g, h) == g
 
     def test_divexact_raises_when_not_divisible(self):
-        from diffalg.jets import _poly_divexact
         with pytest.raises(ArithmeticError):
             _poly_divexact(u * u + 1, u)
         with pytest.raises(ArithmeticError):
@@ -759,9 +758,9 @@ class TestGcdOracle:
         for _ in range(100):
             c = draw(rng.randint(0, 3))
             f, g = draw(rng.randint(0, 4)) * c, draw(rng.randint(0, 4)) * c
-            last = jets._subresultant_last(
+            last = ratfun._subresultant_last(
                 {m: int(k) for (m,), k in f.terms()},
-                {m: int(k) for (m,), k in g.terms()}, jets._intdiv)
+                {m: int(k) for (m,), k in g.terms()}, ratfun._intdiv)
             assert max(last) == sympy.degree(sympy.gcd(f, g), x)
 
     def test_coprime_image_never_clears_a_shared_factor(self):
@@ -775,9 +774,9 @@ class TestGcdOracle:
             if not c.as_univariate(main).keys() - {0}:
                 c = c + DiffPoly.jet(main[1], main[0])
             f, g = a * c, b * c
-            assert not jets._coprime_image(f, g, jets._FIELD[main],
-                                           max(f.as_univariate(main)),
-                                           max(g.as_univariate(main)))
+            assert not ratfun._coprime_image(f, g, jets._FIELD[main],
+                                             max(f.as_univariate(main)),
+                                             max(g.as_univariate(main)))
 
     def test_divexact_matches_sympy_div(self):
         sympy = pytest.importorskip("sympy")
@@ -832,6 +831,26 @@ class TestGcdOracle:
             _poly_divexact(u + 1, 2 * u + 3)
         assert _poly_divexact(4 * u * u + 12 * u + 9, Fraction(-2, 3) * (2 * u + 3)) \
             == Fraction(-3, 2) * (2 * u + 3)
+
+    def test_divexact_when_a_remainder_monomial_cancels_and_returns(self):
+        """Dividing f = a*b by b = -2u'^2 + 2u' + 1: the first step cancels
+        the remainder's u'^3, the second brings it back, and the third leads
+        with it while a step remains.  The same in two jets, homogenised
+        with u.  The quotient matches sympy.div, and its terms come in
+        descending order, one per step."""
+        sympy = pytest.importorskip("sympy")
+        u1 = jet("u", 1)
+        for a, b in ((u1 ** 3 + u1 ** 2 + u1 - 1, -2 * u1 ** 2 + 2 * u1 + 1),
+                     (u1 ** 3 + u1 ** 2 * u + u1 * u ** 2 - u ** 3,
+                      -2 * u1 ** 2 + 2 * u1 * u + u ** 2)):
+            f = a * b
+            gens = sorted(self.to_sympy(sympy, f).free_symbols, key=str)
+            q, r = sympy.div(sympy.Poly(self.to_sympy(sympy, f), *gens),
+                             sympy.Poly(self.to_sympy(sympy, b), *gens))
+            assert r.is_zero
+            ours = _poly_divexact(f, b)
+            assert sympy.expand(self.to_sympy(sympy, ours) - q.as_expr()) == 0
+            assert list(ours.nums) == sorted(ours.nums, key=exponents, reverse=True)
 
     def test_ratfun_normal_form_matches_sympy_cancel(self):
         sympy = pytest.importorskip("sympy")

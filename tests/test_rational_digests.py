@@ -23,7 +23,7 @@ import random
 import pytest
 
 from diffalg import RatFun, right_gcd, right_lcm
-from diffalg.jets import poly_gcd
+from diffalg.ratfun import poly_gcd
 
 from helpers import rand_op, rand_poly
 
