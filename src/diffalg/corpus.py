@@ -60,6 +60,18 @@ _register(CorpusEntry(
 ))
 
 _register(CorpusEntry(
+    name="mkdv",
+    operator_json={
+        "local": [["4*u^2", 0], ["1", 2]],
+        "nonlocal": [["4*u'", "u"]],
+        "grading": {"u": "even"},
+    },
+    recursion_true=("u'", "u''' + 6*u^2*u'"),
+    note="modified Korteweg-de Vries recursion operator; its fraction "
+         "B = u^-1 d has the Laurent denominator u",
+))
+
+_register(CorpusEntry(
     name="burgers",
     operator_json={
         "local": [["u", 0], ["1", 1]],

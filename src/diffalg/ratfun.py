@@ -9,10 +9,13 @@ images first and on the primitive parts only when the images share a
 factor, and ``_poly_divexact`` is the exact division that the PRS and every
 cancellation go through.
 
-A RatFun over one monomial is a Laurent polynomial: ``_laurent`` is the one
-rule that admits it to every integer arm of the Leibniz rule (in
-``operators.DiffOp``), and ``derivatives`` the RatFun tower of the arms for
-any other denominator.
+A RatFun over one monomial is a Laurent polynomial, and ``_laurent`` is the
+one rule that admits it to integer arithmetic: RatFun's own constructor,
+sum, product, total derivative and partials run on it as DiffPoly arithmetic
+and come back through ``_of_laurent`` with no gcd, as does every integer arm
+of the Leibniz rule (in ``operators.DiffOp``).  Only a denominator of two or
+more terms reaches ``poly_gcd``; ``derivatives`` is the RatFun tower of the
+Leibniz arms for such a denominator.
 
 The core, ``jets``, is imported first (the package does so), so the names
 taken from it below are all built when this module runs.
@@ -21,14 +24,16 @@ taken from it below are all built when this module runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import and_
 from typing import Dict, Iterable, Optional
 
-from .jets import (_JETS, _ONE, _ONE_MONO, _W, DiffPoly, Monomial, Numerators,
-                   _check, _digit, _fields, _from_numerators, _guard, _scale,
-                   _small, _support, exponents)
+from . import jets
+from .jets import (_HALF, _JETS, _MASK, _ONE, _ONE_MONO, _W, DiffPoly, Monomial,
+                   Numerators, _check, _digit, _fields, _from_numerators, _guard,
+                   _scale, _small, _support, exponents)
 from .tower import Tower, power
 
 
@@ -311,15 +316,22 @@ def poly_lcm(f: DiffPoly, g: DiffPoly) -> DiffPoly:
 
 def _clearing_monomial(polys: Iterable[DiffPoly]) -> Monomial:
     """The least monomial whose product with each of these Laurent polynomials
-    is a polynomial: minus the most negative exponent of every jet."""
-    low: Dict[int, int] = {}  # field -> its most negative exponent
-    for poly in polys:
-        if not _small(poly.nums):
-            for m in poly.nums:
-                for i, e in _fields(m):
-                    if e < low.get(i, 0):
-                        low[i] = e
-    return sum(-e << (_W * i) for i, e in low.items())
+    is a polynomial: minus the most negative exponent of every jet.
+
+    With 2**15 added to every field, a digit is negative exactly when the top
+    bit of its field is clear, so one AND over the shifted monomials finds
+    the fields that hold a negative digit; only those are decoded.
+    """
+    halves = jets._HALVES  # read at call time: it grows with every new jet
+    shifted = [m + halves for p in polys if not _small(p.nums) for m in p.nums]
+    neg = halves & ~reduce(and_, shifted, halves)
+    shift = 0
+    while neg:
+        top = neg.bit_length() - 1
+        neg ^= 1 << top
+        s = top & -_W  # the field's lowest bit
+        shift += (_HALF - min((t >> s) & _MASK for t in shifted)) << s
+    return shift
 
 
 class RatFun(Tower):
@@ -332,13 +344,17 @@ class RatFun(Tower):
         den = DiffPoly.coerce(den)
         if den.is_zero():
             raise ZeroDivisionError("RatFun denominator is zero")
+        if len(den.nums) == 1:  # c*m: num/den is a Laurent polynomial
+            ((m, c),) = den.nums.items()
+            self._normalize_laurent(_scale(num, den.den, c, -m))
+            return
         # clear Laurent exponents so gcd reduction runs on true polynomials
         shift = _clearing_monomial((num, den))
         if shift:
             shift = DiffPoly._of({shift: 1})
             num = num * shift
             den = den * shift
-        if not (num.is_constant() or den.is_constant()):
+        if not num.is_constant():
             g = poly_gcd(num, den)
             if not g.is_one():
                 num = _poly_divexact(num, g)
@@ -365,16 +381,19 @@ class RatFun(Tower):
         """Fast path for num, den already coprime polynomials."""
         return RatFun.__new__(RatFun)._normalize(num, den)
 
+    def _normalize_laurent(self, p: DiffPoly) -> "RatFun":
+        """Store the Laurent polynomial p with no gcd: p times the monomial
+        that clears its negative exponents has a term free of each jet in
+        that monomial, so the two are coprime, and the monomial is monic."""
+        shift = _clearing_monomial((p,))
+        self.num, self._hash = _scale(p, 1, 1, shift), None
+        self.den = DiffPoly._of({shift: 1}) if shift else _ONE
+        return self
+
     @staticmethod
     def _of_laurent(p: DiffPoly) -> "RatFun":
-        """RatFun(p) for a Laurent polynomial p, with no gcd: p times the
-        monomial that clears its negative exponents has a term free of each
-        jet in that monomial, so the two are coprime."""
-        shift = _clearing_monomial((p,))
-        if not shift:
-            return RatFun._reduced(p, _ONE)
-        shift = DiffPoly._of({shift: 1})
-        return RatFun._reduced(p * shift, shift)
+        """RatFun(p) for a Laurent polynomial p."""
+        return RatFun.__new__(RatFun)._normalize_laurent(p)
 
     _below, _up = DiffPoly, _of_laurent
 
@@ -416,10 +435,9 @@ class RatFun(Tower):
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return RatFun._reduced(self.num + other.num, _ONE)
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
-            return self
+        a, b = _laurent(self), _laurent(other)
+        if a is not None and b is not None:
+            return RatFun._of_laurent(a + b)
         g0 = poly_gcd(self.den, other.den)
         if g0.is_one():
             t = self.num * other.den + other.num * self.den
@@ -444,8 +462,9 @@ class RatFun(Tower):
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return RatFun._reduced(self.num * other.num, _ONE)
-        if self.num.is_zero() or other.num.is_zero():
-            return RatFun(0)
+        a, b = _laurent(self), _laurent(other)
+        if a is not None and b is not None:
+            return RatFun._of_laurent(a * b)
         # cross-cancel: with both inputs reduced the result is reduced too
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
@@ -481,9 +500,9 @@ class RatFun(Tower):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # over 1 it equals its numerator, so it hashes as that
-            self._hash = (hash(self.num) if self.den.is_one()
-                          else hash((self.num, self.den)))
+            # over a monomial, 1 included, it equals a DiffPoly: hash as that
+            p = _laurent(self)
+            self._hash = hash((self.num, self.den) if p is None else p)
         return self._hash
 
     def __bool__(self) -> bool:
@@ -514,12 +533,18 @@ class RatFun(Tower):
     def total_derivative(self) -> "RatFun":
         if self.den.is_one():
             return RatFun._reduced(self.num.total_derivative(), _ONE)
+        p = _laurent(self)
+        if p is not None:
+            return RatFun._of_laurent(p.total_derivative())
         return self._quotient_rule(self.num.total_derivative(),
                                    self.den.total_derivative())
 
     def partial(self, name: str, order: int) -> "RatFun":
         if self.den.is_one():
             return RatFun._reduced(self.num.partial(name, order), _ONE)
+        p = _laurent(self)
+        if p is not None:
+            return RatFun._of_laurent(p.partial(name, order))
         return self._quotient_rule(self.num.partial(name, order),
                                    self.den.partial(name, order))
 

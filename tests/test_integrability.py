@@ -7,8 +7,11 @@ import pytest
 from diffalg import (DiffOp, DiffPoly, NonlocalOp, RatFun, Refutation,
                      Verdict, Witness, compose_left, integrability, is_hereditary, is_integrable_diffop,
                      is_integrable_pair, is_integrable_wnl, is_recursion_for, jet,
-                     lie_bracket, lie_defect, nl_power, operator_from_json)
+                     lie_bracket, lie_defect, nl_power, operator_from_json,
+                     parse_function)
+from diffalg import ratfun
 from diffalg.bidiff import frechet_of_op
+from diffalg.corpus import ENTRIES
 from diffalg.errors import Unsupported
 from diffalg.integrability import _mixed_defect
 from diffalg.operators import FractionPair, evo_apply_op
@@ -231,6 +234,27 @@ class TestIntegrableWnl:
                   NonlocalOp.from_local(DiffOp({1: RatFun(1), 0: RatFun(u1)}))):
             if is_integrable_wnl(l).result:
                 assert is_hereditary(l).result
+
+
+class TestGcdBudget:
+    """Every denominator on these corpus operators' verdicts is a monomial
+    (mKdV's u, the counterexample's u'''), so RatFun's own arithmetic runs as
+    Laurent arithmetic and takes no gcd.  The budgets are the calls measured
+    with that arithmetic, all from poly_lcm of monomial denominators."""
+
+    @pytest.mark.parametrize("name, budget", [("kdv", 0), ("mkdv", 4),
+                                              ("counterexample", 1)])
+    def test_verdicts_stay_within_the_gcd_budget(self, name, budget, monkeypatch):
+        entry = ENTRIES[name]
+        op, _ = entry.load()
+        calls = []
+        gcd_ = ratfun.poly_gcd
+        monkeypatch.setattr(ratfun, "poly_gcd", lambda f, g: calls.append(1) or gcd_(f, g))
+        is_hereditary(op)
+        is_integrable_wnl(op)
+        for text in entry.recursion_true + entry.recursion_false:
+            is_recursion_for(op, parse_function(text))
+        assert len(calls) <= budget
 
 
 class TestCoefficientBound:

@@ -218,9 +218,11 @@ class TestNumericTower:
         (DiffOp.of_function(RatFun(1, jet("u"))), RatFun(1, jet("u"))),
         (DiffOp.identity(), 1),
         (DiffOp.zero(), 0),
+        (RatFun(u1 - 3 * u * u, u * u), u1 * DiffPoly.jet("u", 0, -2) - 3),
+        (DiffOp.of_function(DiffPoly.jet("u", 3, -1)), DiffPoly.jet("u", 3, -1)),
     ], ids=["jet-ratfun", "const-int", "const-fraction", "zero-poly",
             "ratfun-int", "zero-ratfun", "ratfun-poly", "op-poly", "op-ratfun",
-            "identity-int", "zero-op"])
+            "identity-int", "zero-op", "laurent-ratfun", "op-laurent"])
     def test_equal_values_hash_equal(self, high, low):
         assert high == low and hash(high) == hash(low)
         assert {low: 1}.get(high) == 1 and {high: 1}.get(low) == 1
@@ -851,6 +853,36 @@ class TestGcdOracle:
             ours = _poly_divexact(f, b)
             assert sympy.expand(self.to_sympy(sympy, ours) - q.as_expr()) == 0
             assert list(ours.nums) == sorted(ours.nums, key=exponents, reverse=True)
+
+    def test_laurent_arithmetic_matches_sympy_with_no_gcd(self, monkeypatch):
+        """Over denominators of one term, RatFun's constructor, sum, product,
+        total derivative and partials are Laurent arithmetic: each result is
+        the normal form of sympy.cancel, and no poly_gcd runs."""
+        sympy = pytest.importorskip("sympy")
+        calls = []
+        gcd_ = ratfun.poly_gcd
+        monkeypatch.setattr(ratfun, "poly_gcd", lambda f, g: calls.append(1) or gcd_(f, g))
+        rng = random.Random(0x1A4)
+        for _ in range(20):
+            f, g = self.draw(rng, laurent=True), self.draw(rng, laurent=True)
+            mono = self.draw(rng, terms=1, laurent=True)  # c times a monomial
+            order, name = rng.choice(self.JETS)
+            x, y = RatFun(f), RatFun(g, mono)
+            sx, sy = self.to_sympy(sympy, f), self.to_sympy(sympy, g) / self.to_sympy(sympy, mono)
+            dy = sum(sympy.diff(sy, s) * sympy.Symbol(f"{s.name[0]}_{int(s.name[2:]) + 1}")
+                     for s in sy.free_symbols)
+            for ours, theirs in ((x, sx), (y, sy), (x + y, sx + sy), (x * y, sx * sy),
+                                 (y.total_derivative(), dy),
+                                 (y.partial(name, order),
+                                  sympy.diff(sy, sympy.Symbol(f"{name}_{order}")))):
+                assert len(ours.den.nums) == 1 and ours.den.leading()[1] == 1
+                assert not (ours.num.has_negative_exponent()
+                            or ours.den.has_negative_exponent())
+                p, q = sympy.fraction(sympy.cancel(theirs))
+                num, den = self.to_sympy(sympy, ours.num), self.to_sympy(sympy, ours.den)
+                assert sympy.expand(num * q - p * den) == 0
+                assert sympy.cancel(den / q).is_Rational
+        assert not calls
 
     def test_ratfun_normal_form_matches_sympy_cancel(self):
         sympy = pytest.importorskip("sympy")
