@@ -66,7 +66,7 @@ def evo_apply(f, g, name: str = "u"):
     acc: Dict[int, int] = {}
     _add_tower(acc, _partials(ng.nums, name, top), nf.nums)
     out = _from_numerators(acc, nf.den * ng.den)
-    return RatFun._of_laurent(out) if rational or isinstance(f, RatFun) else out
+    return RatFun._reduced(out) if rational or isinstance(f, RatFun) else out
 
 
 def _partials(ng: dict, name: str, top: int) -> dict:

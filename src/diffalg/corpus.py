@@ -12,8 +12,7 @@ import json
 import os
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .grammar import parse_function
-from .nonlocal_ops import Grading, NonlocalOp, operator_from_json
+from .nonlocal_ops import Grading, NonlocalOp, local_from_json, operator_from_json
 
 
 class CorpusEntry(NamedTuple):
@@ -30,15 +29,10 @@ class CorpusEntry(NamedTuple):
         return operator_from_json(self.operator_json)
 
     def load_pair(self):
-        from .operators import DiffOp
-        from .ratfun import RatFun
         if self.pair is None:
             return None
-        ops = []
-        for coeffs in self.pair:
-            op = DiffOp({int(k): RatFun(parse_function(e)) for e, k in coeffs})
-            ops.append(op)
-        return tuple(ops)
+        return tuple(local_from_json(coeffs, f"pair[{i}]")
+                     for i, coeffs in enumerate(self.pair))
 
 
 ENTRIES: Dict[str, CorpusEntry] = {}

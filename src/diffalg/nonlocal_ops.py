@@ -194,7 +194,7 @@ def _gather(pairs: Sequence[Pair]) -> List[Pair]:
         if acc:
             lead = acc[max(acc, key=exponents)]
             pm = _from_numerators(acc, lead)  # p_m / lc(p_m)
-            pm = RatFun._reduced(pm, den) if den.is_one() else RatFun(pm, den)
+            pm = RatFun(pm, den)
             qb = RatFun.coerce(qb)  # a canonical RatFun stays one when scaled
             out.append((pm, RatFun._reduced(qb.num * Fraction(lead, scale), qb.den)))
     return out
@@ -542,9 +542,9 @@ def operator_to_json(l: NonlocalOp, grading: Optional[Grading] = None) -> dict:
     return data
 
 
-def _schema_pairs(data: dict, field: str, shape: str, check) -> list:
-    """data[field] as a list of pairs; the ValueError names the first bad entry."""
-    entries = data.get(field, [])
+def _schema_pairs(entries, field: str, shape: str, check) -> list:
+    """entries, the schema's field, as a list of pairs; the ValueError names
+    the first bad entry."""
     if not isinstance(entries, (list, tuple)):
         raise ValueError(f"{field} must be a list of {shape}, got "
                          + type(entries).__name__)
@@ -576,17 +576,28 @@ def _parse_field(expr: str, field: str) -> RatFun:
         raise OverflowError(f"{field}: {exc}") from None
 
 
+def local_from_json(entries, field: str = "local") -> DiffOp:
+    """The local operator sum e_i d^k_i listed as [[e_i, k_i], ...], where
+    terms of one power add up; a ValueError or ParseError names the field."""
+    terms: Dict[int, RatFun] = {}
+    entries = _schema_pairs(entries, field,
+                            f"[expression string, integer power 0..{MAX_EXPONENT}]",
+                            lambda e, k: isinstance(e, str) and 0 <= _power(k) <= MAX_EXPONENT)
+    for i, (expr, power) in enumerate(entries):
+        accumulate(terms, _power(power), _parse_field(expr, f"{field}[{i}]"))
+    return DiffOp(terms)
+
+
 def operator_from_json(data: dict) -> Tuple[NonlocalOp, Grading]:
     if not isinstance(data, dict):
         raise ValueError("the operator schema must be a JSON object, got "
                          + type(data).__name__)
-    local_terms: Dict[int, RatFun] = {}
-    entries = _schema_pairs(data, "local",
-                            f"[expression string, integer power 0..{MAX_EXPONENT}]",
-                            lambda e, k: isinstance(e, str) and 0 <= _power(k) <= MAX_EXPONENT)
-    for i, (expr, power) in enumerate(entries):
-        accumulate(local_terms, _power(power), _parse_field(expr, f"local[{i}]"))
-    tails = _schema_pairs(data, "nonlocal", "[p string, q string]",
+    for key in data:
+        if key not in ("local", "nonlocal", "grading"):
+            raise ValueError(f"unknown operator schema key {key!r}; "
+                             "expected local, nonlocal or grading")
+    local = local_from_json(data.get("local", []))
+    tails = _schema_pairs(data.get("nonlocal", []), "nonlocal", "[p string, q string]",
                           lambda p, q: isinstance(p, str) and isinstance(q, str))
     pairs = [(_parse_field(p, f"nonlocal[{i}] p"), _parse_field(q, f"nonlocal[{i}] q"))
              for i, (p, q) in enumerate(tails)]
@@ -594,4 +605,4 @@ def operator_from_json(data: dict) -> Tuple[NonlocalOp, Grading]:
     if not isinstance(grading, dict):
         raise ValueError("grading must be an object mapping names to parities, got "
                          + type(grading).__name__)
-    return NonlocalOp(DiffOp(local_terms), tuple(pairs)), Grading(grading)
+    return NonlocalOp(local, tuple(pairs)), Grading(grading)

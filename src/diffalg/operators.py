@@ -30,9 +30,9 @@ from __future__ import annotations
 from math import comb, lcm
 from typing import Dict, Optional, Tuple
 
-from .jets import (DiffPoly, Numerators, _add_products, _add_tower,
-                   _from_numerators, _tower, accumulate)
-from .ratfun import RatFun, _content_of, _laurent, derivatives, poly_lcm
+from .jets import Numerators, _add_products, _add_tower, _from_numerators, _tower, accumulate
+from .linalg import _over_common_den
+from .ratfun import RatFun, _content_of, _laurent, derivatives
 from .tower import Tower, power
 
 
@@ -186,7 +186,7 @@ class DiffOp(Tower):
             na, den_a = ints
             acc: Numerators = {}
             _add_tower(acc, na, nf.nums)
-            out = RatFun._of_laurent(_from_numerators(acc, den_a * nf.den))
+            out = RatFun._reduced(_from_numerators(acc, den_a * nf.den))
         else:
             out = RatFun(0)
             for k, derivative in enumerate(derivatives(f, max(self.coeffs, default=0))):
@@ -250,7 +250,7 @@ def _of_numerators(acc: Dict[int, Numerators], den: int) -> DiffOp:
     for k, row in acc.items():
         p = _from_numerators(row, den)
         if p:
-            out.coeffs[k] = RatFun._of_laurent(p)
+            out.coeffs[k] = RatFun._reduced(p)
     return out
 
 
@@ -289,10 +289,8 @@ def _left_clear_factor(op: DiffOp) -> RatFun:
     chains may normalize remainders this way; it is the Ore analog of
     taking primitive parts in a polynomial remainder sequence.
     """
-    den = DiffPoly.const(1)
-    for c in op.coeffs.values():
-        den = poly_lcm(den, c.den)
-    factor = RatFun(den, _content_of((c * den).as_diffpoly() for c in op.coeffs.values()))
+    nums, den = _over_common_den(list(op.coeffs.values()))
+    factor = RatFun(den, _content_of(nums))
     # deterministic sign/scale: make the leading coefficient's lead term 1
     lead = (op.leading_coefficient() * factor).num.leading()[1]
     return factor * (1 / lead)

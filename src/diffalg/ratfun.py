@@ -9,13 +9,16 @@ images first and on the primitive parts only when the images share a
 factor, and ``_poly_divexact`` is the exact division that the PRS and every
 cancellation go through.
 
-A RatFun over one monomial is a Laurent polynomial, and ``_laurent`` is the
-one rule that admits it to integer arithmetic: RatFun's own constructor,
-sum, product, total derivative and partials run on it as DiffPoly arithmetic
-and come back through ``_of_laurent`` with no gcd, as does every integer arm
-of the Leibniz rule (in ``operators.DiffOp``).  Only a denominator of two or
-more terms reaches ``poly_gcd``; ``derivatives`` is the RatFun tower of the
-Leibniz arms for such a denominator.
+A RatFun over one monomial, 1 included, is a Laurent polynomial, and
+``_laurent`` is the one rule that admits it to integer arithmetic.  The sum,
+product, total derivative and partials each have two arms: on Laurent
+polynomials DiffPoly arithmetic, and otherwise a reduction by gcds.  Both
+arms, the constructor and every integer arm of the Leibniz rule (in
+``operators.DiffOp``) store their result through one normaliser,
+``RatFun._normalize``, which takes a denominator of one term with no gcd.
+Only a denominator of two or more terms reaches ``poly_gcd``;
+``derivatives`` is the RatFun tower of the Leibniz arms for such a
+denominator.
 
 The core, ``jets``, is imported first (the package does so), so the names
 taken from it below are all built when this module runs.
@@ -23,7 +26,6 @@ taken from it below are all built when this module runs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -344,74 +346,59 @@ class RatFun(Tower):
         den = DiffPoly.coerce(den)
         if den.is_zero():
             raise ZeroDivisionError("RatFun denominator is zero")
-        if len(den.nums) == 1:  # c*m: num/den is a Laurent polynomial
-            ((m, c),) = den.nums.items()
-            self._normalize_laurent(_scale(num, den.den, c, -m))
-            return
-        # clear Laurent exponents so gcd reduction runs on true polynomials
-        shift = _clearing_monomial((num, den))
-        if shift:
-            shift = DiffPoly._of({shift: 1})
-            num = num * shift
-            den = den * shift
-        if not num.is_constant():
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = _poly_divexact(num, g)
-                den = _poly_divexact(den, g)
+        if len(den.nums) > 1:
+            # clear Laurent exponents so gcd reduction runs on true polynomials
+            shift = _clearing_monomial((num, den))
+            if shift:
+                shift = DiffPoly._of({shift: 1})
+                num = num * shift
+                den = den * shift
+            if not num.is_constant():
+                g = poly_gcd(num, den)
+                if not g.is_one():
+                    num = _poly_divexact(num, g)
+                    den = _poly_divexact(den, g)
         self._normalize(num, den)
 
     def _normalize(self, num: DiffPoly, den: DiffPoly) -> "RatFun":
-        """Store coprime num/den as 0/1, over 1, or over a monic denominator."""
-        if num.is_zero():
-            self.num, self.den = DiffPoly(), _ONE
-        elif den.is_one():
+        """Store num/den, for coprime num and den or a den of one term.
+
+        Over one term c*m, num/den is a Laurent polynomial p, stored with no
+        gcd: a polynomial over 1 as it is, else p times the monomial that
+        clears its negative exponents over that monomial, which is monic and
+        coprime to the product, since the product has a term free of each of
+        its jets.  Over more terms, num over a monic denominator.
+        """
+        self._hash = None
+        if len(den.nums) == 1:
+            if den is not _ONE:
+                ((m, c),) = den.nums.items()
+                num = _scale(num, den.den, c, -m)
+            if _small(num.nums):
+                self.num, self.den = num, _ONE
+            else:
+                shift = _clearing_monomial((num,))
+                self.num = _scale(num, 1, 1, shift)
+                self.den = DiffPoly._of({shift: 1}) if shift else _ONE
+        elif num.is_zero():
             self.num, self.den = num, _ONE
-        elif den.is_constant():
-            self.num, self.den = _scale(num, den.den, den.nums[_ONE_MONO]), _ONE
         else:
             # den = N/d with leading numerator n: num * d/n over N/n
             n = den.nums[max(den.nums, key=exponents)]
             self.num, self.den = _scale(num, den.den, n), _from_numerators(den.nums, n)
-        self._hash = None
         return self
 
     @staticmethod
-    def _reduced(num: DiffPoly, den: DiffPoly) -> "RatFun":
-        """Fast path for num, den already coprime polynomials."""
+    def _reduced(num: DiffPoly, den: DiffPoly = _ONE) -> "RatFun":
+        """RatFun(num, den) for operands that ``_normalize`` takes: no gcd."""
         return RatFun.__new__(RatFun)._normalize(num, den)
 
-    def _normalize_laurent(self, p: DiffPoly) -> "RatFun":
-        """Store the Laurent polynomial p with no gcd: p times the monomial
-        that clears its negative exponents has a term free of each jet in
-        that monomial, so the two are coprime, and the monomial is monic."""
-        shift = _clearing_monomial((p,))
-        self.num, self._hash = _scale(p, 1, 1, shift), None
-        self.den = DiffPoly._of({shift: 1}) if shift else _ONE
-        return self
-
-    @staticmethod
-    def _of_laurent(p: DiffPoly) -> "RatFun":
-        """RatFun(p) for a Laurent polynomial p."""
-        return RatFun.__new__(RatFun)._normalize_laurent(p)
-
-    _below, _up = DiffPoly, _of_laurent
+    _below, _up = DiffPoly, _reduced
 
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_one()
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not constant")
-        return self.num.constant_value()
 
     def is_polynomial(self) -> bool:
         return self.den.is_one()
@@ -433,11 +420,9 @@ class RatFun(Tower):
         other = RatFun._lift(other)
         if other is None:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RatFun._reduced(self.num + other.num, _ONE)
         a, b = _laurent(self), _laurent(other)
         if a is not None and b is not None:
-            return RatFun._of_laurent(a + b)
+            return RatFun._reduced(a + b)
         g0 = poly_gcd(self.den, other.den)
         if g0.is_one():
             t = self.num * other.den + other.num * self.den
@@ -460,11 +445,9 @@ class RatFun(Tower):
         other = RatFun._lift(other)
         if other is None:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RatFun._reduced(self.num * other.num, _ONE)
         a, b = _laurent(self), _laurent(other)
         if a is not None and b is not None:
-            return RatFun._of_laurent(a * b)
+            return RatFun._reduced(a * b)
         # cross-cancel: with both inputs reduced the result is reduced too
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
@@ -514,8 +497,20 @@ class RatFun(Tower):
 
     # -- differential structure -------------------------------------------------
 
-    def _quotient_rule(self, dnum: DiffPoly, dden: DiffPoly) -> "RatFun":
-        """(n/d)' = (n'd - nd')/d^2 with component-level cancellation."""
+    def total_derivative(self) -> "RatFun":
+        return self._derive(DiffPoly.total_derivative)
+
+    def partial(self, name: str, order: int) -> "RatFun":
+        return self._derive(lambda p: p.partial(name, order))
+
+    def _derive(self, d) -> "RatFun":
+        """d(self) for a derivation d of DiffPoly: d itself on a Laurent
+        polynomial, else (n/d)' = (n'd - nd')/d^2 with component-level
+        cancellation."""
+        p = _laurent(self)
+        if p is not None:
+            return RatFun._reduced(d(p))
+        dnum, dden = d(self.num), d(self.den)
         g = poly_gcd(self.den, dden)
         e = self.den if g.is_one() else _poly_divexact(self.den, g)
         w = dden if g.is_one() else _poly_divexact(dden, g)
@@ -530,24 +525,6 @@ class RatFun(Tower):
         t = t if r2.is_one() else _poly_divexact(t, r2)
         return RatFun._reduced(t, den1 * den2)
 
-    def total_derivative(self) -> "RatFun":
-        if self.den.is_one():
-            return RatFun._reduced(self.num.total_derivative(), _ONE)
-        p = _laurent(self)
-        if p is not None:
-            return RatFun._of_laurent(p.total_derivative())
-        return self._quotient_rule(self.num.total_derivative(),
-                                   self.den.total_derivative())
-
-    def partial(self, name: str, order: int) -> "RatFun":
-        if self.den.is_one():
-            return RatFun._reduced(self.num.partial(name, order), _ONE)
-        p = _laurent(self)
-        if p is not None:
-            return RatFun._of_laurent(p.partial(name, order))
-        return self._quotient_rule(self.num.partial(name, order),
-                                   self.den.partial(name, order))
-
     def top_order(self, name: Optional[str] = None) -> Optional[int]:
         orders = [o for o in (self.num.top_order(name), self.den.top_order(name))
                   if o is not None]
@@ -555,12 +532,14 @@ class RatFun(Tower):
 
 
 def _laurent(f) -> Optional[DiffPoly]:
-    """f as a Laurent polynomial, the inverse of ``RatFun._of_laurent``: a
-    DiffPoly as it is, a RatFun over one monomial (its monic denominator has
-    one term, 1 included) as its numerator shifted down by that monomial, and
-    None for any other denominator."""
+    """f as a Laurent polynomial, the inverse of ``RatFun._normalize`` over
+    one term: a DiffPoly as it is, a RatFun over one monomial (its monic
+    denominator has one term, 1 included) as its numerator shifted down by
+    that monomial, and None for any other denominator."""
     if isinstance(f, DiffPoly):
         return f
+    if f.den is _ONE:
+        return f.num
     return _divide_by_mono(f.num, *f.den.nums) if len(f.den.nums) == 1 else None
 
 

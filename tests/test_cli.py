@@ -133,10 +133,12 @@ class TestVerdictCommands:
         ({"nonlocal": [["u"]]}, "nonlocal[0] must be [p string, q string]"),
         ({"grading": "even"}, "grading must be an object"),
         ({"grading": {"u": "neither"}}, "grading['u'] must be 'even' or 'odd'"),
+        ({"locl": [["2*u", 0], ["1", 2]], "nonlocal": [["u'", "1"]]},
+         "unknown operator schema key 'locl'"),
     ], ids=["expr-not-string", "power-not-integer", "second-entry", "negative-power",
             "power-fractional", "power-fractional-string", "power-past-the-bound",
             "power-just-past-the-bound", "local-not-list",
-            "nonlocal-short", "grading-not-object", "bad-parity"])
+            "nonlocal-short", "grading-not-object", "bad-parity", "unknown-key"])
     def test_schema_errors_name_the_field(self, capsys, tmp_path, schema, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(schema))
@@ -229,6 +231,15 @@ class TestPowerAndDensities:
         pairs = data["operator"]["nonlocal"]
         assert ["u''' + 3*u*u'", "1"] in pairs and ["u'", "u"] in pairs
 
+    def test_power_output_loads_through_op(self, capsys, tmp_path):
+        # --op unwraps the {"power": ..., "operator": ...} that power prints
+        code, out, _ = run(capsys, "power", "--op", "kdv", "--power", "1")
+        assert code == 0
+        path = tmp_path / "power.json"
+        path.write_text(out)
+        assert run(capsys, "check-hereditary", "--op", str(path))[0] == 0
+        assert run(capsys, "check-recursion", "--op", str(path), "--seed", "u'")[0] == 0
+
     def test_power_overflow_exit_3(self, capsys):
         import diffalg.corpus as corpus
         from diffalg.corpus import CorpusEntry
@@ -299,6 +310,14 @@ class TestCorpus:
         a, b = ENTRIES["burgers"].load_pair()
         assert b == DiffOp.d()
         assert a == DiffOp.d() * (DiffOp.d() + jet("u"))
+
+    def test_pair_terms_of_one_power_add_up(self):
+        from diffalg import DiffOp, jet
+        from diffalg.corpus import CorpusEntry
+        entry = CorpusEntry(name="repeated", operator_json={},
+                            pair=([["u", 1], ["1", 1]], [["1", 1]]))
+        a, b = entry.load_pair()
+        assert a == DiffOp({1: jet("u") + 1}) and b == DiffOp.d()
 
 
 class TestReadmeExamples:

@@ -204,7 +204,8 @@ class TestCanonicalForm:
 
 class TestNumericTower:
     """A value equal to one of a lower type (Fraction, DiffPoly, RatFun)
-    hashes as that value, so either finds the other in a dict."""
+    hashes as that value, so either finds the other in a dict; so do two
+    operators built by different routes."""
 
     @pytest.mark.parametrize("high, low", [
         (jet("u"), RatFun(jet("u"))),
@@ -220,9 +221,11 @@ class TestNumericTower:
         (DiffOp.zero(), 0),
         (RatFun(u1 - 3 * u * u, u * u), u1 * DiffPoly.jet("u", 0, -2) - 3),
         (DiffOp.of_function(DiffPoly.jet("u", 3, -1)), DiffPoly.jet("u", 3, -1)),
+        # the integer Leibniz arm against RatFun's constructor
+        (DiffOp.d() * RatFun(1, u), DiffOp({1: RatFun(1, u), 0: RatFun(-u1, u * u)})),
     ], ids=["jet-ratfun", "const-int", "const-fraction", "zero-poly",
             "ratfun-int", "zero-ratfun", "ratfun-poly", "op-poly", "op-ratfun",
-            "identity-int", "zero-op", "laurent-ratfun", "op-laurent"])
+            "identity-int", "zero-op", "laurent-ratfun", "op-laurent", "op-degree-1"])
     def test_equal_values_hash_equal(self, high, low):
         assert high == low and hash(high) == hash(low)
         assert {low: 1}.get(high) == 1 and {high: 1}.get(low) == 1
