@@ -113,12 +113,14 @@ def load_operator(spec: str) -> Tuple[NonlocalOp, Grading]:
 
     An existing path is always read as a file.  Only a bare builtin name (no
     directory part, no ``.json``) resolves to a builtin, so a mistyped path
-    is an error, never a builtin's verdict.
+    is an error, never a builtin's verdict.  The {"power", "operator"} object
+    that ``diffalg power`` prints is unwrapped; any other object goes to the
+    schema as it is, which refuses a key it does not know.
     """
     if os.path.exists(spec):
         with open(spec) as fh:
             data = json.load(fh)
-        if isinstance(data, dict) and "operator" in data:
+        if isinstance(data, dict) and data.keys() == {"power", "operator"}:
             data = data["operator"]
         return operator_from_json(data)
     if spec in ENTRIES:

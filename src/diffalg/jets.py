@@ -35,7 +35,12 @@ differentiate plain ints, a sum merges two dicts over the lcm of the
 denominators, a product by a constant or a single term scales the ints, and
 ``_from_numerators`` is the one normaliser (zero sums out, the common factor
 of den and the numerators divided out).  Since
-D(N/den) = D(N)/den, a derivative keeps its polynomial's den.  ``_tower``
+D(N/den) = D(N)/den, a derivative keeps its polynomial's den.
+``_derivative`` has two decodes: on a polynomial (``_small``: every exponent
+in [0, 2**13)) it peels each monomial's fields from the top, the highest set
+bit marking the top field, with no sign fix-up and no range check; on any
+other dict (a Laurent polynomial, a wider exponent) it peels signed digits
+from the bottom, as ``_fields`` does, and ``_check``s the result.  ``_tower``
 streams d^k N and is the only integer derivative tower; ``_add_tower`` adds
 sum_k c_k d^k N on it for ``DiffOp.apply`` and the evolutionary fields of
 ``calculus``, whose ``brackets`` share one stream.  The Q-linear kernels
@@ -386,9 +391,20 @@ def _derivative(terms: Dict[Monomial, int]) -> Dict[Monomial, int]:
     shift = _SHIFT
     acc: Dict[Monomial, int] = {}
     get = acc.get
+    if _small(terms):
+        # every digit is >= 0: the top field holds the highest set bit
+        for m, n in terms.items():
+            rest = m
+            while rest:
+                s = (rest.bit_length() - 1) & -_W
+                e = rest >> s
+                rest ^= e << s
+                key = m + shift[s]
+                acc[key] = get(key, 0) + n * e
+        return acc
     for m, n in terms.items():
         rest = m
-        while rest:  # _fields, inlined: this loop is the hot path
+        while rest:  # _fields, inlined: signed digits come off from the bottom
             s = ((rest & -rest).bit_length() - 1) & -_W
             e = (rest >> s) & _MASK
             if e & _HALF:
@@ -396,8 +412,7 @@ def _derivative(terms: Dict[Monomial, int]) -> Dict[Monomial, int]:
             rest -= e << s
             key = m + shift[s]
             acc[key] = get(key, 0) + n * e
-    if not _small(terms):
-        _check(acc)
+    _check(acc)
     return acc
 
 
@@ -408,7 +423,9 @@ def _tower(n: Numerators, top: int) -> Iterator[Tuple[int, Numerators]]:
     holds instead is each half-bracket, until its second member streams."""
     for k in range(top + 1):
         if k:
-            n = {m: c for m, c in _derivative(n).items() if c}
+            n = _derivative(n)
+            if 0 in n.values():
+                n = {m: c for m, c in n.items() if c}
             if not n:
                 return
         yield k, n

@@ -14,7 +14,7 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .jets import _ONE, DiffPoly, exponents
+from .jets import _ONE, _W, DiffPoly, _fields, _scale, exponents
 from .ratfun import RatFun, _poly_divexact, poly_lcm
 
 
@@ -83,15 +83,26 @@ def _over_common_den(fs: Sequence) -> Tuple[List[DiffPoly], DiffPoly]:
     vector of Laurent monomials.  Otherwise every input is a RatFun first,
     with its Laurent exponents cleared into its denominator: the monomial
     order is not multiplicative on Laurent monomials, so the pivots depend
-    on that choice.
+    on that choice.  When every denominator is a monic monomial, their lcm
+    is the per-jet maximum of the exponents, and each cofactor a shift: no
+    gcd is taken.
     """
     if not any(isinstance(f, RatFun) and not f.den.is_one() for f in fs):
         return [f.num if isinstance(f, RatFun) else DiffPoly.coerce(f)
                 for f in fs], _ONE
     rats = [RatFun.coerce(f) for f in fs]
-    den = reduce(poly_lcm, dict.fromkeys(r.den for r in rats if not r.den.is_one()))
-    return [r.num if r.den == den else r.num * _poly_divexact(den, r.den)
-            for r in rats], den
+    dens = dict.fromkeys(r.den for r in rats if not r.den.is_one())
+    if any(len(d.nums) > 1 for d in dens):
+        den = reduce(poly_lcm, dens)
+        return [r.num if r.den == den else r.num * _poly_divexact(den, r.den)
+                for r in rats], den
+    top: Dict[int, int] = {}
+    for d in dens:
+        for i, e in _fields(*d.nums):
+            top[i] = max(top.get(i, 0), e)
+    lcm_mono = sum(e << (_W * i) for i, e in top.items())
+    return ([_scale(r.num, 1, 1, lcm_mono - next(iter(r.den.nums))) for r in rats],
+            DiffPoly._of({lcm_mono: 1}))
 
 
 def constant_linear_basis(fs: Sequence):

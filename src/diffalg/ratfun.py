@@ -360,21 +360,25 @@ class RatFun(Tower):
                     den = _poly_divexact(den, g)
         self._normalize(num, den)
 
-    def _normalize(self, num: DiffPoly, den: DiffPoly) -> "RatFun":
+    def _normalize(self, num: DiffPoly, den: DiffPoly,
+                   polynomial: bool = False) -> "RatFun":
         """Store num/den, for coprime num and den or a den of one term.
 
         Over one term c*m, num/den is a Laurent polynomial p, stored with no
         gcd: a polynomial over 1 as it is, else p times the monomial that
         clears its negative exponents over that monomial, which is monic and
         coprime to the product, since the product has a term free of each of
-        its jets.  Over more terms, num over a monic denominator.
+        its jets.  Over more terms, num over a monic denominator.  A caller
+        that knows num to be a polynomial over 1 (a sum, product or
+        derivative of RatFuns over the shared ``_ONE``) says so, and the
+        scan for negative exponents is skipped.
         """
         self._hash = None
         if len(den.nums) == 1:
             if den is not _ONE:
                 ((m, c),) = den.nums.items()
                 num = _scale(num, den.den, c, -m)
-            if _small(num.nums):
+            if polynomial or _small(num.nums):
                 self.num, self.den = num, _ONE
             else:
                 shift = _clearing_monomial((num,))
@@ -389,9 +393,9 @@ class RatFun(Tower):
         return self
 
     @staticmethod
-    def _reduced(num: DiffPoly, den: DiffPoly = _ONE) -> "RatFun":
+    def _reduced(num: DiffPoly, den: DiffPoly = _ONE, polynomial: bool = False) -> "RatFun":
         """RatFun(num, den) for operands that ``_normalize`` takes: no gcd."""
-        return RatFun.__new__(RatFun)._normalize(num, den)
+        return RatFun.__new__(RatFun)._normalize(num, den, polynomial)
 
     _below, _up = DiffPoly, _reduced
 
@@ -422,7 +426,7 @@ class RatFun(Tower):
             return NotImplemented
         a, b = _laurent(self), _laurent(other)
         if a is not None and b is not None:
-            return RatFun._reduced(a + b)
+            return RatFun._reduced(a + b, polynomial=self.den is _ONE and other.den is _ONE)
         g0 = poly_gcd(self.den, other.den)
         if g0.is_one():
             t = self.num * other.den + other.num * self.den
@@ -447,7 +451,7 @@ class RatFun(Tower):
             return NotImplemented
         a, b = _laurent(self), _laurent(other)
         if a is not None and b is not None:
-            return RatFun._reduced(a * b)
+            return RatFun._reduced(a * b, polynomial=self.den is _ONE and other.den is _ONE)
         # cross-cancel: with both inputs reduced the result is reduced too
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
@@ -509,7 +513,7 @@ class RatFun(Tower):
         cancellation."""
         p = _laurent(self)
         if p is not None:
-            return RatFun._reduced(d(p))
+            return RatFun._reduced(d(p), polynomial=self.den is _ONE)
         dnum, dden = d(self.num), d(self.den)
         g = poly_gcd(self.den, dden)
         e = self.den if g.is_one() else _poly_divexact(self.den, g)

@@ -240,6 +240,14 @@ class TestPowerAndDensities:
         assert run(capsys, "check-hereditary", "--op", str(path))[0] == 0
         assert run(capsys, "check-recursion", "--op", str(path), "--seed", "u'")[0] == 0
 
+    def test_op_unwraps_only_the_power_object(self, capsys, tmp_path):
+        # a schema with an extra "operator" key is refused, not read as that key
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"local": [["u", 0]], "operator": {"local": [["1", 2]]}}))
+        code, out, err = run(capsys, "power", "--op", str(path), "--power", "1")
+        assert code == 2 and not out
+        assert "unknown operator schema key 'operator'" in json.loads(err)["error"]
+
     def test_power_overflow_exit_3(self, capsys):
         import diffalg.corpus as corpus
         from diffalg.corpus import CorpusEntry

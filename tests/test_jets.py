@@ -458,6 +458,76 @@ class TestTotalDerivative:
             assert lhs == f.partial("u", n)
 
 
+def ref_fields_derivative(nums):
+    """The total derivative of {monomial: numerator}, decoded with ``_fields``
+    and re-packed jet by jet: the reference for both arms of ``_derivative``."""
+    out = {}
+    for m, n in nums.items():
+        exps = {jets._JETS[i]: e for i, e in jets._fields(m)}
+        for (order, name), e in exps.items():
+            moved = dict(exps)
+            moved[order, name] -= 1
+            moved[order + 1, name] = moved.get((order + 1, name), 0) + 1
+            key = monomial(moved.items())
+            out[key] = out.get(key, 0) + n * e
+    return {m: n for m, n in out.items() if n}
+
+
+def arm_nums(rng, exps, names):
+    """A few terms with exponents drawn from exps, over jets of these names."""
+    out = {}
+    for _ in range(rng.randint(1, 6)):
+        pairs = {(rng.randint(0, 5), rng.choice(names)): rng.choice(exps)
+                 for _ in range(rng.randint(0, 4))}
+        key = monomial(pairs.items())
+        out[key] = out.get(key, 0) + rng.randint(-9, 9)
+    return {m: n for m, n in out.items() if n}
+
+
+SMALL = EXPONENT_LIMIT // 2  # 2**13: the least exponent that ``jets._small`` refuses
+
+
+class TestDerivativeArms:
+    """``_derivative`` peels a polynomial's digits from the top and a Laurent
+    polynomial's signed digits from the bottom, then checks the range."""
+
+    @pytest.mark.parametrize("exps", [(1, 2, 3), (1, 2, SMALL - 1), (-2, -1, 1, 3),
+                                      (1, SMALL), (-1, SMALL - 1)],
+                             ids=["polynomial", "polynomial-top", "laurent", "wide",
+                                  "laurent-wide"])
+    @pytest.mark.parametrize("names", ["u", "uF"])
+    def test_matches_the_fields_reference(self, exps, names):
+        rng = random.Random(0xD1F)
+        for _ in range(150):
+            nums = arm_nums(rng, exps, names)
+            got = jets._derivative(nums)
+            assert {m: n for m, n in got.items() if n} == ref_fields_derivative(nums)
+
+    @pytest.mark.parametrize("e, signed", [(SMALL - 1, False), (SMALL, True)])
+    def test_the_arms_switch_at_two_to_the_thirteen(self, monkeypatch, e, signed):
+        checked = []
+        check = jets._check
+        monkeypatch.setattr(jets, "_check", lambda keys: checked.append(1) or check(keys))
+        # d takes u*u'^e to u'^(e+1) + e*u*u'^(e-1)*u''
+        nums = (u * DiffPoly.jet("u", 1, e) * 3 - u3).nums
+        assert jets._derivative(nums) == ref_fields_derivative(nums)
+        assert bool(checked) == signed
+
+    def test_a_tower_level_drops_the_sums_that_cancel(self):
+        # d(2 u u'' - u'^2) = 2 u u''': the two u' u'' terms cancel
+        nums = (2 * u * u2 - u1 * u1).nums
+        assert 0 in jets._derivative(nums).values()
+        levels = list(jets._tower(nums, 3))
+        assert [k for k, _ in levels] == [0, 1, 2, 3]
+        assert levels[1][1] == (2 * u * u3).nums
+        for (_, lower), (_, level) in zip(levels, levels[1:]):
+            assert 0 not in level.values() and level == ref_fields_derivative(lower)
+
+    def test_a_tower_ends_where_a_level_vanishes(self):
+        assert list(jets._tower(DiffPoly.const(Fraction(5, 3)).nums, 4)) == [(0, {0: 5})]
+        assert list(jets._tower({}, 2)) == [(0, {})]
+
+
 class TestPartials:
     def test_examples(self):
         assert (3 * u * u1).partial("u", 1) == 3 * u
