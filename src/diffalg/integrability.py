@@ -137,11 +137,16 @@ def is_hereditary(op: Union[NonlocalOp, FractionPair]) -> Verdict:
     """Exact test of the Nijenhuis identity in the depth-2 algebra.
 
     The formal slot is checked before the fraction is extracted, which for a
-    large rational operator is the slow step.
+    large rational operator is the slow step.  A NonlocalOp is decided once:
+    its verdict is kept in its ``_hereditary`` slot, so ``is_integrable_wnl``
+    and later questions about the same operator read it.  A FractionPair's
+    verdict and a refusal (Unsupported) are not kept.
     """
     if isinstance(op, FractionPair):
         pair = minimal_right_fraction(op.num, op.den)
         l, fraction = from_fraction_pair(pair.num, pair.den), (pair.num, pair.den)
+    elif op._hereditary is not None:
+        return op._hereditary
     else:
         l, fraction = op, None
         if l.depth2:
@@ -151,9 +156,13 @@ def is_hereditary(op: Union[NonlocalOp, FractionPair]) -> Verdict:
     a, b = fraction or to_fraction(l)
     difference = _hereditary_sides(l, a, b)
     if difference.is_zero():
-        return Verdict(True, None)
-    return Verdict(False, Refutation(
-        "hereditary identity residual is nonzero", residual=difference))
+        verdict = Verdict(True, None)
+    else:
+        verdict = Verdict(False, Refutation(
+            "hereditary identity residual is nonzero", residual=difference))
+    if fraction is None:
+        l._hereditary = verdict
+    return verdict
 
 
 def is_integrable_wnl(l: NonlocalOp) -> Verdict:

@@ -182,17 +182,17 @@ def _digit(m: Monomial, i: int) -> int:
     return (((m + _HALVES) >> (_W * i)) & _MASK) - _HALF
 
 
-class _Shifts(dict):
-    """A field's lowest bit -> unit(next jet) - unit(jet), filled on first use:
-    adding it to a monomial trades one power of a jet for one of its derivative."""
-
-    def __missing__(self, s: int) -> int:
-        order, name = _JETS[s >> _LOG_W]
-        shift = self[s] = (1 << (_W * _field((order + 1, name)))) - (1 << s)
-        return shift
+# A field's lowest bit -> unit(next jet) - unit(jet): adding it to a monomial
+# trades one power of a jet for one of its derivative.  A plain dict, so the
+# lookup in ``_derivative``'s loop is specialised; ``_new_shift`` fills a
+# missing entry from that loop's KeyError handler.
+_SHIFT: Dict[int, int] = {}
 
 
-_SHIFT = _Shifts()
+def _new_shift(s: int) -> int:
+    order, name = _JETS[s >> _LOG_W]
+    shift = _SHIFT[s] = (1 << (_W * _field((order + 1, name)))) - (1 << s)
+    return shift
 
 
 class DiffPoly(Tower):
@@ -399,7 +399,10 @@ def _derivative(terms: Dict[Monomial, int]) -> Dict[Monomial, int]:
                 s = (rest.bit_length() - 1) & -_W
                 e = rest >> s
                 rest ^= e << s
-                key = m + shift[s]
+                try:
+                    key = m + shift[s]
+                except KeyError:
+                    key = m + _new_shift(s)
                 acc[key] = get(key, 0) + n * e
         return acc
     for m, n in terms.items():
@@ -410,7 +413,10 @@ def _derivative(terms: Dict[Monomial, int]) -> Dict[Monomial, int]:
             if e & _HALF:
                 e -= 1 << _W
             rest -= e << s
-            key = m + shift[s]
+            try:
+                key = m + shift[s]
+            except KeyError:
+                key = m + _new_shift(s)
             acc[key] = get(key, 0) + n * e
     _check(acc)
     return acc

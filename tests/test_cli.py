@@ -330,7 +330,8 @@ class TestCorpus:
 
 class TestReadmeExamples:
     """Every example of the README's "Command line" section prints exactly
-    the output recorded in cli_golden.json, with the recorded exit code."""
+    the output recorded in cli_golden.json, with the recorded exit code, and
+    its "Library example" block runs."""
 
     ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -343,6 +344,15 @@ class TestReadmeExamples:
     def golden(self):
         with open(os.path.join(self.ROOT, "tests", "cli_golden.json")) as f:
             return json.load(f)
+
+    def test_library_example_runs(self):
+        with open(os.path.join(self.ROOT, "README.md")) as f:
+            text = f.read()
+        assert "## Library example" in text
+        section = text.split("## Library example", 1)[1].split("\n## ", 1)[0]
+        assert "```python" in section
+        block = section.split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
 
     def test_outputs_match_the_golden_file(self, capsys, monkeypatch):
         golden = self.golden()

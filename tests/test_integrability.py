@@ -1,15 +1,17 @@
 """Decision procedures: Lie defects, integrability, hereditariness, pair tests."""
 
+import importlib.util
+import os
 from fractions import Fraction
 
 import pytest
 
-from diffalg import (DiffOp, DiffPoly, NonlocalOp, RatFun, Refutation,
+from diffalg import (DiffOp, DiffPoly, Hierarchy, NonlocalOp, RatFun, Refutation,
                      Verdict, Witness, compose_left, integrability, is_hereditary, is_integrable_diffop,
                      is_integrable_pair, is_integrable_wnl, is_recursion_for, jet,
                      lie_bracket, lie_defect, nl_power, operator_from_json,
-                     parse_function)
-from diffalg import ratfun
+                     operator_to_json, parse_function)
+from diffalg import nonlocal_ops, ratfun
 from diffalg.bidiff import frechet_of_op
 from diffalg.corpus import ENTRIES
 from diffalg.errors import Unsupported
@@ -234,6 +236,70 @@ class TestIntegrableWnl:
                   NonlocalOp.from_local(DiffOp({1: RatFun(1), 0: RatFun(u1)}))):
             if is_integrable_wnl(l).result:
                 assert is_hereditary(l).result
+
+
+def _decide_operators(seed):
+    """The benchmark's decide operators lambda*L + c at this seed, as JSON."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.inputs("decide", seed)["operators"]
+
+
+# KdV + u^2: its hereditary identity leaves a nonzero residual
+REFUTED = {"local": [["2*u", 0], ["1", 2], ["u^2", 0]], "nonlocal": [["u'", "1"]]}
+
+
+class TestOneProofPerOperator:
+    """A NonlocalOp keeps its fraction and its hereditary verdict, so each is
+    derived once per operator whichever question asks for it first."""
+
+    def test_each_proof_runs_once(self, monkeypatch):
+        counts = {"sides": 0, "fraction": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(integrability, "_hereditary_sides",
+                            counted("sides", integrability._hereditary_sides))
+        monkeypatch.setattr(nonlocal_ops, "_extract_fraction",
+                            counted("fraction", nonlocal_ops._extract_fraction))
+        l = kdv_operator()
+        assert is_hereditary(l).result
+        assert is_integrable_wnl(l).result
+        assert Hierarchy.from_operator(l).extend(3).scheme_consistency()
+        assert counts == {"sides": 1, "fraction": 1}
+
+    def test_kept_verdicts_equal_fresh_ones(self):
+        ops = [entry.operator_json for entry in ENTRIES.values()]
+        ops += [data for seed in (1, 7) for data in _decide_operators(seed).values()]
+        ops.append(REFUTED)
+        results = set()
+        for data in ops:
+            l, grading = operator_from_json(data)
+            first = is_hereditary(l)
+            integrable = is_integrable_wnl(l)
+            kept = is_hereditary(l)
+            assert kept is first
+            rebuilt, _ = operator_from_json(operator_to_json(l, grading))
+            fresh = is_hereditary(rebuilt)
+            assert kept.result == fresh.result, data
+            assert repr(kept.certificate) == repr(fresh.certificate), data
+            again, _ = operator_from_json(operator_to_json(l, grading))
+            assert repr(integrable) == repr(is_integrable_wnl(again)), data
+            results.add(kept.result)
+        assert results == {True, False}
+
+    def test_a_refusal_is_not_kept(self):
+        l2 = nl_power(kdv_operator(), 2)
+        for _ in range(2):
+            with pytest.raises(Unsupported):
+                is_hereditary(l2)
 
 
 class TestGcdBudget:
