@@ -139,8 +139,11 @@ def is_hereditary(op: Union[NonlocalOp, FractionPair]) -> Verdict:
     The formal slot is checked before the fraction is extracted, which for a
     large rational operator is the slow step.  A NonlocalOp is decided once:
     its verdict is kept in its ``_hereditary`` slot, so ``is_integrable_wnl``
-    and later questions about the same operator read it.  A FractionPair's
-    verdict and a refusal (Unsupported) are not kept.
+    and later questions about the same object read it.  That saves work only
+    when one NonlocalOp object is asked twice in one process, as in
+    ``is_hereditary`` followed by ``is_integrable_wnl``; an equal operator
+    built anew is decided anew.  A FractionPair's verdict and a refusal
+    (Unsupported) are not kept.
     """
     if isinstance(op, FractionPair):
         pair = minimal_right_fraction(op.num, op.den)

@@ -70,12 +70,13 @@ def _div_left_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
 class NonlocalOp(Tower):
     """Canonical E + sum p d^-1 q + sum a d^-1 b d^-1 c with depth <= 2.
 
-    The value never changes, so its right fraction and its hereditary verdict
-    are its own: ``to_fraction`` and ``integrability.is_hereditary`` fill
-    ``_fraction`` and ``_hereditary`` on first use and read them after.
+    The value never changes, so its hereditary verdict is its own:
+    ``integrability.is_hereditary`` fills ``_hereditary`` on first use and
+    reads it after.  A kept refutation keeps its residual alive as long as
+    the operator.
     """
 
-    __slots__ = ("local", "depth1", "depth2", "_fraction", "_hereditary")
+    __slots__ = ("local", "depth1", "depth2", "_hereditary")
 
     def __init__(self, local: Union[DiffOp, List[DiffOp], None] = None,
                  depth1: Sequence[Pair] = (), depth2: Sequence[Triple] = (),
@@ -93,7 +94,7 @@ class NonlocalOp(Tower):
             local = sum(local[1:], local[0])
         self.local = DiffOp.coerce(local) if local is not None else DiffOp.zero()
         self.depth1, self.depth2 = depth1, depth2
-        self._fraction = self._hereditary = None
+        self._hereditary = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -400,16 +401,8 @@ def to_fraction(l: NonlocalOp) -> Tuple[DiffOp, DiffOp]:
     """(A, B) with L = A B^-1, B the right lcm of the operators (1/q_i) d.
 
     The cofactors M_i with B = (1/q_i) d M_i give A = E B + sum p_i M_i;
-    the result is re-verified exactly through L * B == A.  It is extracted
-    once per operator and kept in its ``_fraction`` slot; a refusal is not
-    kept, so a depth-2 operator raises Unsupported on every call.
+    the result is re-verified exactly through L * B == A.
     """
-    if l._fraction is None:
-        l._fraction = _extract_fraction(l)
-    return l._fraction
-
-
-def _extract_fraction(l: NonlocalOp) -> Tuple[DiffOp, DiffOp]:
     if l.depth2:
         raise Unsupported("fractions are defined for weakly non-local operators")
     if not l.depth1:

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import (DiffOp, DiffPoly, Hierarchy, NonlocalOp, RatFun, Refutation,
+from diffalg import (DiffOp, DiffPoly, NonlocalOp, RatFun, Refutation,
                      Verdict, Witness, compose_left, integrability, is_hereditary, is_integrable_diffop,
                      is_integrable_pair, is_integrable_wnl, is_recursion_for, jet,
                      lie_bracket, lie_defect, nl_power, operator_from_json,
                      operator_to_json, parse_function)
-from diffalg import nonlocal_ops, ratfun
+from diffalg import ratfun
 from diffalg.bidiff import frechet_of_op
 from diffalg.corpus import ENTRIES
 from diffalg.errors import Unsupported
@@ -228,6 +228,9 @@ class TestIntegrableWnl:
         l2 = nl_power(kdv_operator(), 2)
         with pytest.raises(Unsupported):
             is_hereditary(l2)
+        # a refusal is not kept as a verdict: the second call refuses too
+        with pytest.raises(Unsupported):
+            is_hereditary(l2)
 
     def test_integrable_implies_hereditary_on_corpus(self):
         for l in (kdv_operator(),
@@ -253,8 +256,8 @@ REFUTED = {"local": [["2*u", 0], ["1", 2], ["u^2", 0]], "nonlocal": [["u'", "1"]
 
 
 class TestOneProofPerOperator:
-    """A NonlocalOp keeps its fraction and its hereditary verdict, so each is
-    derived once per operator whichever question asks for it first."""
+    """A NonlocalOp keeps its hereditary verdict, so asking is_hereditary and
+    then is_integrable_wnl about one operator runs the proof once."""
 
     def test_each_proof_runs_once(self, monkeypatch):
         counts = {"sides": 0, "fraction": 0}
@@ -267,12 +270,12 @@ class TestOneProofPerOperator:
 
         monkeypatch.setattr(integrability, "_hereditary_sides",
                             counted("sides", integrability._hereditary_sides))
-        monkeypatch.setattr(nonlocal_ops, "_extract_fraction",
-                            counted("fraction", nonlocal_ops._extract_fraction))
+        monkeypatch.setattr(integrability, "to_fraction",
+                            counted("fraction", integrability.to_fraction))
         l = kdv_operator()
         assert is_hereditary(l).result
         assert is_integrable_wnl(l).result
-        assert Hierarchy.from_operator(l).extend(3).scheme_consistency()
+        assert is_hereditary(l).result
         assert counts == {"sides": 1, "fraction": 1}
 
     def test_kept_verdicts_equal_fresh_ones(self):
@@ -294,12 +297,6 @@ class TestOneProofPerOperator:
             assert repr(integrable) == repr(is_integrable_wnl(again)), data
             results.add(kept.result)
         assert results == {True, False}
-
-    def test_a_refusal_is_not_kept(self):
-        l2 = nl_power(kdv_operator(), 2)
-        for _ in range(2):
-            with pytest.raises(Unsupported):
-                is_hereditary(l2)
 
 
 class TestGcdBudget:
