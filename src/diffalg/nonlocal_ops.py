@@ -70,13 +70,14 @@ def _div_left_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
 class NonlocalOp(Tower):
     """Canonical E + sum p d^-1 q + sum a d^-1 b d^-1 c with depth <= 2.
 
-    The value never changes, so its hereditary verdict is its own:
+    The value never changes, so what is a function of it alone is its own:
     ``integrability.is_hereditary`` fills ``_hereditary`` on first use and
-    reads it after.  A kept refutation keeps its residual alive as long as
-    the operator.
+    reads it after, and ``nl_power`` fills ``_square`` with L^2 the first
+    time it squares L.  A kept refutation keeps its residual, and a kept
+    square its chain of kept squares, alive as long as the operator.
     """
 
-    __slots__ = ("local", "depth1", "depth2", "_hereditary")
+    __slots__ = ("local", "depth1", "depth2", "_hereditary", "_square")
 
     def __init__(self, local: Union[DiffOp, List[DiffOp], None] = None,
                  depth1: Sequence[Pair] = (), depth2: Sequence[Triple] = (),
@@ -95,6 +96,7 @@ class NonlocalOp(Tower):
         self.local = DiffOp.coerce(local) if local is not None else DiffOp.zero()
         self.depth1, self.depth2 = depth1, depth2
         self._hereditary = None
+        self._square = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -312,16 +314,25 @@ def nl_power(l: NonlocalOp, k: int) -> NonlocalOp:
     DepthOverflow.  A weakly non-local operator has one canonical form, so the
     result is the one the left-to-right chain L^(k-1) L gives, in about
     2 log2 k products instead of k - 1.
+
+    Each square is kept in its base's ``_square`` slot, so a later power of
+    the same operator object walks L, L^2, L^4, ... with no product: powers
+    1..9 of one operator cost 9 products, not 22.  A refused square is not
+    kept, nor is a product of two different operators.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
 
     def product(a: NonlocalOp, b: NonlocalOp) -> NonlocalOp:
+        if a is b and a._square is not None:
+            return a._square
         out = nl_mul(a, b)
         if out.depth2:
             raise DepthOverflow(
                 "a power left the weakly non-local class: some p_i q_j is "
                 "not a total derivative")
+        if a is b:
+            a._square = out
         return out
 
     return power(l, k, product)

@@ -5,7 +5,9 @@ small term counts, exact rational coefficients.
 """
 
 from fractions import Fraction
+import importlib.util
 from math import comb, lcm
+import os
 import random
 from typing import Dict
 
@@ -14,6 +16,16 @@ from diffalg.bidiff import SLOT
 from diffalg.errors import Unsupported
 from diffalg.jets import accumulate, exponents, monomial
 from diffalg.ratfun import derivatives
+
+
+def load_workloads():
+    """``perfbench/workloads.py`` as a module, for its seeded operators."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def rand_poly(rng: random.Random, max_order: int = 4, max_degree: int = 3,

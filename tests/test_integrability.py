@@ -1,7 +1,5 @@
 """Decision procedures: Lie defects, integrability, hereditariness, pair tests."""
 
-import importlib.util
-import os
 from fractions import Fraction
 
 import pytest
@@ -18,7 +16,7 @@ from diffalg.errors import Unsupported
 from diffalg.integrability import _mixed_defect
 from diffalg.operators import FractionPair, evo_apply_op
 
-from helpers import rand_op, slot_first
+from helpers import load_workloads, rand_op, slot_first
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -243,12 +241,7 @@ class TestIntegrableWnl:
 
 def _decide_operators(seed):
     """The benchmark's decide operators lambda*L + c at this seed, as JSON."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.inputs("decide", seed)["operators"]
+    return load_workloads().inputs("decide", seed)["operators"]
 
 
 # KdV + u^2: its hereditary identity leaves a nonzero residual

@@ -7,18 +7,21 @@ from fractions import Fraction
 import pytest
 
 from diffalg import (DiffOp, DiffPoly, Grading, NonlocalOp, RatFun,
-                     frechet, from_fraction_pair, is_hereditary, is_recursion_for,
-                     jet, lie_derivative, nl_mul, nl_power, nonlocal_ops,
-                     operator_from_json, operator_to_json, parity_class,
-                     parse_function, to_fraction)
+                     conserved_densities, frechet, from_fraction_pair,
+                     is_hereditary, is_recursion_for, jet, lie_derivative,
+                     nl_mul, nl_power, nonlocal_ops, operator_from_json,
+                     operator_to_json, parity_class, parse_function,
+                     to_fraction)
 from diffalg.calculus import is_total_derivative
+from diffalg.corpus import ENTRIES
 from diffalg.errors import DepthOverflow, NotInImage, Unsupported
 from diffalg.nonlocal_ops import _div_left_by_d, _gather, _reduce_tensor, twisted_lie
 from diffalg.operators import left_divide
-from helpers import (_series_d_inverse, planted_inputs, rand_op, rand_poly,
-                     rand_wnl, ref_gather, ref_hereditary_residual, ref_power,
-                     ref_reduce_tensor, ref_twisted_lie, series_expand,
-                     series_inverse, series_product)
+from helpers import (_series_d_inverse, load_workloads, planted_inputs,
+                     rand_op, rand_poly, rand_wnl, ref_gather,
+                     ref_hereditary_residual, ref_power, ref_reduce_tensor,
+                     ref_twisted_lie, series_expand, series_inverse,
+                     series_product)
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -127,26 +130,37 @@ class TestMultiplication:
             assert repr(nl_power(l, k)) == repr(ref_power(l, k))
 
     def test_power_squares(self, monkeypatch):
-        import diffalg.nonlocal_ops as nonlocal_ops
         calls = []
         mul = nonlocal_ops.nl_mul
         monkeypatch.setattr(nonlocal_ops, "nl_mul",
                             lambda a, b: calls.append(1) or mul(a, b))
-        l, _ = operator_from_json(POWER_OPERATORS["burgers"])
         for k in range(1, 10):
+            l, _ = operator_from_json(POWER_OPERATORS["burgers"])
             calls.clear()
             nl_power(l, k)
             # one square per bit below the top one, one product per extra set bit
             assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1
+        # on one object the squares L^2, L^4, L^8 are built once and kept:
+        # 3 squares and 6 odd-bit products over k = 1..9, none for L^8 again
+        l, _ = operator_from_json(POWER_OPERATORS["burgers"])
+        calls.clear()
+        for k in range(1, 10):
+            nl_power(l, k)
+        assert len(calls) == 9
+        calls.clear()
+        nl_power(l, 8)
+        assert calls == []
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_power_overflow_keeps_its_message(self, k):
         l = NonlocalOp(DiffOp.zero(), ((RatFun(1), RatFun(u)),))
         with pytest.raises(DepthOverflow) as want:
             ref_power(l, k)
-        with pytest.raises(DepthOverflow) as got:
-            nl_power(l, k)
-        assert str(got.value) == str(want.value)
+        for _ in range(2):  # a refused square is not kept: it is refused again
+            with pytest.raises(DepthOverflow) as got:
+                nl_power(l, k)
+            assert str(got.value) == str(want.value)
+            assert l._square is None
 
     def test_counterexample_square_stays_weakly_nonlocal(self):
         # its p q = -u''' = (-u'')' is exact, so the middle slot clears
@@ -168,6 +182,76 @@ class TestMultiplication:
                 assert exact == (not sq.depth2)
             except Unsupported:
                 continue
+
+
+def _kept_square_operators():
+    """The corpus and the powers workload's lambda*L at seeds 1 and 7, as JSON."""
+    workloads = load_workloads()
+    ops = [entry.operator_json for entry in ENTRIES.values()]
+    return ops + [data for seed in (1, 7)
+                  for data in workloads.inputs("powers", seed)["operators"].values()]
+
+
+class TestKeptSquares:
+    """nl_power keeps each square in its base's _square slot, so later powers
+    of one operator object reuse them; what they give equals a fresh power."""
+
+    def test_kept_powers_equal_fresh_ones(self):
+        for data in _kept_square_operators():
+            l, grading = operator_from_json(data)
+            for k in list(range(1, 9)) + list(range(8, 0, -1)):
+                kept = nl_power(l, k)
+                copy, _ = operator_from_json(operator_to_json(l, grading))
+                fresh = nl_power(copy, k)
+                assert repr(kept) == repr(fresh), (data, k)
+                assert operator_to_json(kept, grading) == operator_to_json(fresh, grading)
+
+    def test_densities_after_the_power_multiply_nothing(self, monkeypatch):
+        calls = []
+        mul = nonlocal_ops.nl_mul
+        monkeypatch.setattr(nonlocal_ops, "nl_mul",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        workloads = load_workloads()
+        for seed in (1, 7):
+            ops = workloads.inputs("powers", seed)["operators"]
+            l, grading = operator_from_json(ops["kdv"])
+            copy, _ = operator_from_json(operator_to_json(l, grading))
+            want = conserved_densities(copy, 8)
+            nl_power(l, 8)
+            calls.clear()
+            assert conserved_densities(l, 8) == want
+            assert calls == []
+
+    def test_threads_filling_one_operator_agree(self):
+        # the _square slots are the state threads share: threads racing to
+        # fill them store equal values, and every power equals a fresh one
+        import sys
+        import threading
+
+        threads_n = 8
+        l, _ = operator_from_json(POWER_OPERATORS["kdv"])
+        fresh, _ = operator_from_json(POWER_OPERATORS["kdv"])
+        want = repr(nl_power(fresh, 8))
+        start = threading.Barrier(threads_n, timeout=30)
+        got = [None] * threads_n
+
+        def work(i):
+            start.wait()
+            got[i] = repr(nl_power(l, 8))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(threads_n)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * threads_n
+        assert repr(l._square._square._square) == want
 
 
 class TestMixedArithmetic:

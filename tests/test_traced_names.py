@@ -6,7 +6,9 @@ reads the same table, without installing the tracer, so a deleted or renamed
 name fails in the tier-1 suite as well.  A name that is present but bound to
 another object than the one the package calls would still count nothing, so
 one more test installs the tracer in a child process and checks the counts
-of the rational layer, which ``jets`` only re-exports.
+of the rational layer, which ``jets`` only re-exports, and of the ``powers``
+workload at seed 1, whose second KdV^8 reads the squares kept on its operator
+(9 products, where building KdV^8 twice would make 12).
 """
 
 import importlib
@@ -61,7 +63,20 @@ u, u1, u2 = (diffalg.jet("u", k) for k in range(3))
 diffalg.RatFun(u, u1) + diffalg.RatFun(u1, u + 1)
 diffalg.poly_gcd(u * u1 + u1, u1 * u2)
 tracer.active = False
-print(json.dumps({"absent": tracer.absent, "layers": tracer.metrics()}))
+rational = tracer.metrics()
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[2])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+inputs = workloads.inputs("powers", 1)
+built = workloads.build(diffalg, inputs)
+tracer.active = True
+ops = workloads.run_powers(diffalg, built)
+tracer.active = False
+failures = workloads.check(diffalg, inputs, ops, False)[0]
+powers = {key: value - rational[key] for key, value in tracer.metrics().items()
+          if key.endswith(".calls")}
+print(json.dumps({"absent": tracer.absent, "layers": rational,
+                  "powers": powers, "failures": failures}))
 """
 
 
@@ -70,7 +85,8 @@ def test_tracer_counts_the_rational_layer_through_jets():
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", CHILD,
-         os.path.join(ROOT, "perfbench", "tracing.py")],
+         os.path.join(ROOT, "perfbench", "tracing.py"),
+         os.path.join(ROOT, "perfbench", "workloads.py")],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -78,3 +94,7 @@ def test_tracer_counts_the_rational_layer_through_jets():
     assert out["absent"] == []
     assert out["layers"]["jets.RatFun.__add__.calls"] > 0
     assert out["layers"]["jets.poly_gcd.calls"] > 0
+    # the kept squares are seen through the tracer's module-attribute wrappers
+    assert out["failures"] == []
+    assert out["powers"]["nonlocal_ops.nl_mul.calls"] == 9
+    assert out["powers"]["nonlocal_ops.nl_power.calls"] == 4
