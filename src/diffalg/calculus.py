@@ -14,7 +14,11 @@ integer numerators (``jets._add_tower``), and for any other denominator one
 ``DiffOp.apply`` over RatFun.  The Lie brackets of a list of polynomials
 (``brackets``, and ``lie_bracket`` as its two-member case) stream one tower
 per member, and every bracket that member is in takes its half from that
-one stream.
+one stream.  The total derivative commutes with every evolutionary field,
+so ``brackets`` first splits each member that integrates exactly,
+S_j = d(Q_j), and takes {S_i, S_j} = d(h_ij) + r_ij: h_ij from the partials
+of the Q's, r_ij from those of the members left whole.  ``lie_bracket``
+splits nothing, since a lone pair never repays the integration.
 
 The reduction layer takes each exact step once.  Integration is one integer
 pass, bucketed by highest jet and rescaled only for an e+1 that does not
@@ -31,8 +35,8 @@ from typing import Dict, Sequence, Tuple
 from .errors import NotExact, NotVariational, Unsupported, VerificationFailed
 from .jets import (EXPONENT_LIMIT, _FIELD, _JETS, _ONE_MONO, _W, DiffPoly,
                    _add_products, _add_tower, _derivative, _digit, _field,
-                   _fields, _from_numerators, _partial, _tower, accumulate,
-                   exponents, monomial)
+                   _fields, _from_numerators, _partial, _small, _tower,
+                   accumulate, exponents, monomial)
 from .ratfun import RatFun, _laurent
 from .linalg import _rref
 from .operators import frechet, helmholtz_residual
@@ -75,43 +79,79 @@ def _partials(ng: dict, name: str, top: int) -> dict:
 
 
 def lie_bracket(f: DiffPoly, g: DiffPoly, name: str = "u") -> DiffPoly:
-    """{f, g} = X_f(g) - X_g(f); for polynomials, ``brackets([f, g])``."""
+    """{f, g} = X_f(g) - X_g(f); for polynomials, the stream of ``brackets``
+    with neither member split: a lone pair never repays the integration."""
     if isinstance(f, RatFun) or isinstance(g, RatFun):
         return evo_apply(f, g, name) - evo_apply(g, f, name)
-    return brackets((f, g), name)[0, 1]
+    f, g = DiffPoly.coerce(f), DiffPoly.coerce(g)
+    return _stream(((f, f, False), (g, g, False)), name)[0, 1]
 
 
 def brackets(fs: Sequence[DiffPoly], name: str = "u") -> Dict[Tuple[int, int], DiffPoly]:
     """{(i, j): {f_i, f_j}} for every i < j, in ascending (i, j) order.
 
-    For polynomials f_i = N_i/den_i both halves of {f_i, f_j} share the
-    denominator den_i * den_j (see evo_apply), so they accumulate with factors
-    +1 and -1 into one integer sum.  Each member's tower d^k N_i is streamed
-    once, up to the highest partial order of any other member, and at level k
-    it feeds every bracket whose other member depends on u^(k).  A bracket is
-    built as soon as its second member's stream ends; only such pending
-    half-brackets are held, never a tower.  A RatFun member sends every pair
-    through ``lie_bracket``'s rational arm.
+    A member that integrates exactly, f_j = d(Q_j), is split (``_split``);
+    the others stay whole.  d commutes with every evolutionary field, so
+    {f_i, f_j} = d(h_ij) + r_ij: h_ij from the partials of the Q's, r_ij
+    from those of the whole members, the same polynomial as the direct sum.
+    A RatFun member sends every pair through ``lie_bracket``.
     """
     if any(isinstance(f, RatFun) for f in fs):
         return {(i, j): lie_bracket(fs[i], fs[j], name)
                 for i in range(len(fs)) for j in range(i + 1, len(fs))}
-    polys = [DiffPoly.coerce(f) for f in fs]
-    nums = [(f.nums, f.den) for f in polys]
-    parts = [{} if (top := f.top_order(name)) is None else _partials(n, name, top)
-             for f, (n, _) in zip(polys, nums)]
-    pending: Dict[Tuple[int, int], Dict[int, int]] = {}
+    return _stream([_split(DiffPoly.coerce(f)) for f in fs], name)
+
+
+def _split(f: DiffPoly) -> Tuple[DiffPoly, DiffPoly, bool]:
+    """(f, Q, True) when f = d(Q), else (f, f, False).
+
+    A member with a negative exponent, one that is not a total derivative,
+    and one whose integration the integrator refuses stay whole.
+    """
+    if not f.has_negative_exponent():
+        try:
+            q, residual = _integrate_reduce(f)
+        except (Unsupported, OverflowError):
+            residual = f
+        if not residual:
+            return f, q, True
+    return f, f, False
+
+
+def _stream(members, name: str) -> Dict[Tuple[int, int], DiffPoly]:
+    """The brackets of members (f_j, g_j, exact_j), g_j = Q_j or f_j.
+
+    Each tower d^k N_i streams once, up to the top partial order of the
+    other g_j, and its levels feed every pair at once; a pair's halves sum
+    over one denominator M, into h_ij or r_ij, until its later member ends.
+    """
+    parts = [({} if (top := g.top_order(name)) is None else _partials(g.nums, name, top),
+              _small(g.nums)) for _, g, _ in members]
+    # (i, j) -> (M, r_ij, h_ij), until the later member's stream ends
+    pending: Dict[Tuple[int, int], Tuple[int, Dict[int, int], Dict[int, int]]] = {}
     out: Dict[Tuple[int, int], DiffPoly] = {}
-    for i, (n_i, den_i) in enumerate(nums):
-        others = [(j, p) for j, p in enumerate(parts) if j != i]
-        need = max((max(p, default=-1) for _, p in others), default=-1)
-        for k, level in _tower(n_i, need):
-            for j, p in others:
+    for i, (f_i, g_i, _) in enumerate(members):
+        others = []
+        for j, (f_j, g_j, exact_j) in enumerate(members):
+            if j != i and parts[j][0]:
+                key, sign = ((i, j), 1) if i < j else ((j, i), -1)
+                # X_{f_i}(g_j) is a sum over den_i * D_j, scaled here to M
+                den, whole, exact = pending.setdefault(
+                    key, (lcm(f_i.den * g_j.den, f_j.den * g_i.den), {}, {}))
+                others.append((parts[j], exact if exact_j else whole,
+                               sign * den // (f_i.den * g_j.den)))
+        need = max((max(p) for (p, _), _, _ in others), default=-1)
+        for k, level in _tower(f_i.nums, need):
+            small = _small(level)
+            for (p, small_p), sums, factor in others:
                 if k in p:
-                    key, factor = ((i, j), 1) if i < j else ((j, i), -1)
-                    _add_products(pending.setdefault(key, {}), p[k], level, factor)
+                    _add_products(sums, p[k], level, factor, small and small_p)
         for j in range(i):
-            out[j, i] = _from_numerators(pending.pop((j, i), {}), nums[j][1] * den_i)
+            den, whole, exact = pending.pop((j, i), (1, {}, {}))
+            if exact := {m: c for m, c in exact.items() if c}:
+                for m, c in _derivative(exact).items():
+                    whole[m] = whole.get(m, 0) + c
+            out[j, i] = _from_numerators(whole, den)
     return {key: out[key] for key in sorted(out)}
 
 

@@ -136,7 +136,12 @@ class Hierarchy:
 
     def verify_commuting(self) -> "CommutationReport":
         """Every pairwise bracket {S_i, S_j}, i < j, computed exactly in one
-        pass (``calculus.brackets``); violations in ascending (i, j) order."""
+        pass (``calculus.brackets``); violations in ascending (i, j) order.
+
+        A member that is a total derivative, S_j = d(Q_j), enters through
+        Q_j: {S_i, S_j} = d(h_ij) + r_ij, the same polynomial as the direct
+        sum, so the violations are the brackets themselves.  Every KdV and
+        mKdV member is one, and on a commuting chain h_ij is a constant."""
         results = brackets(self.chain)
         bad = [(i, j, r) for (i, j), r in results.items() if not r.is_zero()]
         return CommutationReport(pairs_checked=len(results), all_zero=not bad,

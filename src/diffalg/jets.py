@@ -462,15 +462,22 @@ def _partial(terms: Numerators, name: str, order: int) -> Numerators:
 
 
 def _add_products(acc: Dict[Monomial, int], a: Dict[Monomial, int],
-                  b: Dict[Monomial, int], factor: int = 1) -> None:
-    """acc += factor * a * b, on integer numerators."""
+                  b: Dict[Monomial, int], factor: int = 1,
+                  small: Optional[bool] = None) -> None:
+    """acc += factor * a * b, on integer numerators.
+
+    acc is range checked unless a and b are both ``_small``.  A caller that
+    meets one tower level with several partners passes that verdict as small,
+    so each level and each partner is scanned once, not once per product.
+    """
     get = acc.get
     for m1, n1 in a.items():
         n1 *= factor
         for m2, n2 in b.items():
             m = m1 + m2
             acc[m] = get(m, 0) + n1 * n2
-    _guard(acc, a, b)
+    if not (_small(a) and _small(b) if small is None else small):
+        _check(acc)
 
 
 def _scale(p: DiffPoly, num: int, den: int = 1, shift: Monomial = _ONE_MONO) -> DiffPoly:

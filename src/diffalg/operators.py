@@ -30,7 +30,8 @@ from __future__ import annotations
 from math import comb, lcm
 from typing import Dict, Optional, Tuple
 
-from .jets import Numerators, _add_products, _add_tower, _from_numerators, _tower, accumulate
+from .jets import (Numerators, _add_products, _add_tower, _from_numerators, _small,
+                   _tower, accumulate)
 from .linalg import _over_common_den
 from .ratfun import RatFun, _content_of, _laurent, derivatives
 from .tower import Tower, power
@@ -142,12 +143,14 @@ class DiffOp(Tower):
         if ints_a is not None and ints_b is not None:
             (na, den_a), (nb, den_b) = ints_a, ints_b
             acc: Dict[int, Numerators] = {}
+            small_a = {k: _small(n_a) for k, n_a in na.items()}
             for l, n_b in nb.items():
                 for n, level in _tower(n_b, top):
+                    small = _small(level)
                     for k, n_a in na.items():
                         if k >= n:
                             _add_products(acc.setdefault(k - n + l, {}), n_a,
-                                          level, comb(k, n))
+                                          level, comb(k, n), small and small_a[k])
             return _of_numerators(acc, den_a * den_b)
         # descending powers: the gcds that the sums meet, and so the cost,
         # must not depend on the order in which the factors were built

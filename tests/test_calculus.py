@@ -7,7 +7,7 @@ import pytest
 from diffalg import (DiffPoly, RatFun, basis_mod_total_derivatives, evo_apply,
                      integrate, is_total_derivative, jet, lie_bracket,
                      parse_function, potential, variational_derivative)
-from diffalg.calculus import _integrate_reduce, brackets
+from diffalg.calculus import _integrate_reduce, _split, brackets
 from diffalg.errors import NotExact, NotVariational, Unsupported
 from diffalg.jets import EXPONENT_LIMIT, exponents
 from diffalg.operators import helmholtz_residual
@@ -141,7 +141,21 @@ class TestBrackets:
              * Fraction(rng.choice((-7, -2, 1, 3, 5)), rng.choice((1, 2, 3, 7, 12))))
         if kind < 0.28:  # Laurent in the bracket's own indeterminate
             f = f * DiffPoly.jet("u", rng.randint(0, 3), -1)
+        elif kind < 0.5:  # a total derivative d(g), split by brackets
+            f = TestBrackets.exact_member(rng)
+        elif kind < 0.56:  # a Laurent total derivative, which stays whole
+            f = (f * DiffPoly.jet("u", rng.randint(0, 3), -1)).total_derivative()
         return f
+
+    @staticmethod
+    def exact_member(rng):
+        """d(g) for a random g in u and F, over a denominator other than 1."""
+        while True:
+            g = (rand_poly(rng, max_order=4, terms=4, names=("u", "F"))
+                 * Fraction(rng.choice((-5, 1, 2, 3)), rng.choice((7, 12, 35))))
+            f = g.total_derivative()
+            if f.den != 1:
+                return f
 
     def test_matches_the_per_pair_reference(self, rng):
         nonzero = 0
@@ -154,6 +168,55 @@ class TestBrackets:
                 assert repr(r) == repr(ref_lie_bracket(fs[i], fs[j]))
                 nonzero += not r.is_zero()
         assert nonzero > 100
+
+    def test_exact_members_are_split(self, rng):
+        for _ in range(60):
+            f = self.exact_member(rng)
+            assert f.den != 1 and not f.has_negative_exponent()
+            whole, q, exact = _split(f)
+            assert whole is f and exact and q.total_derivative() == f
+        for f in (u1 * u1, DiffPoly.const(3), (u1 * DiffPoly.jet("u", 0, -1)).total_derivative()):
+            assert _split(f) == (f, f, False)
+
+    def test_exact_meets_whole(self, rng):
+        """Pairs of a split member f_j = d(Q_j) and a whole one f_i, with
+        both parts nonzero: d(X_{f_i}(Q_j)) and -X_{f_j}(f_i)."""
+        both = 0
+        for _ in range(60):
+            fs = [self.exact_member(rng) for _ in range(rng.randint(1, 3))]
+            fs += [rand_poly(rng, max_order=4, terms=3, names=("u", "F"), nonzero=True)
+                   * Fraction(rng.choice((-3, 1, 5)), rng.choice((1, 4, 9)))
+                   for _ in range(rng.randint(1, 3))]
+            rng.shuffle(fs)
+            got = brackets(fs)
+            for (i, j), r in got.items():
+                assert repr(r) == repr(ref_lie_bracket(fs[i], fs[j]))
+                (_, q_i, exact_i), (_, q_j, exact_j) = _split(fs[i]), _split(fs[j])
+                if exact_i != exact_j:
+                    q, whole, exact = (q_j, fs[i], fs[j]) if exact_j else (q_i, fs[j], fs[i])
+                    h, rest = evo_apply(whole, q), evo_apply(exact, whole)
+                    both += not h.is_constant() and not rest.is_zero() and not r.is_zero()
+        assert both > 40
+
+    def test_overflowing_antiderivative_stays_whole(self):
+        f = u ** (EXPONENT_LIMIT - 1) * u1  # its antiderivative needs u^EXPONENT_LIMIT
+        with pytest.raises(OverflowError):
+            integrate(f)
+        assert _split(f) == (f, f, False)
+        fs = [f, u1, u2 + F, u3]
+        for (i, j), r in brackets(fs).items():
+            assert repr(r) == repr(ref_lie_bracket(fs[i], fs[j]))
+
+    def test_split_bracket_past_the_range_raises(self):
+        f = DiffPoly.jet("u", 0, EXPONENT_LIMIT - 1).total_derivative()
+        assert _split(f)[2]  # Q = u^(LIMIT - 1), and X_{u^3}(Q) holds u^(LIMIT + 1)
+        messages = set()
+        for run in (lambda: brackets([f, u ** 3]), lambda: brackets([u ** 3, u1, f]),
+                    lambda: lie_bracket(f, u ** 3)):
+            with pytest.raises(OverflowError, match=str(EXPONENT_LIMIT)) as err:
+                run()
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
     def test_unlike_denominators_and_the_other_name(self):
         f = Fraction(1, 3) * u * u1 + Fraction(2, 5) * F * u

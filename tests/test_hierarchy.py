@@ -9,6 +9,9 @@ from diffalg import (DiffOp, DiffPoly, Grading, Hierarchy, NonlocalOp, RatFun,
                      parse_function, seeds, to_fraction)
 from diffalg.calculus import is_total_derivative, evo_apply
 from diffalg.errors import DiffAlgError, NotInImage, Unsupported
+from diffalg.grammar import format_poly
+
+from helpers import ref_lie_bracket
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -144,6 +147,25 @@ class TestVerifyCommuting:
         assert str(h.verify_commuting()) == (
             "CommutationReport(pairs_checked=3, all_zero=False, violations="
             "[(0, 1, DiffPoly(u^2)), (1, 2, DiffPoly(2*u'^2))])")
+
+    def test_exact_chain_that_does_not_commute(self):
+        """KdV S0..S5 with d(u u'') added to S3: every member is still a
+        total derivative, so every bracket takes the split path, and the
+        report equals the per-pair reference in pair order."""
+        h = Hierarchy.from_operator(kdv_operator(), grading=Grading({"u": "even"}))
+        chain = list(h.extend(5).chain)
+        chain[3] = chain[3] + (u * u2).total_derivative()
+        assert all(is_total_derivative(s) for s in chain)
+        h.chain = chain
+        report = h.verify_commuting()
+        expected = [(i, j, r) for i in range(6) for j in range(i + 1, 6)
+                    if not (r := ref_lie_bracket(chain[i], chain[j])).is_zero()]
+        assert report.pairs_checked == 15 and not report.all_zero
+        # S0 = u' is the field of d, which commutes with every x-free member
+        assert [(i, j) for i, j, _ in expected] == [(1, 3), (2, 3), (3, 4), (3, 5)]
+        assert repr(report.violations) == repr(expected)
+        assert h.report(report)["violations"] == [
+            f"{{S_{i}, S_{j}}} = {format_poly(r)}" for i, j, r in expected]
 
     def test_one_member_chain(self):
         h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u1],
