@@ -9,15 +9,13 @@ which is what the decision procedures certify against.  A decision identity
 builds one canonical form: the twisted Lie derivative X_g(L) - W L + L W, and
 the two sides of the hereditary identity, add their terms as raw local parts
 and words (``_product``, ``_twisted_parts``), and only the sum is
-canonicalized.
+canonicalized.  The local part of L W - W L is the commutator [E, W]
+(``operators.commutator``), which never forms the terms that cancel.
 
 Every non-local term is a word f0 d^-1 f1 ... d^-1 fk, and one rule multiplies
 a local operator into a word: E f0 = Q d + r gives
-E (f0 d^-1 w) = Q w + r d^-1 w, with the mirror rule on the right.  Division
-by d needs no Euclidean loop on either side.  On the right,
-sum a_k d^k = (sum_{k>=1} a_k d^(k-1)) d + a_0.  On the left, d Q + r with
-Q = sum q_k d^k has coefficient q_(k-1) + q_k' at d^k, so from the top down
-q_(n-1) = a_n, q_(k-1) = a_k - q_k' and r = a_0 - q_0'.
+E (f0 d^-1 w) = Q w + r d^-1 w, with the mirror rule on the right; both
+divisions by d live in ``operators``, with the Leibniz rule.
 
 NonlocalOp is the top of the operand tower (``tower``): a function or a local
 operator lifts to it.  It has no ``**``: ``nl_power`` runs the shared
@@ -39,32 +37,14 @@ from .errors import DepthOverflow, NotExact, NotInImage, ParseError, Unsupported
 from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
 from .jets import DiffPoly, Monomial, _from_numerators, accumulate, exponents
 from .linalg import _echelon_basis, _over_common_den
-from .operators import DiffOp, evo_apply_op, frechet, right_lcm
+from .operators import (DiffOp, _div_left_by_d, _div_right_by_d, commutator, evo_apply_op,
+                        frechet, right_lcm)
 from .ratfun import RatFun, _laurent
 from .tower import Tower, power
 
 Pair = Tuple[RatFun, RatFun]
 Triple = Tuple[RatFun, RatFun, RatFun]
 Word = Tuple[RatFun, ...]  # f0 d^-1 f1 ... d^-1 fk
-
-
-def _div_right_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
-    """op = Q*d + r with r a function; so op d^-1 = Q + r d^-1."""
-    # keys from the top down, as right_divide built them: DiffOp.__mul__ then
-    # meets its towers' zero terms before their keys exist and adds fewer
-    q = DiffOp({k - 1: op.coeffs[k] for k in sorted(op.coeffs, reverse=True) if k})
-    return q, op.coefficient(0)
-
-
-def _div_left_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
-    """op = d*Q + r with r a function; so d^-1 op = Q + d^-1 r."""
-    q: Dict[int, RatFun] = {}
-    qk = RatFun(0)  # after step k it holds q_(k-1); after step 0, r
-    for k in range(max(op.coeffs, default=0), -1, -1):
-        qk = op.coefficient(k) - qk.total_derivative() if qk else op.coefficient(k)
-        if k and qk:
-            q[k - 1] = qk
-    return DiffOp(q), qk
 
 
 class NonlocalOp(Tower):
@@ -376,27 +356,28 @@ def _twisted_parts(l: NonlocalOp, w: DiffOp, g) -> Tuple[List[DiffOp], List[Word
     if l.depth2:
         raise Unsupported("evolutionary action on depth-2 terms is not needed "
                           "and not defined here")
-    w_nl = NonlocalOp.from_local(w)
-    wl_local, wl_words = _product(w_nl, l)
-    lw_local, lw_words = _product(l, w_nl)
-    words: List[Word] = []
+    locals_ = [evo_apply_op(g, l.local), commutator(l.local, w)]
+    words, wl_words, lw_words = [], [], []
     for p, q in l.depth1:
         words += [(evo_apply(g, p), q), (p, evo_apply(g, q))]
-    return ([evo_apply_op(g, l.local), -wl_local, lw_local],
-            words + _negated(wl_words) + lw_words)
+        if w:
+            locals_ += [-_op_times_word(w, (p, q), wl_words),
+                        _word_times_op((p, q), w, lw_words)]
+    return locals_, words + _negated(wl_words) + lw_words
 
 
 def twisted_lie(l: NonlocalOp, w: DiffOp, g) -> NonlocalOp:
     """X_g(L) - [W, L] for a local operator W; the hereditary identity's bricks.
 
-    All three terms are added as raw local parts and words, and the sum is
-    canonicalized once.
+    X_g(L), the commutator [E, W] and the words of W L and L W are added as
+    raw local parts and words, and the sum is canonicalized once.
     """
     return _of_words(*_twisted_parts(l, w, g))
 
 
 def lie_derivative(l: NonlocalOp, f) -> NonlocalOp:
-    """X_f(L) - [D_f, L]; vanishes exactly when L is recursion for f."""
+    """X_f(L) - [D_f, L]; vanishes exactly when L is recursion for f.  It is
+    ``twisted_lie`` at W = D_f, so its local part [E, D_f] is one commutator."""
     f = DiffPoly.coerce(f) if not isinstance(f, RatFun) else f
     return twisted_lie(l, frechet(f), f)
 

@@ -5,17 +5,19 @@ D is the total derivative and multiplication obeys D*a = a*D + a'.  The ring
 is left and right Euclidean.  Both divisions are one loop, with the product
 order swapped; on top of them sit the right gcd that makes a right fraction
 A B^-1 minimal and the right lcm that puts several tails over one
-denominator.  A bidifferential operator is an operator here too, M_F over
-the formal slot F (``bidiff``), so left division is also its division.  In
-the operand tower (``tower``) a function lifts to the operator of degree 0,
-and a function times an operator scales its coefficients.
+denominator.  Division by d, on either side, needs no loop.  A bidifferential
+operator is an operator here too, M_F over the formal slot F (``bidiff``), so
+left division is also its division.  In the operand tower (``tower``) a
+function lifts to the operator of degree 0, and a function times an operator
+scales its coefficients.
 
 This class is where the Leibniz rule D^k a = sum_n comb(k, n) a^(n) D^(k-n)
-lives: products, adjoints and applications expand it, and the bidifferential
-operations and evolutionary fields of rational functions are built from
-them.  One rule sends the expansion to integers: every coefficient and
-operand involved is a Laurent polynomial (``ratfun._laurent``), that is a
-polynomial or a quotient by one monomial, such as the 1/q of B = (1/q) d.
+lives: products, commutators (with no n = 0 term), adjoints and applications
+expand it, and the bidifferential operations and evolutionary fields of
+rational functions are built from them.  One rule sends the expansion to
+integers: every coefficient and operand involved is a Laurent polynomial
+(``ratfun._laurent``), that is a polynomial or a quotient by one monomial,
+such as the 1/q of B = (1/q) d.
 The jet monomials' localisation is closed under d, so the expansion then
 runs on integer numerators: each operator's coefficients are put over the
 lcm of all their denominators, the towers d^n N stream through
@@ -30,8 +32,8 @@ from __future__ import annotations
 from math import comb, lcm
 from typing import Dict, Optional, Tuple
 
-from .jets import (Numerators, _add_products, _add_tower, _from_numerators, _small,
-                   _tower, accumulate)
+from .jets import (DiffPoly, Numerators, _add_products, _add_tower, _from_numerators,
+                   _partial, _small, _tower, accumulate)
 from .linalg import _over_common_den
 from .ratfun import RatFun, _content_of, _laurent, derivatives
 from .tower import Tower, power
@@ -138,20 +140,11 @@ class DiffOp(Tower):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        top = max(self.coeffs, default=0)
         ints_a, ints_b = _integer_form(self), _integer_form(other)
         if ints_a is not None and ints_b is not None:
             (na, den_a), (nb, den_b) = ints_a, ints_b
-            acc: Dict[int, Numerators] = {}
-            small_a = {k: _small(n_a) for k, n_a in na.items()}
-            for l, n_b in nb.items():
-                for n, level in _tower(n_b, top):
-                    small = _small(level)
-                    for k, n_a in na.items():
-                        if k >= n:
-                            _add_products(acc.setdefault(k - n + l, {}), n_a,
-                                          level, comb(k, n), small and small_a[k])
-            return _of_numerators(acc, den_a * den_b)
+            return _of_numerators(_add_leibniz({}, na, nb), den_a * den_b)
+        top = max(self.coeffs, default=0)
         # descending powers: the gcds that the sums meet, and so the cost,
         # must not depend on the order in which the factors were built
         towers = [(l, derivatives(other.coeffs[l], top))
@@ -207,11 +200,8 @@ class DiffOp(Tower):
         if ints is not None:
             na, den = ints
             acc: Dict[int, Numerators] = {}
-            for k, n_a in na.items():
-                sign = -1 if k % 2 else 1
-                for n, level in _tower(n_a, k):
-                    _add_products(acc.setdefault(k - n, {}), _UNIT, level,
-                                  sign * comb(k, n))
+            for k, n_a in na.items():  # (-1)^k D^k a_k
+                _add_leibniz(acc, {k: _UNIT}, {0: n_a}, 0, -1 if k % 2 else 1)
             return _of_numerators(acc, den)
         coeffs: Dict[int, RatFun] = {}
         for k, a in self.coeffs.items():
@@ -244,6 +234,35 @@ def _integer_form(op: DiffOp) -> Optional[Tuple[Dict[int, Numerators], int]]:
         den = lcm(den, p.den)
     return {k: p.nums if p.den == den else {m: c * (den // p.den) for m, c in p.nums.items()}
             for k, p in parts.items()}, den
+
+
+def _add_leibniz(acc: Dict[int, Numerators], na: Dict[int, Numerators],
+                 nb: Dict[int, Numerators], first: int = 0,
+                 sign: int = 1) -> Dict[int, Numerators]:
+    """acc after acc[k - n + l] += sign * comb(k, n) * a_k * d^n b_l for n >= first:
+    first = 0 is the product A*B, first = 1 leaves out its a_k b_l D^(k+l)."""
+    small_a = {k: _small(n_a) for k, n_a in na.items()}
+    for l, n_b in nb.items():
+        for n, level in _tower(n_b, max(na, default=0)):
+            if n >= first:
+                small = _small(level)
+                for k, n_a in na.items():
+                    if k >= n:
+                        _add_products(acc.setdefault(k - n + l, {}), n_a,
+                                      level, sign * comb(k, n), small and small_a[k])
+    return acc
+
+
+def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
+    """[A, B] = A*B - B*A.  The coefficients commute, so the terms a_k b_l
+    D^(k+l) of the two products cancel; on integer numerators they are never
+    formed, and other coefficients take the two products."""
+    ints_a, ints_b = _integer_form(a), _integer_form(b)
+    if ints_a is None or ints_b is None:
+        return a * b - b * a
+    (na, den_a), (nb, den_b) = ints_a, ints_b
+    acc = _add_leibniz(_add_leibniz({}, na, nb, 1), nb, na, 1, -1)
+    return _of_numerators(acc, den_a * den_b)
 
 
 def _of_numerators(acc: Dict[int, Numerators], den: int) -> DiffOp:
@@ -283,6 +302,30 @@ def _divide(a: DiffOp, b: DiffOp, times) -> Tuple[DiffOp, DiffOp]:
         q = q + piece
         r = r - times(piece)
     return q, r
+
+
+def _div_right_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
+    """op = Q*d + r with r a function; so op d^-1 = Q + r d^-1, and
+    sum a_k d^k = (sum_{k>=1} a_k d^(k-1)) d + a_0."""
+    # keys from the top down, as right_divide built them: DiffOp.__mul__ then
+    # meets its towers' zero terms before their keys exist and adds fewer
+    q = DiffOp({k - 1: op.coeffs[k] for k in sorted(op.coeffs, reverse=True) if k})
+    return q, op.coefficient(0)
+
+
+def _div_left_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
+    """op = d*Q + r with r a function; so d^-1 op = Q + d^-1 r.  d Q + r has
+    coefficient q_(k-1) + q_k' at d^k, so from the top down q_(k-1) = a_k - q_k'
+    and r = a_0 - q_0': on DiffPoly when every a_k is a Laurent polynomial."""
+    laurent = {k: _laurent(c) for k, c in op.coeffs.items()}
+    coeffs = op.coeffs if None in laurent.values() else laurent
+    q = {}
+    qk = zero = DiffPoly()  # after step k it holds q_(k-1); after step 0, r
+    for k in range(max(coeffs, default=0), -1, -1):
+        qk = coeffs.get(k, zero) - qk.total_derivative() if qk else coeffs.get(k, zero)
+        if k and qk:
+            q[k - 1] = qk
+    return DiffOp(q), RatFun.coerce(qk)
 
 
 def _left_clear_factor(op: DiffOp) -> RatFun:
@@ -372,6 +415,9 @@ def frechet(f, name: str = "u") -> DiffOp:
     top = f.top_order(name)
     if top is None:
         return DiffOp.zero()
+    p = _laurent(f)
+    if p is not None:
+        return _of_numerators({m: _partial(p.nums, name, m) for m in range(top + 1)}, p.den)
     return DiffOp({m: f.partial(name, m) for m in range(top + 1)})
 
 

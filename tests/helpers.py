@@ -365,6 +365,15 @@ def ref_twisted_lie(l, w, g, name="u"):
     return evo_on_nonlocal - (nl_mul(w_nl, l) - nl_mul(l, w_nl))
 
 
+def ref_lie_derivative(l, f, name="u"):
+    """X_f(L) - nl_mul(W, L) + nl_mul(L, W), W = D_f from the partials of f."""
+    f = RatFun.coerce(f)
+    top = f.top_order(name)
+    w = DiffOp({m: f.partial(name, m) for m in range(top + 1)}) if top is not None \
+        else DiffOp.zero()
+    return ref_twisted_lie(l, w, f, name)
+
+
 def ref_hereditary_residual(l):
     """LHS - RHS of the hereditary identity, each side canonical on its own:
     LHS = ref_twisted_lie(L, (D_A)_F, A(F)), RHS = L ref_twisted_lie(L, (D_B)_F, B(F))."""

@@ -10,18 +10,18 @@ from diffalg import (DiffOp, DiffPoly, Grading, NonlocalOp, RatFun,
                      conserved_densities, frechet, from_fraction_pair,
                      is_hereditary, is_recursion_for, jet, lie_derivative,
                      nl_mul, nl_power, nonlocal_ops, operator_from_json,
-                     operator_to_json, parity_class, parse_function,
-                     to_fraction)
+                     operator_to_json, operators, parity_class,
+                     parse_function, to_fraction)
 from diffalg.calculus import is_total_derivative
 from diffalg.corpus import ENTRIES
 from diffalg.errors import DepthOverflow, NotInImage, Unsupported
-from diffalg.nonlocal_ops import _div_left_by_d, _gather, _reduce_tensor, twisted_lie
-from diffalg.operators import left_divide
+from diffalg.nonlocal_ops import _gather, _reduce_tensor, twisted_lie
+from diffalg.operators import _div_left_by_d, _integer_form, left_divide
 from helpers import (_series_d_inverse, load_workloads, planted_inputs,
                      rand_op, rand_poly, rand_wnl, ref_gather,
-                     ref_hereditary_residual, ref_power, ref_reduce_tensor,
-                     ref_twisted_lie, series_expand, series_inverse,
-                     series_product)
+                     ref_hereditary_residual, ref_lie_derivative, ref_power,
+                     ref_reduce_tensor, ref_twisted_lie, series_expand,
+                     series_inverse, series_product)
 
 u, u1, u2, u3 = jet("u"), jet("u", 1), jet("u", 2), jet("u", 3)
 D = DiffOp.d()
@@ -327,6 +327,23 @@ class TestDivisionByD:
             assert r == want_r.coefficient(0)
             assert D * q + r == op
 
+    def test_integer_arm_matches_the_ratfun_arm(self, monkeypatch):
+        # Laurent coefficients run on DiffPoly; with _laurent refusing every
+        # coefficient the same operators take the RatFun loop
+        rng = random.Random(0xD1E)
+        laurent = (RatFun(1, u), RatFun(1, u3), RatFun(jet("F"), u), RatFun(u2, u1 * u1))
+        ops = [DiffOp.zero(), D]
+        for i in range(80):
+            op = rand_op(rng, max_deg=rng.randint(0, 5), nonzero=False)
+            ops.append(op + DiffOp({rng.randint(0, 5): rng.choice(laurent)}) if i % 2 else op)
+        got = [_div_left_by_d(op) for op in ops]
+        assert all(_integer_form(op) is not None for op in ops)
+        monkeypatch.setattr(operators, "_laurent", lambda f: None)
+        for op, (q, r) in zip(ops, got):
+            assert D * q + r == op
+            want_q, want_r = _div_left_by_d(op)
+            assert repr(q) == repr(want_q) and repr(r) == repr(want_r)
+
 
 class TestApplication:
     def test_kdv_chain_values(self):
@@ -403,6 +420,25 @@ class TestSingleCanonicalForm:
             w = rand_op(rng, max_deg=2, max_order=2, nonzero=False)
             g = rand_poly(rng, max_order=2, terms=2, names=("u", "F"))
             assert repr(twisted_lie(l, w, g)) == repr(ref_twisted_lie(l, w, g))
+
+    def test_lie_derivative_matches_the_two_products_on_the_corpus(self):
+        # every corpus operator, as built in and as the decide workload scales
+        # it, against the recorded flows and a few Laurent seeds
+        workloads = load_workloads()
+        flows = [*workloads.KDV_FLOWS, *workloads.MKDV_FLOWS,
+                 *(s for s, _ in workloads.COUNTEREXAMPLE_SEEDS),
+                 "u'^-1*u''", "u^-1", "u*u'''^-1"]
+        datas = [entry.operator_json for entry in ENTRIES.values()]
+        datas += workloads.inputs("decide", 7)["operators"].values()
+        outcomes = []
+        for data in datas:
+            l, _ = operator_from_json(data)
+            for flow in flows:
+                f = parse_function(flow)
+                got = lie_derivative(l, f)
+                assert repr(got) == repr(ref_lie_derivative(l, f)), flow
+                outcomes.append(got.is_zero())
+        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 100
 
     def test_hereditary_residuals_match_the_nested_form(self):
         rng = random.Random(0xE5D)

@@ -12,7 +12,7 @@ from diffalg import (DiffOp, DiffPoly, RatFun, frechet, jet, left_divide,
 from diffalg.calculus import evo_apply
 from diffalg.jets import EXPONENT_LIMIT, exponents, monomial
 from diffalg.ratfun import derivatives
-from diffalg.operators import FractionPair, _integer_form, helmholtz_residual
+from diffalg.operators import FractionPair, _integer_form, commutator, helmholtz_residual
 
 from helpers import from_terms, left_gcd, rand_op, rand_poly
 
@@ -321,6 +321,50 @@ class TestIntegerKernel:
         assert repr(b * b) == repr(ref_mul(b, b)) and not ratfun_arm
 
 
+class TestCommutator:
+    """commutator(a, b) forms no term a_k b_l D^(k+l); a*b - b*a is its reference."""
+
+    def test_matches_the_two_products(self, monkeypatch):
+        rng = random.Random(0xC0A)
+        F = jet("F")
+        laurent = (RatFun(1, u), RatFun(1, u3), RatFun(F, u), RatFun(u1 * F + 2, u3))
+        ratfun_arm = watch_ratfun_arm(monkeypatch)
+        for i in range(60):
+            a, b = rand_op(rng, max_deg=3), rand_op(rng, max_deg=3)
+            if i % 3:  # a Laurent coefficient on one side, F jets on the other
+                a = a + DiffOp({rng.randint(0, 3): rng.choice(laurent)})
+                b = b + DiffOp({rng.randint(0, 3): RatFun(rand_poly(
+                    rng, max_order=2, max_degree=2, terms=2, names=("u", "F"), nonzero=True))})
+            a, b = (a, b) if i % 2 else (b, a)
+            same(commutator(a, b), a * b - b * a)
+        same(commutator(a, a), DiffOp.zero())
+        assert not ratfun_arm
+        # a denominator that is not a monomial takes the two products
+        c = DiffOp({1: RatFun(u1, u + 1), 0: RatFun(u)})
+        assert _integer_form(c) is None
+        for b in (D, DiffOp({2: RatFun(1, u), 0: RatFun(u1)})):
+            ratfun_arm.clear()
+            same(commutator(c, b), c * b - b * c)
+            assert ratfun_arm
+
+    def test_cancelling_terms_cannot_overflow(self):
+        # [u^x d, u^y] = y u^(x+y-1) u': both products hold u^(x+y) d, which
+        # leaves the exponent range when x + y = EXPONENT_LIMIT; the
+        # commutator never forms it, and still checks every term it forms
+        x = EXPONENT_LIMIT // 2
+        a = DiffOp({1: RatFun(DiffPoly.jet("u", 0, x))})
+        for y, fits in ((EXPONENT_LIMIT - x, True), (EXPONENT_LIMIT - x + 1, False)):
+            b = DiffOp.of_function(DiffPoly.jet("u", 0, y))
+            with pytest.raises(OverflowError):
+                a * b
+            if fits:
+                assert commutator(a, b) == DiffOp.of_function(
+                    y * DiffPoly.jet("u", 0, x + y - 1) * u1)
+            else:
+                with pytest.raises(OverflowError):
+                    commutator(a, b)
+
+
 class TestDivision:
     def test_right_examples(self):
         q, r = right_divide(D * D, D)
@@ -428,6 +472,19 @@ class TestFrechet:
         for _ in range(25):
             f = rand_poly(rng)
             assert frechet(f.total_derivative()) == D * frechet(f)
+
+    def test_integer_arm_matches_the_partials(self):
+        # a Laurent f, over 1 or over a monomial, takes jets._partial per order
+        rng = random.Random(0xF2E)
+        for i in range(40):
+            p = rand_poly(rng, max_order=3, terms=3, names=("u", "F"), nonzero=True)
+            f = (p, RatFun(p, u3), RatFun(p, u * u1), p * DiffPoly.jet("u", 1, -2))[i % 4]
+            for name in ("u", "F"):
+                g = RatFun.coerce(f)
+                top = g.top_order(name)
+                want = DiffOp({m: g.partial(name, m) for m in range(top + 1)}) \
+                    if top is not None else DiffOp.zero()
+                same(frechet(f, name), want)
 
     def test_defining_identity(self, rng):
         # D_f(g) = X_g(f)

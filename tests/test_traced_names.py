@@ -6,9 +6,11 @@ reads the same table, without installing the tracer, so a deleted or renamed
 name fails in the tier-1 suite as well.  A name that is present but bound to
 another object than the one the package calls would still count nothing, so
 one more test installs the tracer in a child process and checks the counts
-of the rational layer, which ``jets`` only re-exports, and of the ``powers``
+of the rational layer, which ``jets`` only re-exports, of the ``powers``
 workload at seed 1, whose second KdV^8 reads the squares kept on its operator
-(9 products, where building KdV^8 twice would make 12).
+(9 products, where building KdV^8 twice would make 12), and of the ``decide``
+workload at seed 1, whose commutators form no operator product and whose
+divisions by d take no RatFun derivative.
 """
 
 import importlib
@@ -73,10 +75,19 @@ tracer.active = True
 ops = workloads.run_powers(diffalg, built)
 tracer.active = False
 failures = workloads.check(diffalg, inputs, ops, False)[0]
-powers = {key: value - rational[key] for key, value in tracer.metrics().items()
+before = tracer.metrics()
+powers = {key: value - rational[key] for key, value in before.items()
           if key.endswith(".calls")}
-print(json.dumps({"absent": tracer.absent, "layers": rational,
-                  "powers": powers, "failures": failures}))
+inputs = workloads.inputs("decide", 1)
+built = workloads.build(diffalg, inputs)
+tracer.active = True
+ops = workloads.run_decide(diffalg, built)
+tracer.active = False
+failures += workloads.check(diffalg, inputs, ops, False)[0]
+decide = {key: value - before[key] for key, value in tracer.metrics().items()
+          if key.endswith(".calls")}
+print(json.dumps({"absent": tracer.absent, "layers": rational, "powers": powers,
+                  "decide": decide, "failures": failures}))
 """
 
 
@@ -98,3 +109,7 @@ def test_tracer_counts_the_rational_layer_through_jets():
     assert out["failures"] == []
     assert out["powers"]["nonlocal_ops.nl_mul.calls"] == 9
     assert out["powers"]["nonlocal_ops.nl_power.calls"] == 4
+    # [E, W] is one commutator, not the two products W E and E W, and d^-1
+    # divides Laurent coefficients on DiffPoly
+    assert out["decide"]["operators.DiffOp.__mul__.calls"] == 67
+    assert out["decide"]["jets.RatFun.total_derivative.calls"] == 0
