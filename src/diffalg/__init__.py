@@ -17,10 +17,10 @@ from .operators import (DiffOp, FractionPair, frechet, left_divide,
                         right_lcm)
 from .bidiff import (compose_left, compose_right, frechet_of_op,
                      is_skewsymmetric, left_divide_bidiff, transpose)
-from .nonlocal_ops import (Grading, NonlocalOp, ParityClass,
-                           from_fraction_pair, is_recursion_for, lie_derivative,
-                           nl_apply, nl_mul, nl_power, operator_from_json,
-                           operator_to_json, parity_class, to_fraction)
+from .nonlocal_ops import (NonlocalOp, from_fraction_pair, is_recursion_for,
+                           lie_derivative, nl_apply, nl_mul, nl_power, to_fraction)
+from .schema import (Grading, ParityClass, operator_from_json, operator_to_json,
+                     parity_class)
 from .integrability import (Refutation, Verdict, Witness, is_hereditary,
                             is_integrable_diffop, is_integrable_pair,
                             is_integrable_wnl, lie_defect)

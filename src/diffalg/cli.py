@@ -19,8 +19,9 @@ from .errors import (DepthOverflow, DiffAlgError, NotInImage, NotVariational,
 from .grammar import format_poly, parse_function
 from .hierarchy import Hierarchy, conserved_densities, density_report
 from .integrability import is_hereditary, is_integrable_wnl
-from .nonlocal_ops import lie_derivative, nl_power, operator_to_json
+from .nonlocal_ops import lie_derivative, nl_power
 from .operators import helmholtz_residual
+from .schema import power_to_json
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -104,7 +105,7 @@ def cmd_densities(args) -> int:
 def cmd_power(args) -> int:
     operator, grading = load_operator(args.op)
     lk = nl_power(operator, args.power)
-    data = {"power": args.power, "operator": operator_to_json(lk, grading)}
+    data = power_to_json(args.power, lk, grading)
     if args.verify:
         # structure facts of the power: weak non-locality is enforced by
         # nl_power itself; check every tail slot is a variational derivative

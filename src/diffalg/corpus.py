@@ -12,7 +12,8 @@ import json
 import os
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .nonlocal_ops import Grading, NonlocalOp, local_from_json, operator_from_json
+from .nonlocal_ops import NonlocalOp
+from .schema import Grading, document_from_json, local_from_json, operator_from_json
 
 
 class CorpusEntry(NamedTuple):
@@ -113,16 +114,12 @@ def load_operator(spec: str) -> Tuple[NonlocalOp, Grading]:
 
     An existing path is always read as a file.  Only a bare builtin name (no
     directory part, no ``.json``) resolves to a builtin, so a mistyped path
-    is an error, never a builtin's verdict.  The {"power", "operator"} object
-    that ``diffalg power`` prints is unwrapped; any other object goes to the
-    schema as it is, which refuses a key it does not know.
+    is an error, never a builtin's verdict.  A file may also hold what
+    ``diffalg power`` prints (``schema.document_from_json``).
     """
     if os.path.exists(spec):
         with open(spec) as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and data.keys() == {"power", "operator"}:
-            data = data["operator"]
-        return operator_from_json(data)
+            return document_from_json(json.load(fh))
     if spec in ENTRIES:
         return ENTRIES[spec].load()
     raise FileNotFoundError(

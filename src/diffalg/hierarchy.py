@@ -17,8 +17,8 @@ from .grammar import format_poly, format_ratfun
 from .jets import DiffPoly
 from .ratfun import RatFun, diff_order
 from .operators import DiffOp
-from .nonlocal_ops import (Grading, NonlocalOp, nl_apply, nl_power,
-                           parity_class, to_fraction)
+from .nonlocal_ops import NonlocalOp, from_fraction_pair, nl_apply, nl_power, to_fraction
+from .schema import Grading, parity_class
 
 START_OFFSET_NOTE = ("chain starts at the seed S0 = A(F0) for F0 in Ker B, one "
                      "application past the kernel itself")
@@ -76,7 +76,6 @@ class Hierarchy:
         """Pair form: iterate potentials H with B(H_next) = A(H); needs B = d."""
         if b != DiffOp.d():
             raise DiffAlgError("the pair engine only solves B = d exactly")
-        from .nonlocal_ops import from_fraction_pair
         l = from_fraction_pair(a, b)
         s0 = b.apply(start)
         return Hierarchy(operator=l, seeds=seeds(l), chain=[DiffPoly.coerce(s0)],

@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 from .bidiff import (SLOT, compose_left, compose_right, frechet_of_op,
                      is_skewsymmetric, left_divide_bidiff)
 from .errors import Unsupported, VerificationFailed
+from .grammar import format_ratfun
 from .jets import DiffPoly
 from .ratfun import RatFun
 from .operators import (DiffOp, FractionPair, evo_apply_op, frechet,
@@ -175,7 +176,6 @@ def is_integrable_wnl(l: NonlocalOp) -> Verdict:
     for _, q in l.depth1:
         residual = helmholtz_residual(q)
         if residual:
-            from .grammar import format_ratfun
             return Verdict(False, Refutation(
                 f"q = {format_ratfun(q)} not a variational derivative",
                 residual=residual))

@@ -23,23 +23,24 @@ repeated squaring with a product that refuses a depth-2 result.
 
 No decision path depends on a truncation depth; the truncated
 pseudodifferential series that cross-check these products live with the
-tests.
+tests.  The JSON schema that reads and writes these operators, and the
+grading it carries, live in ``schema``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .calculus import basis_mod_total_derivatives, evo_apply, integrate
-from .errors import DepthOverflow, NotExact, NotInImage, ParseError, Unsupported
-from .grammar import MAX_EXPONENT, format_poly, format_ratfun, parse_function
-from .jets import DiffPoly, Monomial, _from_numerators, accumulate, exponents
+from .errors import DepthOverflow, NotExact, NotInImage, Unsupported
+from .grammar import format_poly, format_ratfun
+from .jets import DiffPoly, _from_numerators, exponents
 from .linalg import _echelon_basis, _over_common_den
 from .operators import (DiffOp, _div_left_by_d, _div_right_by_d, commutator, evo_apply_op,
                         frechet, right_lcm)
-from .ratfun import RatFun, _laurent
+from .ratfun import RatFun
 from .tower import Tower, power
 
 Pair = Tuple[RatFun, RatFun]
@@ -435,173 +436,10 @@ def from_fraction_pair(a: DiffOp, b: DiffOp) -> NonlocalOp:
                       "this fraction to weakly non-local form")
 
 
-# -- parity --------------------------------------------------------------------------------
+# The benchmark's tracer keys the schema's reader as ``nonlocal_ops.operator_from_json``,
+# so it stays bound here as the same object, after the algebra ``schema`` imports.
+from .schema import operator_from_json
 
-
-class Grading:
-    """Z/2 grading: each indeterminate's base gets a parity, the derivative is odd."""
-
-    def __init__(self, parities: Dict[str, str]):
-        self.parities = {}
-        for name, p in parities.items():
-            if p not in ("even", "odd"):
-                raise ValueError(f"grading[{name!r}] must be 'even' or 'odd', "
-                                 f"got {p!r}")
-            self.parities[name] = 0 if p == "even" else 1
-
-    def base_parity(self, name: str) -> int:
-        if name not in self.parities:
-            raise ValueError(f"grading does not assign a parity to {name!r}")
-        return self.parities[name]
-
-    def of_monomial(self, m: Monomial) -> int:
-        return sum(e * (self.base_parity(v[1]) + v[0]) for v, e in exponents(m)) % 2
-
-    def of_poly(self, f: DiffPoly) -> Optional[int]:
-        """0 (even), 1 (odd), or None for mixed; zero counts as both, reported 0."""
-        seen = {self.of_monomial(m) for m in f.nums}
-        if len(seen) > 1:
-            return None
-        return seen.pop() if seen else 0
-
-    def of_ratfun(self, r: RatFun) -> Optional[int]:
-        pn, pd = self.of_poly(r.num), self.of_poly(r.den)
-        if pn is None or pd is None:
-            return None
-        return (pn - pd) % 2
-
-
-class ParityClass(NamedTuple):
-    """Membership in the even-operator class with odd p's and even q's.
-
-    ``member`` is the standard class (E even, p_i odd, q_i even);
-    ``member_switched`` is the variant with the p and q parities exchanged
-    (E still even).  ``detail`` names the first failing component.
-    """
-
-    member: bool
-    member_switched: bool
-    detail: str = ""
-
-
-def _op_parity(e: DiffOp, grading: Grading) -> Optional[int]:
-    seen = set()
-    for k, c in e.coeffs.items():
-        p = grading.of_ratfun(c)
-        if p is None:
-            return None
-        seen.add((p + k) % 2)
-        if len(seen) > 1:
-            return None
-    return seen.pop() if seen else 0
-
-
-def parity_class(l: NonlocalOp, grading: Grading) -> ParityClass:
-    if l.depth2:
-        return ParityClass(False, False, "depth-2 terms present")
-    e_parity = _op_parity(l.local, grading)
-    if e_parity is None or e_parity != 0:
-        return ParityClass(False, False, "local part is not even")
-    member = True
-    switched = True
-    detail = ""
-    for p, q in l.depth1:
-        pp, pq = grading.of_ratfun(p), grading.of_ratfun(q)
-        if pp != 1 or pq != 0:
-            if member:
-                detail = (f"pair ({format_ratfun(p)}, {format_ratfun(q)}) is "
-                          f"not odd (x) even")
-            member = False
-        if pp != 0 or pq != 1:
-            switched = False
-    return ParityClass(member, switched, detail)
-
-
-# -- JSON operator schema -------------------------------------------------------------------
-
-
-def _ratfun_to_expr(r: RatFun) -> str:
-    p = _laurent(r)
-    if p is None:
-        raise Unsupported("coefficient denominators must be monomials to serialize")
-    return format_poly(p)
-
-
-def operator_to_json(l: NonlocalOp, grading: Optional[Grading] = None) -> dict:
-    if l.depth2:
-        raise Unsupported("depth-2 terms are internal only and never serialized")
-    data = {
-        "local": [[_ratfun_to_expr(c), k] for k, c in sorted(l.local.coeffs.items())],
-        "nonlocal": [[_ratfun_to_expr(p), _ratfun_to_expr(q)]
-                     for p, q in l.depth1],
-    }
-    if grading is not None:
-        data["grading"] = {name: ("even" if p == 0 else "odd")
-                           for name, p in grading.parities.items()}
-    return data
-
-
-def _schema_pairs(entries, field: str, shape: str, check) -> list:
-    """entries, the schema's field, as a list of pairs; the ValueError names
-    the first bad entry."""
-    if not isinstance(entries, (list, tuple)):
-        raise ValueError(f"{field} must be a list of {shape}, got "
-                         + type(entries).__name__)
-    for i, entry in enumerate(entries):
-        try:
-            ok = isinstance(entry, (list, tuple)) and len(entry) == 2 and check(*entry)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValueError(f"{field}[{i}] must be {shape}, got {entry!r}")
-    return entries
-
-
-def _power(k) -> int:
-    """A schema power as an int: "2" and 2.0 are integral, 1.5 is not."""
-    n = int(k)
-    if isinstance(k, float) and n != k:
-        raise ValueError(f"{k!r} is not an integer")
-    return n
-
-
-def _parse_field(expr: str, field: str) -> RatFun:
-    """The function a schema expression denotes; a parse error names its field."""
-    try:
-        return RatFun(parse_function(expr))
-    except ParseError as exc:
-        raise ParseError(f"{field}: {exc.message}", exc.position) from None
-    except OverflowError as exc:
-        raise OverflowError(f"{field}: {exc}") from None
-
-
-def local_from_json(entries, field: str = "local") -> DiffOp:
-    """The local operator sum e_i d^k_i listed as [[e_i, k_i], ...], where
-    terms of one power add up; a ValueError or ParseError names the field."""
-    terms: Dict[int, RatFun] = {}
-    entries = _schema_pairs(entries, field,
-                            f"[expression string, integer power 0..{MAX_EXPONENT}]",
-                            lambda e, k: isinstance(e, str) and 0 <= _power(k) <= MAX_EXPONENT)
-    for i, (expr, power) in enumerate(entries):
-        accumulate(terms, _power(power), _parse_field(expr, f"{field}[{i}]"))
-    return DiffOp(terms)
-
-
-def operator_from_json(data: dict) -> Tuple[NonlocalOp, Grading]:
-    if not isinstance(data, dict):
-        raise ValueError("the operator schema must be a JSON object, got "
-                         + type(data).__name__)
-    for key in data:
-        if key not in ("local", "nonlocal", "grading"):
-            raise ValueError(f"unknown operator schema key {key!r}; "
-                             "expected local, nonlocal or grading")
-    local = local_from_json(data.get("local", []))
-    tails = _schema_pairs(data.get("nonlocal", []), "nonlocal", "[p string, q string]",
-                          lambda p, q: isinstance(p, str) and isinstance(q, str))
-    pairs = [(_parse_field(p, f"nonlocal[{i}] p"), _parse_field(q, f"nonlocal[{i}] q"))
-             for i, (p, q) in enumerate(tails)]
-    grading = data.get("grading", {"u": "even"})
-    if not isinstance(grading, dict):
-        raise ValueError("grading must be an object mapping names to parities, got "
-                         + type(grading).__name__)
-    return NonlocalOp(local, tuple(pairs)), Grading(grading)
+__all__ = ["NonlocalOp", "from_fraction_pair", "is_recursion_for", "lie_derivative",
+           "nl_apply", "nl_mul", "nl_power", "operator_from_json", "to_fraction",
+           "twisted_lie"]

@@ -12,7 +12,7 @@ import pytest
 from diffalg import is_hereditary, is_integrable_wnl, is_recursion_for, parse_function
 from diffalg.cli import main
 from diffalg.corpus import ENTRIES, builtin_names, load_operator
-from diffalg.nonlocal_ops import operator_to_json
+from diffalg.schema import operator_to_json
 
 
 def run(capsys, *argv):
@@ -126,6 +126,7 @@ class TestVerdictCommands:
         ({"local": [["u", -1]]}, "local[0] must be"),
         ({"local": [["u", 1.5]]}, "local[0] must be [expression string"),
         ({"local": [["u", "1.5"]]}, "local[0] must be [expression string"),
+        ({"local": [["u", True]]}, "local[0] must be [expression string"),
         ({"local": [["1", 10000000000]]}, "local[0] must be [expression string, "
                                            "integer power 0..10000]"),
         ({"local": [["u", 0], ["1", 10001]]}, "local[1] must be [expression string"),
@@ -133,12 +134,14 @@ class TestVerdictCommands:
         ({"nonlocal": [["u"]]}, "nonlocal[0] must be [p string, q string]"),
         ({"grading": "even"}, "grading must be an object"),
         ({"grading": {"u": "neither"}}, "grading['u'] must be 'even' or 'odd'"),
+        ({"grading": {"v": "even"}}, "grading does not assign a parity to 'u'"),
         ({"locl": [["2*u", 0], ["1", 2]], "nonlocal": [["u'", "1"]]},
          "unknown operator schema key 'locl'"),
     ], ids=["expr-not-string", "power-not-integer", "second-entry", "negative-power",
-            "power-fractional", "power-fractional-string", "power-past-the-bound",
-            "power-just-past-the-bound", "local-not-list",
-            "nonlocal-short", "grading-not-object", "bad-parity", "unknown-key"])
+            "power-fractional", "power-fractional-string", "power-boolean",
+            "power-past-the-bound", "power-just-past-the-bound", "local-not-list",
+            "nonlocal-short", "grading-not-object", "bad-parity", "grading-without-u",
+            "unknown-key"])
     def test_schema_errors_name_the_field(self, capsys, tmp_path, schema, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(schema))

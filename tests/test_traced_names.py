@@ -10,7 +10,9 @@ of the rational layer, which ``jets`` only re-exports, of the ``powers``
 workload at seed 1, whose second KdV^8 reads the squares kept on its operator
 (9 products, where building KdV^8 twice would make 12), and of the ``decide``
 workload at seed 1, whose commutators form no operator product and whose
-divisions by d take no RatFun derivative.
+divisions by d take no RatFun derivative.  The traced
+``nonlocal_ops.operator_from_json`` is the reader of ``schema`` bound once
+more, and a test checks that it is that very object.
 """
 
 import importlib
@@ -51,6 +53,14 @@ def test_traced_name_is_a_callable_of_the_package(module, qualname):
         assert callable(vars(owner).get(attr)), f"{owner_name} defines no {attr}"
     else:
         assert callable(getattr(mod, attr, None)), f"diffalg.{module} has no {attr}"
+
+
+def test_the_traced_reader_is_the_schema_reader():
+    # the tracer wraps every binding of the object it finds in nonlocal_ops; a
+    # wrapper or a copy bound there would pass the name check and count nothing
+    from diffalg import nonlocal_ops, schema
+    assert nonlocal_ops.operator_from_json is schema.operator_from_json
+    assert diffalg.operator_from_json is schema.operator_from_json
 
 
 CHILD = r"""
