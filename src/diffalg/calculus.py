@@ -33,10 +33,9 @@ from math import gcd, lcm
 from typing import Dict, Sequence, Tuple
 
 from .errors import NotExact, NotVariational, Unsupported, VerificationFailed
-from .jets import (EXPONENT_LIMIT, _FIELD, _JETS, _ONE_MONO, _W, DiffPoly,
-                   _add_products, _add_tower, _derivative, _digit, _field,
-                   _fields, _from_numerators, _partial, _small, _tower,
-                   accumulate, exponents, monomial)
+from .jets import (EXPONENT_LIMIT, _ONE_MONO, DiffPoly, _add_products, _add_tower,
+                   _derivative, _exponent, _from_numerators, _jet_pairs, _partial,
+                   _shift, _small, _tower, accumulate, exponents, monomial)
 from .ratfun import RatFun, _laurent
 from .linalg import _rref
 from .operators import frechet, helmholtz_residual
@@ -179,7 +178,7 @@ def variational_derivative(f: DiffPoly, name: str = "u") -> DiffPoly:
 
 def _leader(m: int) -> Tuple[int, str]:
     """The highest jet of a monomial; (-1, "") for the monomial 1."""
-    return max((_JETS[i] for i, _ in _fields(m)), default=(-1, ""))
+    return max((v for v, _ in _jet_pairs(m)), default=(-1, ""))
 
 
 def _integrate_reduce(f: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
@@ -209,14 +208,13 @@ def _integrate_reduce(f: DiffPoly) -> Tuple[DiffPoly, DiffPoly]:
         if steps > 10_000:
             raise AssertionError("integration reduction failed to terminate")
         var = max(rest)
-        top, i = rest[var], _FIELD.get(var)
-        if var[0] <= 0 or any(_digit(m, i) != 1 for m in top) or not single and any(
-                _JETS[j][0] == var[0] for m in top for j, _ in _fields(m) if j != i):
+        top = rest[var]
+        if var[0] <= 0 or any(_exponent(m, var) != 1 for m in top) or not single and any(
+                v[0] == var[0] for m in top for v, _ in _jet_pairs(m) if v != var):
             break
-        b = _field(below := (var[0] - 1, var[1]))
-        lift, peel, scale = (1 << _W * b) - (1 << _W * i), [], 1
+        lift, peel, scale = -_shift(below := (var[0] - 1, var[1])), [], 1
         for m, n in top.items():
-            e = _digit(m, b) + 1
+            e = _exponent(m, below) + 1
             if not e:
                 raise Unsupported(
                     "antiderivative of a -1 Laurent exponent is not polynomial")

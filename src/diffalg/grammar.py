@@ -189,7 +189,7 @@ def _parse_factor(s: _Scanner) -> DiffPoly:
         _check_power(atom, e)
         if e < 0:
             if atom.is_constant():
-                value = atom.constant_value()
+                value = atom.constant_term()
                 if value == 0:
                     raise ParseError("zero to a negative power", s.pos)
                 return DiffPoly.const(value ** e)

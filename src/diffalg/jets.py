@@ -24,6 +24,13 @@ monomials (the leading term, the printer, pivot columns) compares their
 decoded views, ``exponents(m)``: the ((order, name), exp) pairs sorted
 descending, compared as tuples, with higher jets more significant.
 
+No other module knows this layout: there a monomial is a value that ``+``
+and ``-`` multiply and divide, built by ``monomial`` and read through
+``exponents`` (cached), ``_jet_pairs`` and ``_exponent`` (uncached),
+``_jets_in``, ``_per_jet`` (a per-jet min or max: the gcd or lcm),
+``_divides``, ``_clearing_monomial`` and ``_shift``; ``_small``, ``_check``
+and ``_guard`` are the kernels' range contracts.
+
 At rest, a DiffPoly is integer numerators over one denominator: ``nums``
 maps each monomial to a nonzero int and ``den`` is an int > 0 with
 gcd(den, *nums) = 1, so den is the lcm of the coefficients' denominators
@@ -34,17 +41,14 @@ printer).  The kernels below work on these {monomial: numerator} dicts:
 differentiate plain ints, a sum merges two dicts over the lcm of the
 denominators, a product by a constant or a single term scales the ints, and
 ``_from_numerators`` is the one normaliser (zero sums out, the common factor
-of den and the numerators divided out).  Since
-D(N/den) = D(N)/den, a derivative keeps its polynomial's den.
-``_derivative`` has two decodes: on a polynomial (``_small``: every exponent
-in [0, 2**13)) it peels each monomial's fields from the top, the highest set
-bit marking the top field, with no sign fix-up and no range check; on any
-other dict (a Laurent polynomial, a wider exponent) it peels signed digits
-from the bottom, as ``_fields`` does, and ``_check``s the result.  ``_tower``
-streams d^k N and is the only integer derivative tower; ``_add_tower`` adds
-sum_k c_k d^k N on it for ``DiffOp.apply`` and the evolutionary fields of
-``calculus``, whose ``brackets`` share one stream.  The Q-linear kernels
-(echelon forms, linear bases) live in ``linalg``.
+of den and the numerators divided out).  Since D(N/den) = D(N)/den, a
+derivative keeps its polynomial's den.  ``_derivative`` peels a ``_small``
+polynomial's fields from the top, and any other dict's signed digits from
+the bottom, with a ``_check``.  ``_tower`` streams d^k N and is the only
+integer derivative tower; ``_add_tower`` adds sum_k c_k d^k N on it for
+``DiffOp.apply`` and the evolutionary fields of ``calculus``, whose
+``brackets`` share one stream.  The Q-linear kernels (echelon forms, linear
+bases) live in ``linalg``.
 
 Everything here is immutable after construction and all operations are pure;
 the one shared state is the jet index, which only grows.
@@ -56,7 +60,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import or_
+from operator import and_, or_
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .tower import Tower, power
@@ -133,7 +137,12 @@ def _fields(m: Monomial) -> List[Tuple[int, int]]:
 def exponents(m: Monomial) -> Tuple[Tuple[JetKey, int], ...]:
     """The decoded view of a monomial: its ((order, name), exp) pairs sorted
     descending.  Comparing these tuples is the canonical monomial order."""
-    return tuple(sorted(((_JETS[i], e) for i, e in _fields(m)), reverse=True))
+    return tuple(sorted(_jet_pairs(m), reverse=True))
+
+
+def _jet_pairs(m: Monomial) -> List[Tuple[JetKey, int]]:
+    """The ((order, name), exp) pairs of a monomial, unsorted and uncached."""
+    return [(_JETS[i], e) for i, e in _fields(m)]
 
 
 def _small(keys) -> bool:
@@ -169,17 +178,64 @@ def _guard(out: dict, a, b) -> dict:
     return out
 
 
-def _support(keys) -> Set[int]:
-    """The fields of the jets that occur in these monomials."""
+def _jets_in(keys) -> Set[JetKey]:
+    """The jets that occur in these monomials."""
     x = reduce(or_, keys, 0)
     if x >= 0 and not x & _WIDE:  # no negative digit, so the OR keeps every field
-        return {i for i, _ in _fields(x)}
-    return {i for m in keys for i, _ in _fields(m)}
+        return {_JETS[i] for i, _ in _fields(x)}
+    return {_JETS[i] for m in keys for i, _ in _fields(m)}
 
 
 def _digit(m: Monomial, i: int) -> int:
     """The exponent in field i."""
     return (((m + _HALVES) >> (_W * i)) & _MASK) - _HALF
+
+
+def _exponent(m: Monomial, v: JetKey) -> int:
+    """The exponent of the jet v in m."""
+    return _digit(m, _FIELD[v]) if v in _FIELD else 0
+
+
+def _per_jet(pick, monos: Iterable[Monomial]) -> Monomial:
+    """Each jet's pick (min or max) of its exponents in these monomials, a jet
+    that one lacks counting as 0: on polynomials, their gcd or lcm.  With 2**15
+    added to each field, a - b + 2**15 borrows from no field and sets the top
+    bit of exactly the fields where a >= b: one subtraction compares them all."""
+    halves, flip, out = _HALVES, -1 if pick is min else 0, None
+    for m in monos:
+        m += halves
+        if out is None:
+            out = m
+        else:
+            ge = ((out - m + halves) & halves) >> (_W - 1)  # bit 0 where out >= m
+            keep = ((ge << _W) - ge) ^ flip  # the fields that out keeps, whole
+            out = out & keep | m & ~keep
+    return 0 if out is None else out - halves
+
+
+def _divides(a: Monomial, b: Monomial) -> bool:
+    """Whether no exponent of a exceeds b's, tested as in ``_per_jet``."""
+    return (b - a + _HALVES) & _HALVES == _HALVES
+
+
+def _clearing_monomial(polys: Iterable[DiffPoly]) -> Monomial:
+    """The least monomial whose product with each of these Laurent polynomials
+    is a polynomial: minus the most negative exponent of every jet.
+
+    With 2**15 added to every field, a digit is negative exactly when the top
+    bit of its field is clear, so one AND over the shifted monomials finds
+    the fields that hold a negative digit; only those are decoded.
+    """
+    halves = _HALVES
+    shifted = [m + halves for p in polys if not _small(p.nums) for m in p.nums]
+    neg = halves & ~reduce(and_, shifted, halves)
+    shift = 0
+    while neg:
+        top = neg.bit_length() - 1
+        neg ^= 1 << top
+        s = top & -_W  # the field's lowest bit
+        shift += (_HALF - min((t >> s) & _MASK for t in shifted)) << s
+    return shift
 
 
 # A field's lowest bit -> unit(next jet) - unit(jet): adding it to a monomial
@@ -193,6 +249,12 @@ def _new_shift(s: int) -> int:
     order, name = _JETS[s >> _LOG_W]
     shift = _SHIFT[s] = (1 << (_W * _field((order + 1, name)))) - (1 << s)
     return shift
+
+
+def _shift(v: JetKey) -> Monomial:
+    """The ``_SHIFT`` of v's field: adding it trades a power of v for one of v'."""
+    s = _W * _field(v)
+    return _SHIFT.get(s) or _new_shift(s)
 
 
 class DiffPoly(Tower):
@@ -250,26 +312,19 @@ class DiffPoly(Tower):
     def is_one(self) -> bool:
         return self.den == 1 and self.nums == _ONE.nums
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.constant_term()
-
     def constant_term(self) -> Fraction:
         return Fraction(self.nums.get(_ONE_MONO, 0), self.den)
 
     def indets(self) -> List[str]:
-        return sorted({_JETS[i][1] for i in _support(self.nums)})
+        return sorted({name for _, name in _jets_in(self.nums)})
 
     def top_order(self, name: Optional[str] = None) -> Optional[int]:
         """Highest jet order present, optionally restricted to one indeterminate."""
-        orders = [_JETS[i][0] for i in _support(self.nums)
-                  if name is None or _JETS[i][1] == name]
+        orders = [o for o, n in _jets_in(self.nums) if name is None or n == name]
         return max(orders) if orders else None
 
     def has_negative_exponent(self) -> bool:
-        return not _small(self.nums) and any(
-            e < 0 for m in self.nums for _, e in _fields(m))
+        return bool(_clearing_monomial((self,)))
 
     def leading(self) -> Tuple[Monomial, Fraction]:
         if not self.nums:

@@ -14,7 +14,7 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .jets import _ONE, _W, DiffPoly, _fields, _scale, exponents
+from .jets import _ONE, DiffPoly, _per_jet, _scale, exponents
 from .ratfun import RatFun, _poly_divexact, poly_lcm
 
 
@@ -96,11 +96,7 @@ def _over_common_den(fs: Sequence) -> Tuple[List[DiffPoly], DiffPoly]:
         den = reduce(poly_lcm, dens)
         return [r.num if r.den == den else r.num * _poly_divexact(den, r.den)
                 for r in rats], den
-    top: Dict[int, int] = {}
-    for d in dens:
-        for i, e in _fields(*d.nums):
-            top[i] = max(top.get(i, 0), e)
-    lcm_mono = sum(e << (_W * i) for i, e in top.items())
+    lcm_mono = _per_jet(max, (m for d in dens for m in d.nums))
     return ([_scale(r.num, 1, 1, lcm_mono - next(iter(r.den.nums))) for r in rats],
             DiffPoly._of({lcm_mono: 1}))
 

@@ -21,21 +21,20 @@ Only a denominator of two or more terms reaches ``poly_gcd``;
 denominator.
 
 The core, ``jets``, is imported first (the package does so), so the names
-taken from it below are all built when this module runs.
+taken from it below are all built when this module runs.  It alone knows the
+monomial layout: the gcd reads monomials only through its functions.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import and_
 from typing import Dict, Iterable, Optional
 
-from . import jets
-from .jets import (_HALF, _JETS, _MASK, _ONE, _ONE_MONO, _W, DiffPoly, Monomial,
-                   Numerators, _check, _digit, _fields, _from_numerators, _guard,
-                   _scale, _small, _support, exponents)
+from .jets import (_ONE, _ONE_MONO, DiffPoly, JetKey, Monomial, Numerators, _check,
+                   _clearing_monomial, _divides, _exponent, _from_numerators, _guard,
+                   _jet_pairs, _jets_in, _per_jet, _scale, _small, exponents, monomial)
 from .tower import Tower, power
 
 
@@ -96,7 +95,6 @@ def _poly_divexact(f: DiffPoly, g: DiffPoly) -> DiffPoly:
         content = -content
     prim = {m: n // content for m, n in g.nums.items()}
     lead = prim[gm]
-    g_fields = _fields(gm)
     quotient: Numerators = {}
     rest = dict(f.nums)
     heap = [_Lead(m) for m in rest]
@@ -106,7 +104,7 @@ def _poly_divexact(f: DiffPoly, g: DiffPoly) -> DiffPoly:
         if rm not in rest:
             continue
         q_mono = rm - gm
-        if any(_digit(q_mono, i) < 0 for i, _ in g_fields):
+        if not _divides(gm, rm):
             raise ArithmeticError("divisor does not divide the dividend")
         q, r = divmod(rest[rm], lead)
         if r:
@@ -187,20 +185,6 @@ def _normalize_leading(f: DiffPoly) -> DiffPoly:
     return _from_numerators(f.nums, f.nums[max(f.nums, key=exponents)])
 
 
-def _mono_content(f: DiffPoly) -> Monomial:
-    """The largest monomial dividing every term (per-variable minimum exponents)."""
-    exps: Optional[Dict[int, int]] = None
-    for m in f.nums:
-        d = dict(_fields(m))
-        if exps is None:
-            exps = d
-        else:
-            exps = {i: min(e, d[i]) for i, e in exps.items() if i in d}
-        if not exps:
-            return _ONE_MONO
-    return sum(e << (_W * i) for i, e in exps.items())
-
-
 def _divide_by_mono(f: DiffPoly, mono: Monomial) -> DiffPoly:
     if mono == _ONE_MONO:
         return f
@@ -208,14 +192,14 @@ def _divide_by_mono(f: DiffPoly, mono: Monomial) -> DiffPoly:
     return DiffPoly._of(_guard(nums, f.nums, (mono,)), f.den)
 
 
-def _eval_univariate(f: DiffPoly, i_var: int, point: Dict[int, int]) -> Dict[int, int]:
-    """Image of f's numerators in Z[jet i_var] under point, which maps every
-    other field to an integer; f's constant denominator changes no gcd degree."""
+def _eval_univariate(f: DiffPoly, var: JetKey, point: Dict[JetKey, int]) -> Dict[int, int]:
+    """Image of f's numerators in Z[var] under point, which maps every other
+    jet to an integer; f's constant denominator changes no gcd degree."""
     out: Dict[int, int] = {}
     for m, value in f.nums.items():
-        for i, e in _fields(m):
-            value *= point.get(i, 1) ** e
-        e = _digit(m, i_var)
+        for v, e in _jet_pairs(m):
+            value *= point.get(v, 1) ** e
+        e = _exponent(m, var)
         out[e] = out.get(e, 0) + value
     return {e: v for e, v in out.items() if v}
 
@@ -223,19 +207,19 @@ def _eval_univariate(f: DiffPoly, i_var: int, point: Dict[int, int]) -> Dict[int
 _SCREEN_POINTS = (2, 3, 5, 7, -2, 11, -3, 13)
 
 
-def _coprime_image(f: DiffPoly, g: DiffPoly, i_var: int, df: int, dg: int) -> bool:
+def _coprime_image(f: DiffPoly, g: DiffPoly, var: JetKey, df: int, dg: int) -> bool:
     """Whether an integer image proves f and g (of degrees df, dg in the jet
-    of field i_var) coprime in that jet.
+    var) coprime in that jet.
 
     At a point that keeps both leading coefficients, the degree of the
     images' gcd bounds that of f and g, so degree 0 proves them coprime.
     The first usable of four points decides; False proves nothing.
     """
-    others = sorted((_support(f.nums) | _support(g.nums)) - {i_var}, key=_JETS.__getitem__)
+    others = sorted((_jets_in(f.nums) | _jets_in(g.nums)) - {var})
     for seed in range(4):
-        point = {i: _SCREEN_POINTS[(seed + k) % len(_SCREEN_POINTS)]
-                 for k, i in enumerate(others)}
-        fu, gu = _eval_univariate(f, i_var, point), _eval_univariate(g, i_var, point)
+        point = {v: _SCREEN_POINTS[(seed + k) % len(_SCREEN_POINTS)]
+                 for k, v in enumerate(others)}
+        fu, gu = _eval_univariate(f, var, point), _eval_univariate(g, var, point)
         if fu and gu and max(fu) == df and max(gu) == dg:
             return max(_subresultant_last(fu, gu, _intdiv)) == 0
     return False
@@ -267,32 +251,30 @@ def poly_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
 
 @lru_cache(maxsize=20_000)
 def _nontrivial_gcd(f: DiffPoly, g: DiffPoly) -> DiffPoly:
-    mono_f, mono_g = _mono_content(f), _mono_content(g)
-    dg = dict(_fields(mono_g))
-    common_mono = sum(min(e, dg[i]) << (_W * i) for i, e in _fields(mono_f) if i in dg)
+    mono_f, mono_g = _per_jet(min, f.nums), _per_jet(min, g.nums)
     f = _divide_by_mono(f, mono_f)
     g = _divide_by_mono(g, mono_g)
-    shared = DiffPoly._of({common_mono: 1})
+    shared = DiffPoly._of({_per_jet(min, (mono_f, mono_g)): 1})
     if f.is_constant() or g.is_constant():
         return _normalize_leading(shared)
-    sf, sg = _support(f.nums), _support(g.nums)
+    sf, sg = _jets_in(f.nums), _jets_in(g.nums)
     if sf < sg:
         f, g, sf, sg = g, f, sg, sf
     if sf - sg:  # a jet that only f has: g goes first, and no PRS sees the jet
-        i_var = max(sf - sg, key=_JETS.__getitem__)
-        rest = _content_of([g, *f.as_univariate(_JETS[i_var]).values()])
+        rest = _content_of([g, *f.as_univariate(max(sf - sg)).values()])
         return _normalize_leading(shared * rest)
-    i_var = max(sf, key=_JETS.__getitem__)
-    fu, gu = f.as_univariate(_JETS[i_var]), g.as_univariate(_JETS[i_var])
+    var = max(sf)
+    fu, gu = f.as_univariate(var), g.as_univariate(var)
     cont_f, cont_g = _content_of(fu.values()), _content_of(gu.values())
     shared = shared * poly_gcd(cont_f, cont_g)
-    if not _coprime_image(f, g, i_var, max(fu), max(gu)):
+    if not _coprime_image(f, g, var, max(fu), max(gu)):
         last = _subresultant_last({e: _poly_divexact(c, cont_f) for e, c in fu.items()},
                                   {e: _poly_divexact(c, cont_g) for e, c in gu.items()},
                                   _poly_divexact)
         if max(last) > 0:
-            content, s = _content_of(last.values()), _W * i_var
-            shared = shared * sum((_scale(_poly_divexact(c, content), 1, 1, e << s)
+            content = _content_of(last.values())
+            shared = shared * sum((_scale(_poly_divexact(c, content), 1, 1,
+                                          monomial(((var, e),)))
                                    for e, c in last.items()), DiffPoly())
     return _normalize_leading(shared)
 
@@ -314,26 +296,6 @@ def poly_lcm(f: DiffPoly, g: DiffPoly) -> DiffPoly:
 
 
 # -- rational differential functions ----------------------------------------
-
-
-def _clearing_monomial(polys: Iterable[DiffPoly]) -> Monomial:
-    """The least monomial whose product with each of these Laurent polynomials
-    is a polynomial: minus the most negative exponent of every jet.
-
-    With 2**15 added to every field, a digit is negative exactly when the top
-    bit of its field is clear, so one AND over the shifted monomials finds
-    the fields that hold a negative digit; only those are decoded.
-    """
-    halves = jets._HALVES  # read at call time: it grows with every new jet
-    shifted = [m + halves for p in polys if not _small(p.nums) for m in p.nums]
-    neg = halves & ~reduce(and_, shifted, halves)
-    shift = 0
-    while neg:
-        top = neg.bit_length() - 1
-        neg ^= 1 << top
-        s = top & -_W  # the field's lowest bit
-        shift += (_HALF - min((t >> s) & _MASK for t in shifted)) << s
-    return shift
 
 
 class RatFun(Tower):

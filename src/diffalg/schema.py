@@ -168,7 +168,11 @@ def operator_from_json(data: dict) -> Tuple[NonlocalOp, Grading]:
         raise ValueError("grading must be an object mapping names to parities, got "
                          + type(grading).__name__)
     grading = Grading(grading)
-    grading.base_parity("u")  # the parser admits only u jets, so u needs a parity
+    grading.base_parity("u")  # the parser admits only u jets: u needs a parity,
+    extra = sorted(grading.parities.keys() - {"u"})  # and no other name occurs
+    if extra:
+        raise ValueError(f"grading[{extra[0]!r}] names no indeterminate; "
+                         "expressions name only u")
     return NonlocalOp(local, tuple(pairs)), grading
 
 

@@ -135,12 +135,16 @@ class TestVerdictCommands:
         ({"grading": "even"}, "grading must be an object"),
         ({"grading": {"u": "neither"}}, "grading['u'] must be 'even' or 'odd'"),
         ({"grading": {"v": "even"}}, "grading does not assign a parity to 'u'"),
+        ({"grading": {"u": "even", "F": "odd"}}, "grading['F'] names no indeterminate"),
+        ({"local": [["u", 0]], "grading": {"u": "even", "": "odd"}},
+         "grading[''] names no indeterminate"),
         ({"locl": [["2*u", 0], ["1", 2]], "nonlocal": [["u'", "1"]]},
          "unknown operator schema key 'locl'"),
     ], ids=["expr-not-string", "power-not-integer", "second-entry", "negative-power",
             "power-fractional", "power-fractional-string", "power-boolean",
             "power-past-the-bound", "power-just-past-the-bound", "local-not-list",
             "nonlocal-short", "grading-not-object", "bad-parity", "grading-without-u",
+            "grading-formal-slot", "grading-empty-name",
             "unknown-key"])
     def test_schema_errors_name_the_field(self, capsys, tmp_path, schema, field):
         path = tmp_path / "bad.json"

@@ -328,6 +328,38 @@ class TestPackedMonomials:
         assert all(jets._JETS[i] == v for v, i in jets._FIELD.items())
         assert jets._HALVES == sum(1 << (16 * i + 15) for i in range(len(jets._JETS)))
 
+    def test_per_jet_extremes_and_divisibility_match_the_decoded_views(self):
+        # Laurent monomials that lack some jets, with exponents up to the range's
+        # ends: |e| in [2**13, 2**14), where ``_small`` says no
+        rng = random.Random(0x9E7)
+        pool = [(0, "u"), (1, "u"), (3, "u"), (0, "F"), (2, "v")]
+        wide = (lambda: rng.randint(-3, 3), lambda: rng.randint(SMALL, EXPONENT_LIMIT - 1),
+                lambda: -rng.randint(SMALL, EXPONENT_LIMIT))
+
+        def draw():
+            return monomial((v, rng.choice(wide)()) for v in rng.sample(pool, rng.randint(0, 4)))
+
+        def ref(pick, monos):
+            views = [dict(exponents(m)) for m in monos]
+            return monomial((v, pick(d.get(v, 0) for d in views)) for v in pool)
+
+        for _ in range(300):
+            monos = [draw() for _ in range(rng.randint(1, 5))]
+            for pick in (min, max):
+                assert jets._per_jet(pick, monos) == ref(pick, monos)
+            low, high = jets._per_jet(min, monos), jets._per_jet(max, monos)
+            for a, b in ((monos[0], draw()), (draw(), monos[0]), (low, monos[-1]),
+                         (monos[-1], high), (high, low)):
+                da, db = dict(exponents(a)), dict(exponents(b))
+                assert jets._divides(a, b) == all(da.get(v, 0) <= db.get(v, 0) for v in pool)
+        assert jets._per_jet(min, []) == 0
+
+    def test_division_past_the_small_exponents(self):
+        big = DiffPoly.jet("u", 0, 9000)
+        assert _poly_divexact(big * (u1 + 1), big) == u1 + 1
+        with pytest.raises(ArithmeticError):
+            _poly_divexact(DiffPoly.jet("u", 0, 8999), big)
+
 
 def ref_format(terms):
     """The printer's rules, on terms keyed by decoded views."""
@@ -849,8 +881,7 @@ class TestGcdOracle:
             if not c.as_univariate(main).keys() - {0}:
                 c = c + DiffPoly.jet(main[1], main[0])
             f, g = a * c, b * c
-            assert not ratfun._coprime_image(f, g, jets._FIELD[main],
-                                             max(f.as_univariate(main)),
+            assert not ratfun._coprime_image(f, g, main, max(f.as_univariate(main)),
                                              max(g.as_univariate(main)))
 
     def test_divexact_matches_sympy_div(self):

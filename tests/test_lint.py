@@ -3,7 +3,9 @@
 An import that its module never uses, and a private top-level function,
 class or method that nothing in the package refers to, are code that no
 verdict reaches.  Imports are checked in the package and the test modules;
-the package's ``__init__.py`` is skipped: it re-exports.
+the package's ``__init__.py`` is skipped: it re-exports.  The packed layout
+of a monomial is read in ``jets`` alone, so no other package module imports
+or reads a name of that layout.
 """
 
 import ast
@@ -79,3 +81,29 @@ def test_every_private_definition_is_referenced():
                     and node.name not in referenced:
                 unreferenced.append(f"{name}:{node.lineno} {node.name}")
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+# the packed monomial's layout: field width, bias and masks, the field tables
+# and the decoders and shifts that read them
+LAYOUT = {"_W", "_LOG_W", "_MASK", "_HALF", "_HALVES", "_WIDE", "_JETS", "_FIELD",
+          "_field", "_fields", "_digit", "_support", "_SHIFT", "_new_shift"}
+
+
+def test_only_jets_knows_the_monomial_layout():
+    """Every other module multiplies and divides monomials with + and - and
+    reads them through the functions of ``jets``, so a change of the layout
+    touches ``jets`` alone."""
+    leaks = []
+    for name in MODULES:
+        if name == "jets.py":
+            continue
+        for node in ast.walk(_tree(os.path.join(SRC, name))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(
+                    node.value, "id", getattr(node.value, "attr", None)) == "jets":
+                names = [node.attr]
+            else:
+                continue
+            leaks += [f"{name}:{node.lineno} {n}" for n in names if n in LAYOUT]
+    assert not leaks, f"the monomial layout is read outside jets: {leaks}"
