@@ -1,6 +1,7 @@
 """Variational calculus on the jet ring.
 
-Evolutionary vector fields, the Lie bracket on functions, the variational
+Evolutionary vector fields on functions and, coefficientwise, on operators
+(``evo_apply_op``), the Lie bracket on functions, the variational
 derivative, constructive integration (the inverse of the total derivative on
 its image), the homotopy potential, and Q-linear reduction modulo total
 derivatives.  These are the primitives every decision procedure downstream
@@ -38,7 +39,7 @@ from .jets import (EXPONENT_LIMIT, _ONE_MONO, DiffPoly, _add_products, _add_towe
                    _shift, _small, _tower, accumulate, exponents, monomial)
 from .ratfun import RatFun, _laurent
 from .linalg import _rref
-from .operators import frechet, helmholtz_residual
+from .operators import DiffOp, frechet, helmholtz_residual
 
 
 def evo_apply(f, g, name: str = "u"):
@@ -70,6 +71,11 @@ def evo_apply(f, g, name: str = "u"):
     _add_tower(acc, _partials(ng.nums, name, top), nf.nums)
     out = _from_numerators(acc, nf.den * ng.den)
     return RatFun._reduced(out) if rational or isinstance(f, RatFun) else out
+
+
+def evo_apply_op(f, op: DiffOp, name: str = "u") -> DiffOp:
+    """Apply an evolutionary vector field coefficientwise to an operator."""
+    return DiffOp({k: evo_apply(f, c, name) for k, c in op.coeffs.items()})
 
 
 def _partials(ng: dict, name: str, top: int) -> dict:

@@ -26,10 +26,8 @@ START_OFFSET_NOTE = ("chain starts at the seed S0 = A(F0) for F0 in Ker B, one "
 
 def seeds(l: NonlocalOp) -> List[DiffPoly]:
     """The p_i of the canonical non-local tail; empty for local operators."""
-    if l.depth2:
-        raise DiffAlgError("seeds are defined for weakly non-local operators")
     out = []
-    for p, _ in l.depth1:
+    for p, _ in l.tails("the seed of a chain"):
         if not p.is_polynomial():
             raise DiffAlgError("seed is not polynomial; cannot start a chain")
         out.append(p.as_diffpoly())

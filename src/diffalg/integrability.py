@@ -14,12 +14,13 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .bidiff import (SLOT, compose_left, compose_right, frechet_of_op,
                      is_skewsymmetric, left_divide_bidiff)
+from .calculus import evo_apply_op
 from .errors import Unsupported, VerificationFailed
 from .grammar import format_ratfun
 from .jets import DiffPoly
 from .ratfun import RatFun
-from .operators import (DiffOp, FractionPair, evo_apply_op, frechet,
-                        helmholtz_residual, minimal_right_fraction)
+from .operators import (DiffOp, FractionPair, frechet, helmholtz_residual,
+                        minimal_right_fraction)
 from .nonlocal_ops import (NonlocalOp, _negated, _of_words, _product, _twisted_parts,
                            from_fraction_pair, lie_derivative, to_fraction)
 
@@ -147,16 +148,14 @@ def is_hereditary(op: Union[NonlocalOp, FractionPair]) -> Verdict:
     (Unsupported) are not kept.
     """
     if isinstance(op, FractionPair):
-        pair = minimal_right_fraction(op.num, op.den)
-        l, fraction = from_fraction_pair(pair.num, pair.den), (pair.num, pair.den)
+        fraction = minimal_right_fraction(op.num, op.den)
+        l = from_fraction_pair(*fraction)
     elif op._hereditary is not None:
         return op._hereditary
     else:
         l, fraction = op, None
-        if l.depth2:
-            raise Unsupported("hereditariness is defined for weakly non-local "
-                              "operators only")
-    _refuse_the_slot([*l.local.coeffs.values(), *(x for pq in l.depth1 for x in pq)])
+    tails = l.tails("hereditariness")
+    _refuse_the_slot([*l.local.coeffs.values(), *(x for pq in tails for x in pq)])
     a, b = fraction or to_fraction(l)
     difference = _hereditary_sides(l, a, b)
     if difference.is_zero():
@@ -171,9 +170,7 @@ def is_hereditary(op: Union[NonlocalOp, FractionPair]) -> Verdict:
 
 def is_integrable_wnl(l: NonlocalOp) -> Verdict:
     """Weakly non-local integrability: every q a variational derivative + hereditary."""
-    if l.depth2:
-        raise Unsupported("integrability of depth-2 operators is undefined")
-    for _, q in l.depth1:
+    for _, q in l.tails("integrability"):
         residual = helmholtz_residual(q)
         if residual:
             return Verdict(False, Refutation(

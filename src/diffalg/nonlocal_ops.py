@@ -33,12 +33,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .calculus import basis_mod_total_derivatives, evo_apply, integrate
+from .calculus import basis_mod_total_derivatives, evo_apply, evo_apply_op, integrate
 from .errors import DepthOverflow, NotExact, NotInImage, Unsupported
 from .grammar import format_poly, format_ratfun
 from .jets import DiffPoly, _from_numerators, exponents
 from .linalg import _echelon_basis, _over_common_den
-from .operators import (DiffOp, _div_left_by_d, _div_right_by_d, commutator, evo_apply_op,
+from .operators import (DiffOp, FractionPair, _div_left_by_d, _div_right_by_d, commutator,
                         frechet, right_lcm)
 from .ratfun import RatFun
 from .tower import Tower, power
@@ -116,6 +116,13 @@ class NonlocalOp(Tower):
         if other is None:
             return NotImplemented
         return (self - other).is_zero()
+
+    def tails(self, question: str) -> Tuple[Pair, ...]:
+        """The depth-1 tails p d^-1 q, read by a question that only weakly
+        non-local operators answer; a depth-2 term refuses it."""
+        if self.depth2:
+            raise Unsupported(f"{question} is defined for weakly non-local operators only")
+        return self.depth1
 
     @property
     def words(self) -> Tuple[Word, ...]:
@@ -324,11 +331,10 @@ def nl_power(l: NonlocalOp, k: int) -> NonlocalOp:
 
 def nl_apply(l: NonlocalOp, f):
     """L(f) = E(f) + sum p_i * integrate(q_i * f); NotInImage when some q_i*f is not exact."""
-    if l.depth2:
-        raise Unsupported("application is only defined for weakly non-local operators")
+    tails = l.tails("application")
     rf = RatFun.coerce(f)
     out = RatFun.coerce(l.local.apply(rf))
-    for i, (p, q) in enumerate(l.depth1):
+    for i, (p, q) in enumerate(tails):
         product = q * rf
         if not product.is_polynomial():
             raise Unsupported("q_i * f has a nonconstant denominator; "
@@ -354,12 +360,10 @@ def _twisted_parts(l: NonlocalOp, w: DiffOp, g) -> Tuple[List[DiffOp], List[Word
 
     X_g acts coefficientwise: on E, on every p and on every q.
     """
-    if l.depth2:
-        raise Unsupported("evolutionary action on depth-2 terms is not needed "
-                          "and not defined here")
+    tails = l.tails("evolutionary action")
     locals_ = [evo_apply_op(g, l.local), commutator(l.local, w)]
     words, wl_words, lw_words = [], [], []
-    for p, q in l.depth1:
+    for p, q in tails:
         words += [(evo_apply(g, p), q), (p, evo_apply(g, q))]
         if w:
             locals_ += [-_op_times_word(w, (p, q), wl_words),
@@ -390,30 +394,30 @@ def is_recursion_for(l: NonlocalOp, f) -> bool:
 # -- fraction extraction ---------------------------------------------------------------
 
 
-def to_fraction(l: NonlocalOp) -> Tuple[DiffOp, DiffOp]:
-    """(A, B) with L = A B^-1, B the right lcm of the operators (1/q_i) d.
+def to_fraction(l: NonlocalOp) -> FractionPair:
+    """L = A B^-1, B the right lcm of the operators (1/q_i) d; the pair
+    unpacks as (A, B).
 
     The cofactors M_i with B = (1/q_i) d M_i give A = E B + sum p_i M_i;
     the result is re-verified exactly through L * B == A.
     """
-    if l.depth2:
-        raise Unsupported("fractions are defined for weakly non-local operators")
-    if not l.depth1:
-        return l.local, DiffOp.identity()
-    factors = [DiffOp({1: q.inverse()}) for _, q in l.depth1]
+    tails = l.tails("fraction extraction")
+    if not tails:
+        return FractionPair(l.local, DiffOp.identity())
+    factors = [DiffOp({1: q.inverse()}) for _, q in tails]
     b, cofactors = factors[0], [DiffOp.identity()]
     for factor in factors[1:]:
         b, c_new, d_new = right_lcm(factor, b)
         cofactors = [m * d_new for m in cofactors] + [c_new]
-    if b.degree() != len(l.depth1):
+    if b.degree() != len(tails):
         raise AssertionError("independent q directions must give deg B = n")
     a = l.local * b
-    for (p, _), m in zip(l.depth1, cofactors):
+    for (p, _), m in zip(tails, cofactors):
         a = a + DiffOp.of_function(p) * m
     product = nl_mul(l, NonlocalOp.from_local(b))
     if not (product.is_local() and product.local == a):
         raise AssertionError("fraction extraction failed its exactness check")
-    return a, b
+    return FractionPair(a, b)
 
 
 def from_fraction_pair(a: DiffOp, b: DiffOp) -> NonlocalOp:

@@ -4,12 +4,12 @@ Operators are finite sums a_k D^k with rational-function coefficients, where
 D is the total derivative and multiplication obeys D*a = a*D + a'.  The ring
 is left and right Euclidean.  Both divisions are one loop, with the product
 order swapped; on top of them sit the right gcd that makes a right fraction
-A B^-1 minimal and the right lcm that puts several tails over one
-denominator.  Division by d, on either side, needs no loop.  A bidifferential
-operator is an operator here too, M_F over the formal slot F (``bidiff``), so
-left division is also its division.  In the operand tower (``tower``) a
-function lifts to the operator of degree 0, and a function times an operator
-scales its coefficients.
+A B^-1 minimal, on monic remainders, and the right lcm that puts several
+tails over one denominator.  Division by d, on either side, needs no loop.
+A bidifferential operator is an operator here too, M_F over the formal slot
+F (``bidiff``), so left division is also its division.  In the operand tower
+(``tower``) a function lifts to the operator of degree 0, and a function
+times an operator scales its coefficients.
 
 This class is where the Leibniz rule D^k a = sum_n comb(k, n) a^(n) D^(k-n)
 lives: products, commutators (with no n = 0 term), adjoints and applications
@@ -24,7 +24,8 @@ lcm of all their denominators, the towers d^n N stream through
 ``jets._tower``, the terms comb(k, n) N_a d^n N_b add up in one
 {monomial: int} sum per output power, and an output with negative exponents
 becomes a quotient by a monomial again.  Any other denominator takes the
-same expansion over RatFun.
+same expansion over RatFun, written once, in the product: the rational
+adjoint is the sum of the products (-1)^k D^k a_k.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from typing import Dict, Optional, Tuple
 
 from .jets import (DiffPoly, Numerators, _add_products, _add_tower, _from_numerators,
                    _partial, _small, _tower, accumulate)
-from .linalg import _over_common_den
-from .ratfun import RatFun, _content_of, _laurent, derivatives
+from .ratfun import RatFun, _laurent, derivatives
 from .tower import Tower, power
 
 
@@ -203,12 +203,10 @@ class DiffOp(Tower):
             for k, n_a in na.items():  # (-1)^k D^k a_k
                 _add_leibniz(acc, {k: _UNIT}, {0: n_a}, 0, -1 if k % 2 else 1)
             return _of_numerators(acc, den)
-        coeffs: Dict[int, RatFun] = {}
-        for k, a in self.coeffs.items():
-            sign = -1 if k % 2 else 1
-            for n, derivative in enumerate(derivatives(a, k)):
-                accumulate(coeffs, k - n, derivative * (comb(k, n) * sign))
-        return DiffOp(coeffs)
+        # over RatFun each (-1)^k D^k a_k = D^k ((-1)^k a_k) is a product, so
+        # the adjoint writes no Leibniz expansion of its own
+        return sum((DiffOp.d(k) * DiffOp.of_function(-a if k % 2 else a)
+                    for k, a in self.coeffs.items()), DiffOp())
 
     def monic(self) -> "DiffOp":
         if self.is_zero():
@@ -328,35 +326,17 @@ def _div_left_by_d(op: DiffOp) -> Tuple[DiffOp, RatFun]:
     return DiffOp(q), RatFun.coerce(qk)
 
 
-def _left_clear_factor(op: DiffOp) -> RatFun:
-    """A function c such that c*op has primitive polynomial coefficients.
-
-    Scaling on the left by a function preserves left ideals, so Euclidean
-    chains may normalize remainders this way; it is the Ore analog of
-    taking primitive parts in a polynomial remainder sequence.
-    """
-    nums, den = _over_common_den(list(op.coeffs.values()))
-    factor = RatFun(den, _content_of(nums))
-    # deterministic sign/scale: make the leading coefficient's lead term 1
-    lead = (op.leading_coefficient() * factor).num.leading()[1]
-    return factor * (1 / lead)
-
-
-def _primitive_left(op: DiffOp) -> DiffOp:
-    if op.is_zero():
-        return op
-    return _left_clear_factor(op) * op
-
-
 def right_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Monic greatest common right divisor."""
+    """Monic greatest common right divisor.  Each remainder is made monic,
+    a scaling on the left by 1/lc that keeps its left ideal and keeps the
+    coefficients of the chain from growing."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero operators")
-    a, b = _primitive_left(a), _primitive_left(b)
+    a, b = a.monic(), b.monic()
     while not b.is_zero():
         _, r = right_divide(a, b)
-        a, b = b, _primitive_left(r)
-    return a.monic()
+        a, b = b, r.monic()
+    return a
 
 
 def right_lcm(a: DiffOp, b: DiffOp) -> Tuple[DiffOp, DiffOp, DiffOp]:
@@ -393,6 +373,10 @@ class FractionPair:
             raise ValueError("fraction denominator is zero")
         self.num, self.den = num, den
 
+    def __iter__(self):
+        # a, b = fraction: the pair unpacks as (num, den)
+        return iter((self.num, self.den))
+
 
 def minimal_right_fraction(a: DiffOp, b: DiffOp) -> FractionPair:
     """Divide out the right gcd so the pair is right-coprime."""
@@ -425,9 +409,3 @@ def helmholtz_residual(f, name: str = "u") -> DiffOp:
     """D_f - D_f*: zero exactly when f is a variational derivative."""
     d_f = frechet(f, name)
     return d_f - d_f.adjoint()
-
-
-def evo_apply_op(f, op: DiffOp, name: str = "u") -> DiffOp:
-    """Apply an evolutionary vector field coefficientwise to an operator."""
-    from .calculus import evo_apply
-    return DiffOp({k: evo_apply(f, c, name) for k, c in op.coeffs.items()})

@@ -86,12 +86,10 @@ def _ratfun_to_expr(r: RatFun) -> str:
 
 
 def operator_to_json(l: NonlocalOp, grading: Optional[Grading] = None) -> dict:
-    if l.depth2:
-        raise Unsupported("depth-2 terms are internal only and never serialized")
+    tails = l.tails("serialization")
     data = {
         "local": [[_ratfun_to_expr(c), k] for k, c in sorted(l.local.coeffs.items())],
-        "nonlocal": [[_ratfun_to_expr(p), _ratfun_to_expr(q)]
-                     for p, q in l.depth1],
+        "nonlocal": [[_ratfun_to_expr(p), _ratfun_to_expr(q)] for p, q in tails],
     }
     if grading is not None:
         data["grading"] = {name: ("even" if p == 0 else "odd")

@@ -349,9 +349,8 @@ def ref_twisted_lie(l, w, g, name="u"):
     """X_g(L) - [W, L] as evo_on_nonlocal(g, l) - (nl_mul(W, l) - nl_mul(l, W)),
     where evo_on_nonlocal is X_g acting coefficientwise, made canonical."""
     from diffalg import nl_mul
-    from diffalg.calculus import evo_apply
+    from diffalg.calculus import evo_apply, evo_apply_op
     from diffalg.errors import Unsupported
-    from diffalg.operators import evo_apply_op
     local = evo_apply_op(g, l.local, name)
     pairs = []
     for p, q in l.depth1:

@@ -21,9 +21,8 @@ from diffalg import (DiffOp, DiffPoly, Grading, Hierarchy, NonlocalOp,
                      jet, left_divide, left_divide_bidiff, lie_bracket,
                      lie_defect, nl_power, parse_function, right_divide,
                      variational_derivative)
-from diffalg.calculus import is_total_derivative
+from diffalg.calculus import evo_apply_op, is_total_derivative
 from diffalg.errors import NotInImage
-from diffalg.operators import evo_apply_op
 
 from helpers import rand_bidiff, rand_op, rand_poly, rand_wnl, slot_first
 

@@ -12,8 +12,8 @@ from diffalg import (DiffOp, DiffPoly, RatFun, compose_left, compose_right,
                      evo_apply, frechet, frechet_of_op, is_skewsymmetric, jet,
                      left_divide_bidiff, transpose)
 from diffalg.bidiff import SLOT
+from diffalg.calculus import evo_apply_op
 from diffalg.jets import accumulate
-from diffalg.operators import evo_apply_op
 
 from helpers import from_grid, grid, rand_bidiff, rand_grid, rand_op, rand_poly, slot_first
 

@@ -12,7 +12,10 @@ import pytest
 from diffalg import is_hereditary, is_integrable_wnl, is_recursion_for, parse_function
 from diffalg.cli import main
 from diffalg.corpus import ENTRIES, builtin_names, load_operator
+from diffalg.grammar import format_poly
 from diffalg.schema import operator_to_json
+
+from helpers import ref_lie_bracket
 
 
 def run(capsys, *argv):
@@ -212,6 +215,18 @@ class TestHierarchyCommand:
         assert code == 2 and out == ""
         assert "--steps" in err and "-1" in err
 
+    def test_noncommuting_chain_exit_1(self, capsys, tmp_path):
+        # L = d^2 + u^2 is no recursion operator: its chain from u' does not commute
+        path = tmp_path / "noncommuting.json"
+        path.write_text(json.dumps({"local": [["1", 2], ["u^2", 0]]}))
+        code, data, _ = run_json(capsys, "hierarchy", "--op", str(path), "--seed", "u'",
+                                 "--steps", "2", "--verify")
+        assert code == 1 and data["pairwise_zero"] is False
+        assert data["violations"] == ["{S_1, S_2} = -2*u*u'*u(5) + 2*u*u'''^2 "
+                                      "- 12*u^2*u'^2*u'' - 4*u*u'^4"]
+        s1, s2 = (parse_function(s) for s in data["chain"][1:])
+        assert "{S_1, S_2} = " + format_poly(ref_lie_bracket(s1, s2)) == data["violations"][0]
+
     def test_hypothesis_violation_exit_3(self, capsys):
         code, _, err = run(capsys, "hierarchy", "--op", "counterexample",
                            "--seed", "u'", "--steps", "1")
@@ -254,6 +269,12 @@ class TestPowerAndDensities:
         code, out, err = run(capsys, "power", "--op", str(path), "--power", "1")
         assert code == 2 and not out
         assert "unknown operator schema key 'operator'" in json.loads(err)["error"]
+
+    def test_power_with_a_nonvariational_q_exit_1(self, capsys):
+        code, data, _ = run_json(capsys, "power", "--op", "counterexample",
+                                 "--power", "1", "--verify")
+        assert code == 1
+        assert data["qs_variational"] is False and data["failing_q_indices"] == [0]
 
     def test_power_overflow_exit_3(self, capsys):
         import diffalg.corpus as corpus

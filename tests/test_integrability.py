@@ -11,10 +11,11 @@ from diffalg import (DiffOp, DiffPoly, NonlocalOp, RatFun, Refutation,
                      operator_to_json, parse_function)
 from diffalg import ratfun
 from diffalg.bidiff import frechet_of_op
+from diffalg.calculus import evo_apply_op
 from diffalg.corpus import ENTRIES
 from diffalg.errors import Unsupported
 from diffalg.integrability import _mixed_defect
-from diffalg.operators import FractionPair, evo_apply_op
+from diffalg.operators import FractionPair
 
 from helpers import load_workloads, rand_op, slot_first
 
@@ -120,6 +121,18 @@ class TestIntegrablePair:
         monkeypatch.setattr(integrability, "is_integrable_diffop", no_test)
         with pytest.raises(Unsupported, match="collide with the formal slot"):
             is_integrable_pair(BURGERS_A, DiffOp({1: RatFun(1) / RatFun(jet("F", 1))}))
+
+    def test_mixed_identity_refutes_two_integrable_members(self):
+        # d^3 and 2u^2 d + 2uu' are each integrable, but not as a pair; the
+        # KdV pair (d^3, 2u d + u') is
+        a, b = D ** 3, DiffOp({1: RatFun(2 * u * u), 0: RatFun(2 * u * u1)})
+        assert is_integrable_diffop(a).result and is_integrable_diffop(b).result
+        verdict = is_integrable_pair(a, b)
+        assert not verdict.result
+        assert verdict.certificate.reason == ("mixed compatibility identity fails "
+                                              "for the unique witnesses")
+        assert not verdict.certificate.residual.is_zero()
+        assert is_integrable_pair(a, DiffOp({1: RatFun(2 * u), 0: RatFun(u1)})).result
 
     def test_symmetric_in_lambda_scaling(self):
         # pair integrability includes each operator alone

@@ -5,7 +5,9 @@ class or method that nothing in the package refers to, are code that no
 verdict reaches.  Imports are checked in the package and the test modules;
 the package's ``__init__.py`` is skipped: it re-exports.  The packed layout
 of a monomial is read in ``jets`` alone, so no other package module imports
-or reads a name of that layout.
+or reads a name of that layout.  ``operators``, the ring of differential
+operators over the field of fractions, imports from the package only the
+layers below it.
 """
 
 import ast
@@ -107,3 +109,27 @@ def test_only_jets_knows_the_monomial_layout():
                 continue
             leaks += [f"{name}:{node.lineno} {n}" for n in names if n in LAYOUT]
     assert not leaks, f"the monomial layout is read outside jets: {leaks}"
+
+
+def _package_imports(tree: ast.Module) -> set:
+    """The package modules a module imports, by their short names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "diffalg"):
+            if node.module in (None, "diffalg"):  # from . import name
+                found |= {alias.name for alias in node.names}
+            else:
+                found.add(node.module.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".", 1)[1] for alias in node.names
+                      if alias.name.startswith("diffalg.")}
+    return found
+
+
+def test_operators_imports_only_the_layers_below_it():
+    """The arithmetic under the ring, and ``grammar`` to print an operator;
+    evolutionary fields on operators live in ``calculus``, above it."""
+    found = _package_imports(_tree(os.path.join(SRC, "operators.py")))
+    extra = found - {"jets", "ratfun", "tower", "grammar"}
+    assert not extra, f"operators imports from above its layer: {sorted(extra)}"

@@ -8,10 +8,10 @@ import pytest
 
 from diffalg import (DiffOp, DiffPoly, Grading, NonlocalOp, RatFun,
                      conserved_densities, frechet, from_fraction_pair,
-                     is_hereditary, is_recursion_for, jet, lie_derivative,
-                     nl_mul, nl_power, nonlocal_ops, operator_from_json,
-                     operator_to_json, operators, parity_class,
-                     parse_function, to_fraction)
+                     is_hereditary, is_integrable_wnl, is_recursion_for, jet,
+                     lie_derivative, nl_mul, nl_power, nonlocal_ops,
+                     operator_from_json, operator_to_json, operators,
+                     parity_class, parse_function, seeds, to_fraction)
 from diffalg.calculus import is_total_derivative
 from diffalg.corpus import ENTRIES
 from diffalg.errors import DepthOverflow, NotInImage, Unsupported
@@ -370,6 +370,21 @@ class TestApplication:
         with pytest.raises(Unsupported):
             deep.apply(u)
 
+    @pytest.mark.parametrize("question, reader", [
+        ("application", lambda l: l.apply(u)),
+        ("evolutionary action", lambda l: lie_derivative(l, u2)),
+        ("fraction extraction", to_fraction),
+        ("hereditariness", is_hereditary),
+        ("integrability", is_integrable_wnl),
+        ("the seed of a chain", seeds),
+        ("serialization", operator_to_json)])
+    def test_depth2_refused_by_every_reader_of_the_tails(self, question, reader):
+        deep = NonlocalOp(DiffOp.of_function(u), ((RatFun(u1), RatFun(1)),),
+                          ((RatFun(u), RatFun(1), RatFun(u)),))
+        with pytest.raises(Unsupported) as err:
+            reader(deep)
+        assert str(err.value) == f"{question} is defined for weakly non-local operators only"
+
 
 class TestLieDerivative:
     def test_u1_is_always_recursion(self, rng):
@@ -475,8 +490,8 @@ class TestSingleCanonicalForm:
         monkeypatch.setattr(nonlocal_ops, "evo_apply_op", no_evolution)
         deep = NonlocalOp(DiffOp.of_function(u), (),
                           ((RatFun(u), RatFun(1), RatFun(u)),))
-        with pytest.raises(Unsupported, match="evolutionary action on depth-2 terms "
-                                              "is not needed and not defined here"):
+        with pytest.raises(Unsupported, match="evolutionary action is defined for "
+                                              "weakly non-local operators only"):
             lie_derivative(deep, u2)
 
     def test_middle_slot_checked_before_local_parts_are_added(self):
