@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
 from .errors import ParseError
-from .jets import DiffPoly, exponents, monomial
+from .jets import DiffPoly, _per_jet, exponents, monomial
 from .ratfun import RatFun
 from .tower import power
 
@@ -79,24 +79,14 @@ def _bounded(value: int) -> int:
     return value
 
 
-def _exponent_span(p: DiffPoly) -> Dict[tuple, Tuple[int, int]]:
-    """Per jet, the least and the greatest exponent over p's terms; a term
-    without the jet counts as exponent 0."""
-    span: Dict[tuple, Tuple[int, int]] = {}
-    for m in p.nums:
-        for v, e in exponents(m):
-            lo, hi = span.get(v, (0, 0))
-            span[v] = (min(lo, e), max(hi, e))
-    return span
-
-
 def _exponent_past_bound(x: int) -> OverflowError:
     return OverflowError(f"an exponent reaches {x}, past the bound {MAX_EXPONENT}")
 
 
 def _check_power(atom: DiffPoly, e: int) -> None:
     """Refuse atom^e if an exponent or the work of expanding it is out of bounds."""
-    top = max((max(-lo, hi) for lo, hi in _exponent_span(atom).values()), default=0)
+    top = max((abs(x) for pick in (min, max)
+               for _, x in exponents(_per_jet(pick, atom.nums))), default=0)
     if top * abs(e) > MAX_EXPONENT:
         raise _exponent_past_bound(top * abs(e))
     bits = 0  # of each coefficient in lowest terms, not over the common den
@@ -133,12 +123,11 @@ def _check_product(p: DiffPoly, q: DiffPoly) -> None:
     if len(p.nums) * len(q.nums) > MAX_TERMS:
         raise OverflowError(f"a product of {len(p.nums)} by {len(q.nums)} "
                             f"terms expands past {MAX_TERMS} terms")
-    span_p, span_q = _exponent_span(p), _exponent_span(q)
-    for v in span_p.keys() & span_q.keys():
-        (lo_p, hi_p), (lo_q, hi_q) = span_p[v], span_q[v]
-        x = max(-lo_p - lo_q, hi_p + hi_q)
-        if x > MAX_EXPONENT:
-            raise _exponent_past_bound(x)
+    # each digit sum stays within twice MAX_EXPONENT, inside the monomial's range
+    top = max((abs(x) for pick in (min, max) for _, x in
+               exponents(_per_jet(pick, p.nums) + _per_jet(pick, q.nums))), default=0)
+    if top > MAX_EXPONENT:
+        raise _exponent_past_bound(top)
 
 
 def _parse_jet(s: _Scanner) -> DiffPoly:

@@ -1,10 +1,12 @@
 """The Lenard-Magri engine.
 
 A hierarchy iterates symmetries S_{n+1} = L(S_n) from a seed taken out of the
-non-local tail of L (or runs a pair (A, d) on potentials directly, as for
-Burgers).  Each extension step is exact; the commutativity of the chain is
-certified by computing every pairwise bracket, never assumed from the
-structure results that predict it.
+non-local tail of L.  The pair form (A, B) of the scheme B(H_{n+1}) = A(H_n),
+S_n = B(H_n) is the same chain of L = A B^-1, started at S_0 = B(H_0) with
+S_1 = A(H_0): since H_n = B^-1(S_n), A(H_n) = L(S_n).  It takes the B that
+``from_fraction_pair`` converts, B = b0 or B = b1 d.  Each extension step is
+exact; the commutativity of the chain is certified by computing every
+pairwise bracket, never assumed from the structure results that predict it.
 """
 
 from __future__ import annotations
@@ -35,19 +37,18 @@ def seeds(l: NonlocalOp) -> List[DiffPoly]:
 
 
 class Hierarchy:
-    """A chain S_0..S_N with S_{k+1} = L(S_k), plus certification state."""
+    """A chain S_0..S_N with S_{k+1} = L(S_k): it stores L, the chain and, in
+    the pair form, (A, B) and H_0, and reads its seeds, orders and potentials
+    off them, so they follow any change to the chain."""
 
-    def __init__(self, operator: NonlocalOp, seeds: List[DiffPoly],
-                 chain: List[DiffPoly], potentials: List[Optional[DiffPoly]],
-                 orders: List[Optional[int]],
+    def __init__(self, operator: NonlocalOp, chain: List[DiffPoly],
                  pair: Optional[Tuple[DiffOp, DiffOp]] = None,
+                 start: Optional[DiffPoly] = None,
                  notes: Optional[List[str]] = None):
         self.operator = operator
-        self.seeds = seeds
         self.chain = chain
-        self.potentials = potentials
-        self.orders = orders
         self.pair = pair
+        self.start = start
         self.notes = [] if notes is None else notes
 
     @staticmethod
@@ -59,9 +60,7 @@ class Hierarchy:
                 raise DiffAlgError(
                     "operator does not determine a unique seed; pass one")
             seed = found[0]
-        h = Hierarchy(operator=l, seeds=found, chain=[seed],
-                      potentials=[], orders=[diff_order(seed)],
-                      notes=[START_OFFSET_NOTE])
+        h = Hierarchy(operator=l, chain=[seed], notes=[START_OFFSET_NOTE])
         if grading is not None:
             pc = parity_class(l, grading)
             if not (pc.member or pc.member_switched):
@@ -71,61 +70,61 @@ class Hierarchy:
 
     @staticmethod
     def from_pair(a: DiffOp, b: DiffOp, start: DiffPoly) -> "Hierarchy":
-        """Pair form: iterate potentials H with B(H_next) = A(H); needs B = d."""
-        if b != DiffOp.d():
-            raise DiffAlgError("the pair engine only solves B = d exactly")
-        l = from_fraction_pair(a, b)
-        s0 = b.apply(start)
-        return Hierarchy(operator=l, seeds=seeds(l), chain=[DiffPoly.coerce(s0)],
-                         potentials=[DiffPoly.coerce(start)],
-                         orders=[diff_order(s0)], pair=(a, b))
+        """Pair form: the chain of L = A B^-1 from S_0 = B(H_0), H_0 = start;
+        B = b0 or B = b1 d, else ``from_fraction_pair`` refuses it."""
+        return Hierarchy(from_fraction_pair(a, b), [_member(b.apply(start), 0)],
+                         pair=(a, b), start=DiffPoly.coerce(start))
+
+    @property
+    def seeds(self) -> List[DiffPoly]:
+        return seeds(self.operator)
+
+    @property
+    def orders(self) -> List[Optional[int]]:
+        return [diff_order(s) for s in self.chain]
 
     # -- growth -------------------------------------------------------------
 
     def extend(self, steps: int) -> "Hierarchy":
-        """Append the next symmetries; NotInImage surfaces as a hypothesis report."""
+        """Append the next symmetries; NotInImage surfaces as a hypothesis report.
+
+        A pair's first step is S_1 = A(H_0); every other step is L(S_n)."""
         for _ in range(steps):
-            if self.pair is not None:
-                a, _ = self.pair
-                image = _member(a.apply(self.potentials[-1]), len(self.chain))
-                try:
-                    h_next = integrate(image)
-                except DiffAlgError as exc:
-                    raise NotInImage(
-                        f"pair step left the image of d: {exc}") from exc
-                self.potentials.append(h_next)
-                s_next = image
+            n = len(self.chain)
+            if self.pair is not None and n == 1:
+                s_next = self.pair[0].apply(self.start)
             else:
-                tip = self.chain[-1]
                 try:
-                    s_next = nl_apply(self.operator, tip)
+                    s_next = nl_apply(self.operator, self.chain[-1])
                 except NotInImage as exc:
                     raise NotInImage(
-                        "Lenard-Magri hypothesis violated at step "
-                        f"{len(self.chain)}: {exc}", index=exc.index,
-                        product=exc.product) from exc
-                s_next = _member(s_next, len(self.chain))
-            self.chain.append(s_next)
-            self.orders.append(diff_order(s_next))
+                        f"Lenard-Magri hypothesis violated at step {n}: {exc}",
+                        index=exc.index, product=exc.product) from exc
+            self.chain.append(_member(s_next, n))
         return self
 
-    def chain_potentials(self) -> List[Optional[DiffPoly]]:
-        """F_n with B(F_n) = S_n, None where none is known.  The pair path
-        stores its potentials; the operator path stores none, and with one
-        tail q, where B = (1/q) d, F_n is the integral of q S_n for n >= 1."""
-        if self.pair is not None:
-            return self.potentials
-        return [None] + [self._potential_for(s) for s in self.chain[1:]]
+    @property
+    def potentials(self) -> List[Optional[DiffPoly]]:
+        """H_n with B(H_n) = S_n, None where none is known: H_0 is the pair's
+        start, and H_n = B^-1(S_n) for n >= 1, with the zero constant of
+        integration that makes A(H_n) = L(S_n)."""
+        return [self.start] + [self._potential_for(s) for s in self.chain[1:]]
 
     def _potential_for(self, s: DiffPoly) -> Optional[DiffPoly]:
-        if len(self.operator.depth1) != 1:
+        """q S for B = 1/q, the integral of q S for B = (1/q) d: B is the
+        pair's, or the one tail q of the operator gives B = (1/q) d."""
+        if self.pair is not None:
+            b = self.pair[1]
+            degree, q = b.degree(), b.coefficient(b.degree()).inverse()
+        elif len(self.operator.depth1) == 1:
+            degree, (_, q) = 1, self.operator.depth1[0]
+        else:
             return None
-        _, q = self.operator.depth1[0]
         product = q * s
         if not product.is_polynomial():
             return None
         try:
-            return integrate(product.as_diffpoly())
+            return integrate(product.as_diffpoly()) if degree else product.as_diffpoly()
         except DiffAlgError:
             return None
 
@@ -145,12 +144,9 @@ class Hierarchy:
                                  violations=bad)
 
     def scheme_consistency(self) -> bool:
-        """B(F_{n+1}) = A(F_n) for the ``chain_potentials``, checked exactly."""
-        if self.pair is not None:
-            a, b = self.pair
-        else:
-            a, b = to_fraction(self.operator)
-        potentials = self.chain_potentials()
+        """B(H_{n+1}) = A(H_n) for the ``potentials``, checked exactly."""
+        a, b = self.pair or to_fraction(self.operator)
+        potentials = self.potentials
         for n in range(len(self.chain) - 1):
             f_next = potentials[n + 1]
             if f_next is None:

@@ -19,10 +19,8 @@ from .errors import Unsupported, VerificationFailed
 from .grammar import format_ratfun
 from .jets import DiffPoly
 from .ratfun import RatFun
-from .operators import (DiffOp, FractionPair, frechet, helmholtz_residual,
-                        minimal_right_fraction)
-from .nonlocal_ops import (NonlocalOp, _negated, _of_words, _product, _twisted_parts,
-                           from_fraction_pair, lie_derivative, to_fraction)
+from .operators import DiffOp, FractionPair, helmholtz_residual, minimal_right_fraction
+from .nonlocal_ops import NonlocalOp, from_fraction_pair, hereditary_defect, to_fraction
 
 
 class Witness(NamedTuple):
@@ -53,7 +51,7 @@ def _refuse_the_slot(coeffs: Iterable[RatFun]) -> None:
     """Refuse coefficients that mention the formal slot F: A(F) and M_F
     would read them as the formal function."""
     for c in coeffs:
-        if SLOT in c.num.indets() + c.den.indets():
+        if c.top_order(SLOT) is not None:
             raise Unsupported("operator coefficients collide with the formal slot")
 
 
@@ -118,23 +116,6 @@ def is_integrable_pair(a: DiffOp, b: DiffOp) -> Verdict:
     return Verdict(True, Witness(m=m, n=n))
 
 
-def _hereditary_sides(l: NonlocalOp, a: DiffOp, b: DiffOp) -> NonlocalOp:
-    """LHS - RHS of the hereditary identity at the formal function F.
-
-    LHS = X_{A(F)}(L) - [(D_A)_F, L] and RHS = L (X_{B(F)}(L) - [(D_B)_F, L])
-    hold Lie derivatives along A(F) and B(F), as D_{A(F)} = (D_A)_F.  Only
-    the inner one, a factor of the product, is made canonical on its own.
-    The rest is added as raw local parts and words and canonicalized once,
-    words first: a non-polynomial depth-2 middle slot raises Unsupported
-    before any local parts are added.
-    """
-    f = DiffPoly.jet(SLOT, 0)
-    af = a.apply(f)
-    locals_, words = _twisted_parts(l, frechet(af), af)
-    rhs_local, rhs_words = _product(l, lie_derivative(l, b.apply(f)))
-    return _of_words(locals_ + [-rhs_local], words + _negated(rhs_words))
-
-
 def is_hereditary(op: Union[NonlocalOp, FractionPair]) -> Verdict:
     """Exact test of the Nijenhuis identity in the depth-2 algebra.
 
@@ -157,7 +138,8 @@ def is_hereditary(op: Union[NonlocalOp, FractionPair]) -> Verdict:
     tails = l.tails("hereditariness")
     _refuse_the_slot([*l.local.coeffs.values(), *(x for pq in tails for x in pq)])
     a, b = fraction or to_fraction(l)
-    difference = _hereditary_sides(l, a, b)
+    f = DiffPoly.jet(SLOT, 0)
+    difference = hereditary_defect(l, a.apply(f), b.apply(f))
     if difference.is_zero():
         verdict = Verdict(True, None)
     else:

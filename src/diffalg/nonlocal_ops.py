@@ -6,11 +6,12 @@ tensor they present, and depth-2 middle slots are representatives independent
 modulo total derivatives (exact middle slots are rewritten away through
 d^-1 g' d^-1 = g d^-1 - d^-1 g).  Canonical forms make the zero test exact,
 which is what the decision procedures certify against.  A decision identity
-builds one canonical form: the twisted Lie derivative X_g(L) - W L + L W, and
-the two sides of the hereditary identity, add their terms as raw local parts
-and words (``_product``, ``_twisted_parts``), and only the sum is
-canonicalized.  The local part of L W - W L is the commutator [E, W]
-(``operators.commutator``), which never forms the terms that cancel.
+builds one canonical form: the twisted Lie derivative X_g(L) - W L + L W
+(``twisted_lie``) and the two sides of the hereditary identity
+(``hereditary_defect``) add their terms as raw local parts and words
+(``_product``, ``_twisted_parts``), and only the sum is canonicalized.  The
+local part of L W - W L is the commutator [E, W] (``operators.commutator``),
+which never forms the terms that cancel.
 
 Every non-local term is a word f0 d^-1 f1 ... d^-1 fk, and one rule multiplies
 a local operator into a word: E f0 = Q d + r gives
@@ -391,6 +392,21 @@ def is_recursion_for(l: NonlocalOp, f) -> bool:
     return lie_derivative(l, f).is_zero()
 
 
+def hereditary_defect(l: NonlocalOp, ka, kb) -> NonlocalOp:
+    """L_{K_A}(L) - L L_{K_B}(L), with L_K(L) = X_K(L) - [D_K, L]; for
+    K_A = A(F) and K_B = B(F) at a formal F, where L = A B^-1, it vanishes
+    exactly when L is hereditary, as D_{A(F)} = (D_A)_F.
+
+    Only the inner Lie derivative, a factor of the product, is made canonical
+    on its own.  The rest is added as raw local parts and words and
+    canonicalized once, words first: a non-polynomial depth-2 middle slot
+    raises Unsupported before any local parts are added.
+    """
+    locals_, words = _twisted_parts(l, frechet(ka), ka)
+    rhs_local, rhs_words = _product(l, lie_derivative(l, kb))
+    return _of_words(locals_ + [-rhs_local], words + _negated(rhs_words))
+
+
 # -- fraction extraction ---------------------------------------------------------------
 
 
@@ -421,10 +437,11 @@ def to_fraction(l: NonlocalOp) -> FractionPair:
 
 
 def from_fraction_pair(a: DiffOp, b: DiffOp) -> NonlocalOp:
-    """Convert A B^-1 to weakly non-local form when B = b1 * d.
+    """Convert A B^-1 to weakly non-local form when B = b0 or B = b1 * d.
 
-    Such a B has kernel spanned by the constants, so
-    A B^-1 = A d^-1 (1/b1) splits exactly by one Euclidean division.
+    A B^-1 = A (1/b0) is local, and B = b1 d has kernel spanned by the
+    constants, so A B^-1 = A d^-1 (1/b1) splits exactly by one Euclidean
+    division.
     Anything more general needs kernel solving, which is out of scope.
     """
     if b.is_zero():
@@ -444,6 +461,6 @@ def from_fraction_pair(a: DiffOp, b: DiffOp) -> NonlocalOp:
 # so it stays bound here as the same object, after the algebra ``schema`` imports.
 from .schema import operator_from_json
 
-__all__ = ["NonlocalOp", "from_fraction_pair", "is_recursion_for", "lie_derivative",
-           "nl_apply", "nl_mul", "nl_power", "operator_from_json", "to_fraction",
-           "twisted_lie"]
+__all__ = ["NonlocalOp", "from_fraction_pair", "hereditary_defect", "is_recursion_for",
+           "lie_derivative", "nl_apply", "nl_mul", "nl_power", "operator_from_json",
+           "to_fraction", "twisted_lie"]

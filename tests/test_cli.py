@@ -244,6 +244,24 @@ class TestHierarchyCommand:
             "differential polynomial")}
 
 
+    def test_seed_without_an_exact_product_exit_2(self, capsys):
+        # Burgers' q = 1 times the seed u''^-1 is no polynomial to integrate
+        code, out, err = run(capsys, "hierarchy", "--op", "burgers",
+                             "--seed", "u''^-1", "--steps", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "q_i * f has a nonconstant denominator; "
+                                            "exact integration is polynomial-only"}
+
+    def test_nonpolynomial_tail_refused_even_with_a_seed_exit_2(self, capsys, tmp_path):
+        # the tail p = u^-1 is read, and refused, before the given seed is used
+        path = tmp_path / "rational_tail.json"
+        path.write_text(json.dumps({"local": [["1", 1]], "nonlocal": [["u^-1", "1"]]}))
+        code, out, err = run(capsys, "hierarchy", "--op", str(path),
+                             "--seed", "u'", "--steps", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "seed is not polynomial; cannot start a chain"}
+
+
 class TestPowerAndDensities:
     def test_power_two(self, capsys):
         code, data, _ = run_json(capsys, "power", "--op", "kdv",
@@ -287,6 +305,13 @@ class TestPowerAndDensities:
             assert code == 3 and "hypothesis_violation" in err
         finally:
             del corpus.ENTRIES["qu"]
+
+    def test_densities_of_a_rational_q_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "rational_q.json"
+        path.write_text(json.dumps({"local": [["1", 1]], "nonlocal": [["u'", "u^-1"]]}))
+        code, out, err = run(capsys, "densities", "--op", str(path), "--power", "1")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"hypothesis_violation": "q_0 of the power is not polynomial"}
 
     def test_densities(self, capsys):
         code, data, _ = run_json(capsys, "densities", "--op", "kdv",

@@ -7,7 +7,8 @@ import pytest
 from diffalg import (DiffOp, DiffPoly, Grading, Hierarchy, NonlocalOp, RatFun,
                      conserved_densities, jet, lie_bracket, nl_power,
                      parse_function, seeds, to_fraction)
-from diffalg.calculus import is_total_derivative, evo_apply
+from diffalg.calculus import evo_apply, integrate, is_total_derivative
+from diffalg.corpus import load_operator
 from diffalg.errors import DiffAlgError, NotInImage, Unsupported
 from diffalg.grammar import format_poly
 
@@ -103,6 +104,37 @@ class TestPairForm:
         op_route = Hierarchy.from_operator(burgers_operator(), seed=u1).extend(4)
         assert op_route.chain == pair_route.chain[1:]
 
+    def test_mkdv_fraction_runs_the_mkdv_chain(self):
+        # B = u^-1 d: the pair form reaches past B = d
+        mkdv, _ = load_operator("mkdv")
+        h = Hierarchy.from_pair(*to_fraction(mkdv), 1).extend(4)
+        assert h.chain[0] == 0
+        assert h.chain[1:] == Hierarchy.from_operator(mkdv).extend(3).chain
+        assert h.scheme_consistency()
+        assert h.verify_commuting().all_zero
+
+    def test_scaled_denominators(self):
+        # B = 2 d and B = 2: H_n = B^-1(S_n) carries the 1/2 of each
+        h = Hierarchy.from_pair(D * (D + u), 2 * D, DiffPoly.const(1)).extend(4)
+        assert h.potentials[1] == u * Fraction(1, 2)
+        assert h.scheme_consistency() and h.verify_commuting().all_zero
+        e = D * D + DiffOp.of_function(u)
+        h = Hierarchy.from_pair(e, DiffOp.of_function(RatFun(2)), u).extend(3)
+        assert h.chain[:2] == [2 * u, u2 + u * u]
+        assert h.potentials[1] == (u2 + u * u) * Fraction(1, 2)
+        assert h.scheme_consistency()
+
+    def test_member_that_is_not_exact_fails_one_step_later(self):
+        # A = u sends H_0 = 1 to S_1 = u, which has no potential
+        h = Hierarchy.from_pair(DiffOp.of_function(u), D, 1).extend(1)
+        assert h.chain == [0, u]
+        assert h.potentials == [1, None]
+        assert not h.scheme_consistency()
+        with pytest.raises(NotInImage) as err:
+            h.extend(1)
+        assert str(err.value) == ("Lenard-Magri hypothesis violated at step 2: "
+                                  "q_0 * f = u is not a total derivative")
+
 
 class TestVerifyCommuting:
     def test_kdv_all_zero(self, kdv_chain):
@@ -110,13 +142,11 @@ class TestVerifyCommuting:
         assert report.all_zero and report.pairs_checked == 6
 
     def test_trivially_commuting_non_hierarchy(self):
-        h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u1, u2],
-                      potentials=[None, None], orders=[1, 2])
+        h = Hierarchy(operator=kdv_operator(), chain=[u1, u2])
         assert h.verify_commuting().all_zero
 
     def test_adversarial_chain_reported(self):
-        h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u, u * u],
-                      potentials=[None, None], orders=[0, 0])
+        h = Hierarchy(operator=kdv_operator(), chain=[u, u * u])
         report = h.verify_commuting()
         assert not report.all_zero
         (i, j, residual), = report.violations
@@ -126,8 +156,7 @@ class TestVerifyCommuting:
         """(1, 2) and (0, 3) both fail, so the report order is the pair
         order, not the order in which the brackets complete."""
         chain = [u, u * u, u2, u3 * u]
-        h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=chain,
-                      potentials=[None] * 4, orders=[0, 0, 2, 3])
+        h = Hierarchy(operator=kdv_operator(), chain=chain)
         report = h.verify_commuting()
         expected = [(i, j, lie_bracket(chain[i], chain[j]))
                     for i in range(4) for j in range(i + 1, 4)]
@@ -137,10 +166,8 @@ class TestVerifyCommuting:
         assert [(i, j) for i, j, _ in expected] == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
 
     def test_reassigned_chain_prints_its_report(self):
-        h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u1],
-                      potentials=[None], orders=[1])
-        other = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u1],
-                          potentials=[None], orders=[1])
+        h = Hierarchy(operator=kdv_operator(), chain=[u1])
+        other = Hierarchy(operator=kdv_operator(), chain=[u1])
         h.notes.append("note")
         assert other.notes == []  # each hierarchy has its own notes list
         h.chain = [u, u * u, u2]
@@ -167,9 +194,14 @@ class TestVerifyCommuting:
         assert h.report(report)["violations"] == [
             f"{{S_{i}, S_{j}}} = {format_poly(r)}" for i, j, r in expected]
 
+    def test_reassigned_chain_reads_its_orders(self):
+        h = Hierarchy.from_operator(kdv_operator()).extend(2)
+        h.chain = [u, u * u, u2]
+        assert h.orders == [0, 0, 2]
+        assert h.report()["orders"] == [0, 0, 2]
+
     def test_one_member_chain(self):
-        h = Hierarchy(operator=kdv_operator(), seeds=[u1], chain=[u1],
-                      potentials=[None], orders=[1])
+        h = Hierarchy(operator=kdv_operator(), chain=[u1])
         report = h.verify_commuting()
         assert report.pairs_checked == 0 and report.all_zero
         assert report.violations == []
@@ -191,10 +223,17 @@ class TestSchemeConsistency:
     def test_kdv_potentials(self, kdv_chain):
         assert kdv_chain.scheme_consistency()
         a, b = to_fraction(kdv_chain.operator)
-        potentials = kdv_chain.chain_potentials()
+        potentials = kdv_chain.potentials
         for n in range(1, len(kdv_chain.chain)):
             f = potentials[n]
             assert DiffPoly.coerce(b.apply(f)) == kdv_chain.chain[n]
+
+    def test_operator_chain_potentials(self):
+        h = Hierarchy.from_operator(kdv_operator()).extend(2)
+        (_, q), = h.operator.depth1
+        assert h.potentials == [None] + [integrate((q * s).as_diffpoly())
+                                         for s in h.chain[1:]]
+        assert h.potentials[1] == u2 + Fraction(3, 2) * u * u
 
     def test_images_stay_exact(self, kdv_chain):
         # q_i * S_n is a total derivative at every step

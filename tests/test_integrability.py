@@ -274,8 +274,8 @@ class TestOneProofPerOperator:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(integrability, "_hereditary_sides",
-                            counted("sides", integrability._hereditary_sides))
+        monkeypatch.setattr(integrability, "hereditary_defect",
+                            counted("sides", integrability.hereditary_defect))
         monkeypatch.setattr(integrability, "to_fraction",
                             counted("fraction", integrability.to_fraction))
         l = kdv_operator()

@@ -7,7 +7,8 @@ the package's ``__init__.py`` is skipped: it re-exports.  The packed layout
 of a monomial is read in ``jets`` alone, so no other package module imports
 or reads a name of that layout.  ``operators``, the ring of differential
 operators over the field of fractions, imports from the package only the
-layers below it.
+layers below it.  The raw words and local parts of ``nonlocal_ops`` stay
+inside it: no other package module imports one of its private names.
 """
 
 import ast
@@ -133,3 +134,17 @@ def test_operators_imports_only_the_layers_below_it():
     found = _package_imports(_tree(os.path.join(SRC, "operators.py")))
     extra = found - {"jets", "ratfun", "tower", "grammar"}
     assert not extra, f"operators imports from above its layer: {sorted(extra)}"
+
+
+def test_no_module_imports_the_private_names_of_nonlocal_ops():
+    """An identity that needs the raw words of a product or a Lie derivative
+    is built in ``nonlocal_ops``, as ``twisted_lie`` and ``hereditary_defect``
+    are, and reaches the other modules through their public names."""
+    leaks = []
+    for name in MODULES:
+        for node in ast.walk(_tree(os.path.join(SRC, name))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(
+                    ".", 1)[-1] == "nonlocal_ops":
+                leaks += [f"{name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert not leaks, f"private names of nonlocal_ops imported: {leaks}"

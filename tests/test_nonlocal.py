@@ -112,6 +112,16 @@ class TestMultiplication:
         with pytest.raises(DepthOverflow):
             nl_mul(deep, tail)
 
+    def test_depth2_factor_refused_on_either_side(self):
+        # L = d + u d^-1 u: u * u is not exact, so L^2 keeps a depth-2 term
+        l = NonlocalOp(D, ((RatFun(u), RatFun(u)),))
+        l2 = nl_mul(l, l)
+        assert l2.depth2
+        with pytest.raises(DepthOverflow, match="^right factor already has depth 2$"):
+            nl_mul(l, l2)
+        with pytest.raises(DepthOverflow, match="^left factor already has depth 2$"):
+            nl_mul(l2, l)
+
     def test_power_of_kdv(self):
         assert nl_power(kdv_operator(), 1) == kdv_operator()
         l2 = nl_power(kdv_operator(), 2)
@@ -539,6 +549,13 @@ class TestFractions:
         l2 = nl_power(kdv_operator(), 2)
         a, b = to_fraction(l2)
         assert b.degree() == 2
+
+    def test_from_fraction_with_a_degree0_denominator_is_local(self):
+        # A B^-1 = d^2 (1/u), expanded by the Leibniz rule
+        l = from_fraction_pair(D * D, DiffOp.of_function(u))
+        assert l.is_local()
+        assert repr(l) == ("NonlocalOp((1/u)*d^2 + (-2*u'/u^2)*d + "
+                           "(-u*u'' + 2*u'^2)/u^3)")
 
     def test_from_fraction_refuses_hidden_kernels(self):
         with pytest.raises(Unsupported):
